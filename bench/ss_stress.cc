@@ -38,10 +38,7 @@ core::CachingStoreOptions StressOptions(bool background) {
   o.device.capacity_bytes = 512ull << 20;
   o.device.max_iops = 0;
   o.maintenance_interval_ops = 128;
-  if (background) {
-    o.background.workers = 2;
-    o.background.log_dead_trigger = 0.5;
-  }
+  if (background) o.background.workers = 2;
   return o;
 }
 

@@ -403,10 +403,7 @@ int RunSmokeJson(const char* path) {
     opts.device.capacity_bytes = 512ull << 20;
     opts.device.max_iops = 0;
     opts.maintenance_interval_ops = 128;
-    if (background != 0) {
-      opts.background.workers = 2;
-      opts.background.log_dead_trigger = 0.5;
-    }
+    if (background != 0) opts.background.workers = 2;
     auto store = core::ShardedStore::OfCaching(kShards, opts);
 
     workload::WorkloadSpec spec = workload::WorkloadSpec::YcsbA(24'000);
@@ -483,7 +480,6 @@ int RunSmokeJson(const char* path) {
       opts.device.max_iops = 0;
       opts.maintenance_interval_ops = 128;
       opts.background.workers = 2;
-      opts.background.log_dead_trigger = 0.5;
       if (tier_on != 0) {
         opts.tier.css_budget_bytes = (8ull << 20) / kShards;
         // Bench runs are sub-second; a 20ms idle floor still separates
@@ -542,7 +538,7 @@ int RunSmokeJson(const char* path) {
              b.name, tier_on ? "on" : "off", r.ops_per_wall_sec, hit_rate,
              (unsigned long long)s.tier_css_hits,
              (unsigned long long)s.tier_demotions, hrpd,
-             s.measured_t_i_seconds, s.modeled_t_i_seconds);
+             s.MeasuredTiSeconds(), s.ModeledTiSeconds());
       fprintf(out,
               "%s    {\"budget\": \"%s\", \"budget_bytes\": %llu, "
               "\"tier\": \"%s\", \"ops_per_wall_sec\": %.0f, "
@@ -566,9 +562,9 @@ int RunSmokeJson(const char* path) {
               (unsigned long long)s.tier_demotions,
               (unsigned long long)s.tier_promotions,
               (unsigned long long)s.tier_demotion_refusals,
-              s.MeasuredCompressionRatio(), s.measured_t_i_seconds,
-              s.modeled_t_i_seconds, s.measured_css_breakeven_ops,
-              s.modeled_css_breakeven_ops,
+              s.MeasuredCompressionRatio(), s.MeasuredTiSeconds(),
+              s.ModeledTiSeconds(), s.MeasuredCssBreakevenOps(),
+              s.ModeledCssBreakevenOps(),
               (unsigned long long)r.foreground_maintenance_ops);
       first = false;
       // Acceptance: background maintenance must never leak into the

@@ -7,7 +7,7 @@
 #
 # Usage: scripts/check.sh [--list] [lane...]
 #   lanes: plain analyze asan tsan ubsan simd stress serve chaos tidy
-#   (default: all but bench)
+#          benchmark (default: all but bench)
 #   Every ctest lane includes the three-tier suite — css_tier_test's
 #   demotion/promotion/reheat policies, compressor_robustness_test's
 #   adversarial decompression inputs, and the crash-recovery torture
@@ -35,6 +35,12 @@
 #   reads/writes, injected resets, slowloris stalls, and mid-stream
 #   disconnects against the live server, asserting no wedges, no fd
 #   leaks, and clean recovery after every plan.
+#   `benchmark` runs `benchmark/run.sh --quick`: it builds ../src in
+#   Release as the repo benchmark's own subproject (build-benchmark/),
+#   runs the result checker's self-test and every workload for 1 s, and
+#   fails on a build error or any wrong result. The benchmark lives
+#   outside the root build, so this is the lane that catches a src/ API
+#   change that breaks it.
 #   The opt-in `bench` lane (never run by default: wall-clock sensitive)
 #   runs scripts/bench_smoke.sh and leaves its BENCH_smoke.json at the
 #   repo root.
@@ -54,12 +60,13 @@ stress   SS-heavy steady-state bench; asserts maintenance stays off op path
 serve    TSan server+loadgen loopback smoke with clean-shutdown assertions
 chaos    TSan network fault-injection suite (seeded plans, sheds, watchdog)
 tidy     clang-tidy over all first-party sources (+ costperf-* plugin)
+benchmark repo benchmark quick run: Release build, checker self-test, 1 s per workload
 bench    (opt-in) wall-clock bench smoke; writes BENCH_smoke.json
 EOF
   exit 0
 fi
 LANES=("$@")
-[[ ${#LANES[@]} -eq 0 ]] && LANES=(plain analyze asan tsan ubsan simd stress serve chaos tidy)
+[[ ${#LANES[@]} -eq 0 ]] && LANES=(plain analyze asan tsan ubsan simd stress serve chaos tidy benchmark)
 
 failures=()
 skips=()
@@ -232,6 +239,15 @@ for lane in "${LANES[@]}"; do
         skips+=(tidy)
       fi
       ;;
+    benchmark)
+      echo
+      echo "=== lane: benchmark ==="
+      if "$ROOT/benchmark/run.sh" --quick; then
+        echo "lane benchmark: builds against src/, every workload correct"
+      else
+        failures+=("benchmark")
+      fi
+      ;;
     bench)
       echo
       echo "=== lane: bench ==="
@@ -240,7 +256,7 @@ for lane in "${LANES[@]}"; do
       fi
       ;;
     *)
-      echo "unknown lane '$lane' (want: plain analyze asan tsan ubsan simd stress serve chaos tidy bench)" >&2
+      echo "unknown lane '$lane' (want: plain analyze asan tsan ubsan simd stress serve chaos tidy benchmark bench)" >&2
       exit 2
       ;;
   esac

@@ -103,6 +103,21 @@ bool ChainFences(const Node* head, const std::string** high_key,
   return false;
 }
 
+// The right sibling now responsible for `key` when the chain's fences
+// show the key at or past its high fence (a split moved it right before
+// the parent reflected it); kInvalidPageId when the key belongs here or
+// the fences are unknown. Forced inline: it sits on every descent.
+[[gnu::always_inline]] inline PageId RightOfFence(const Node* head,
+                                                  const Slice& key) {
+  const std::string* high_key = nullptr;
+  PageId right_sib = kInvalidPageId;
+  if (ChainFences(head, &high_key, &right_sib) && !high_key->empty() &&
+      key.compare(Slice(*high_key)) >= 0) {
+    return right_sib;
+  }
+  return kInvalidPageId;
+}
+
 // True when the chain contains structure-modification deltas that the
 // record-cache paths cannot clone or serialize incrementally.
 bool ChainHasSmoDeltas(const Node* head) {
@@ -158,15 +173,18 @@ void BwTree::MetaSetChain(PageId pid, std::vector<uint64_t> chain,
   m.base_dirty = dirty;
 }
 
-void BwTree::MetaPushDelta(PageId pid, uint64_t addr) {
-  MutexLock lk(&meta_mu_);
-  auto& m = meta_[pid];
-  m.flash_chain.insert(m.flash_chain.begin(), addr);
-}
-
 void BwTree::MetaMarkDirty(PageId pid) {
   MutexLock lk(&meta_mu_);
   meta_[pid].base_dirty = true;
+}
+
+template <typename Update>
+bool BwTree::CasWithMeta(PageId pid, uint64_t expected, uint64_t desired,
+                         Update update) {
+  MutexLock lk(&meta_mu_);
+  if (!table_.Cas(pid, expected, desired)) return false;
+  update(meta_[pid]);
+  return true;
 }
 
 BwTree::PageMeta BwTree::MetaGet(PageId pid) const {
@@ -215,15 +233,10 @@ PageId BwTree::DescendToLeaf(const Slice& key, std::vector<PageId>* path) {
       // exposes them: a just-split page may not be reflected in its
       // parent yet, and hopping right (rather than re-descending)
       // guarantees progress.
-      const std::string* high_key = nullptr;
-      PageId right_sib = kInvalidPageId;
-      if (ChainFences(head, &high_key, &right_sib) && !high_key->empty() &&
-          key.compare(Slice(*high_key)) >= 0 &&
-          right_sib != kInvalidPageId) {
-        pid = right_sib;
-        continue;
-      }
-      return pid;
+      const PageId right_sib = RightOfFence(head, key);
+      if (right_sib == kInvalidPageId) return pid;
+      pid = right_sib;
+      continue;
     }
     auto* inner = static_cast<InnerBase*>(head);
     // NOTE: inner-level B-link hops are deliberately NOT taken. Inner
@@ -336,6 +349,37 @@ bool BwTree::SearchResidentChain(Node* head, const Slice& key, bool* found,
   return true;
 }
 
+// Forced inline into both read paths: as a call it slowed the single
+// probe measurably (bench/index_probe).
+[[gnu::always_inline]] inline bool BwTree::AnswerFromLeaf(
+    PageId pid, Node* head, const Slice& key, std::string* value,
+    const OpContext& ctx, std::vector<PageId>* path, OpStatCell& cell,
+    Status* status) {
+  bool found = false;
+  if (!SearchResidentChain(head, key, &found, value)) return false;
+  CacheTouch(pid);
+  if (ChainTail(head)->type == NodeType::kFlashPointer) {
+    // Answered by an in-memory delta over an evicted base: a record-cache
+    // hit whether the answer was found or deleted.
+    Bump(cell.rc_hits);
+  }
+  if (ctx.flash_reads > 0) {
+    Bump(cell.ss);
+    opclass::Publish(OpClass::kSs);
+  } else {
+    Bump(cell.mm);
+    opclass::Publish(OpClass::kMm);
+  }
+  // Only take the consolidation path when the chain just searched is long
+  // enough; MaybeConsolidate re-reads the mapping entry, and that extra
+  // load is wasted on the common short-chain read.
+  if (head->chain_length >= options_.consolidate_threshold) {
+    MaybeConsolidate(pid, path);
+  }
+  *status = found ? Status::Ok() : Status::NotFound();
+  return true;
+}
+
 Result<std::string> BwTree::Get(const Slice& key) {
   std::string value;
   Status s = Get(key, &value);
@@ -357,58 +401,25 @@ Status BwTree::Get(const Slice& key, std::string* value_out) {
     uint64_t w = table_.Get(pid);
     if (w == 0) continue;
 
-    if (IsFlashWord(w)) {
-      Status s = LoadAndInstall(pid, w, &ctx);
-      if (!s.ok() && !s.IsAborted()) return s;
-      continue;  // re-read the entry
-    }
-
-    Node* head = DecodePointer(w);
-    if (head->type == NodeType::kRemoveNode) continue;  // re-descend
-    // Leaf fence check when the chain exposes fences.
-    {
-      const std::string* high_key = nullptr;
-      PageId right_sib = kInvalidPageId;
-      if (ChainFences(head, &high_key, &right_sib) && !high_key->empty() &&
-          key.compare(Slice(*high_key)) >= 0 &&
-          right_sib != kInvalidPageId) {
+    if (!IsFlashWord(w)) {
+      Node* head = DecodePointer(w);
+      if (head->type == NodeType::kRemoveNode) continue;  // re-descend
+      if (const PageId sib = RightOfFence(head, key); sib != kInvalidPageId) {
         // Mid-split: the key moved right.
-        pid = right_sib;
+        pid = sib;
         w = table_.Get(pid);
         if (w == 0 || IsFlashWord(w)) continue;
         head = DecodePointer(w);
         if (head->type == NodeType::kRemoveNode) continue;
       }
+      Status s;
+      if (AnswerFromLeaf(pid, head, key, value_out, ctx, &path, cell, &s)) {
+        return s;
+      }
     }
 
-    bool found = false;
-    if (SearchResidentChain(head, key, &found, value_out)) {
-      CacheTouch(pid);
-      Node* t2 = ChainTail(head);
-      if (t2->type == NodeType::kFlashPointer && found) {
-        Bump(cell.rc_hits);
-      } else if (t2->type == NodeType::kFlashPointer && !found) {
-        // A delete delta answered it; also a record-cache answer.
-        Bump(cell.rc_hits);
-      }
-      if (ctx.flash_reads > 0) {
-        Bump(cell.ss);
-        opclass::Publish(OpClass::kSs);
-      } else {
-        Bump(cell.mm);
-        opclass::Publish(OpClass::kMm);
-      }
-      // Only take the consolidation path when the chain we just searched
-      // is long enough; MaybeConsolidate re-reads the mapping entry, and
-      // that extra load is wasted on the common short-chain read.
-      if (head->chain_length >= options_.consolidate_threshold) {
-        MaybeConsolidate(pid, &path);
-      }
-      if (!found) return Status::NotFound();
-      return Status::Ok();
-    }
-
-    // Base needed but on flash: load it (this is an SS operation).
+    // Base on flash: load it (this is an SS operation), then re-read the
+    // entry.
     Status s = LoadAndInstall(pid, w, &ctx);
     if (!s.ok() && !s.IsAborted()) return s;
   }
@@ -506,39 +517,16 @@ void BwTree::StepProbe(BatchProbe* p, OpStatCell& cell) {
       }
       // Leaf chain. Follow the leaf-level fence when the key moved
       // right past a mid-split page.
-      {
-        const std::string* high_key = nullptr;
-        PageId right_sib = kInvalidPageId;
-        if (ChainFences(head, &high_key, &right_sib) &&
-            !high_key->empty() &&
-            p->key.compare(Slice(*high_key)) >= 0 &&
-            right_sib != kInvalidPageId) {
-          p->pid = right_sib;
-          table_.Prefetch(p->pid);
-          p->st = BatchProbe::St::kResolve;
-          return;
-        }
+      if (const PageId sib = RightOfFence(head, p->key);
+          sib != kInvalidPageId) {
+        p->pid = sib;
+        table_.Prefetch(p->pid);
+        p->st = BatchProbe::St::kResolve;
+        return;
       }
-      bool found = false;
-      if (SearchResidentChain(head, p->key, &found, p->value)) {
-        CacheTouch(p->pid);
-        Node* tail = ChainTail(head);
-        if (tail->type == NodeType::kFlashPointer) {
-          // Answered by an in-memory delta over an evicted base: a
-          // record-cache hit whether the answer was found or deleted.
-          Bump(cell.rc_hits);
-        }
-        if (p->ctx.flash_reads > 0) {
-          Bump(cell.ss);
-          opclass::Publish(OpClass::kSs);
-        } else {
-          Bump(cell.mm);
-          opclass::Publish(OpClass::kMm);
-        }
-        if (head->chain_length >= options_.consolidate_threshold) {
-          MaybeConsolidate(p->pid, &p->path);
-        }
-        finish(found ? Status::Ok() : Status::NotFound());
+      if (AnswerFromLeaf(p->pid, head, p->key, p->value, p->ctx, &p->path,
+                         cell, p->status)) {
+        p->st = BatchProbe::St::kDone;
         return;
       }
       // Base needed but on flash: load it (SS), then re-descend.
@@ -605,90 +593,24 @@ void BwTree::MultiGetBatch(BatchGetOp* ops, size_t count, size_t interleave) {
 // ---------------------------------------------------------------------
 
 Status BwTree::Put(const Slice& key, const Slice& value, uint64_t timestamp) {
-  OpStatCell& cell = StatCell();
-  Bump(cell.puts);
   auto* delta = new InsertDelta();
   delta->key = key.ToString();
   delta->value = value.ToString();
   delta->timestamp = timestamp;
-
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    EpochGuard guard(&epochs_);
-    // Reused per thread: descent repopulates it and no two ops on one
-    // thread are ever mid-descent at once (SMO helpers build their own
-    // parent paths).
-    thread_local std::vector<PageId> path;
-    PageId pid = DescendToLeaf(key, &path);
-    uint64_t w = table_.Get(pid);
-    if (w == 0) continue;
-
-    Node* head = nullptr;
-    if (IsFlashWord(w)) {
-      // Fully evicted page: materialize a FlashPointer tail so the delta
-      // can be prepended without any I/O (§6.2 blind update).
-      auto* fp = new FlashPointer();
-      fp->addr = DecodeFlash(w);
-      fp->fences_known = false;
-      delta->next = fp;
-      delta->chain_length = 1;
-      delta->blind = true;
-      if (table_.Cas(pid, w, EncodePointer(delta))) {
-        Bump(cell.blind);
-        Bump(cell.mm);
-        opclass::Publish(OpClass::kMm);
-        MetaMarkDirty(pid);
-        CacheInsertOrResize(pid, delta);
-        return Status::Ok();
-      }
-      s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
-      delta->next = nullptr;
-      delete fp;
-      continue;
-    }
-
-    head = DecodePointer(w);
-    if (head->type == NodeType::kRemoveNode) continue;  // page merged away
-    Node* tail = ChainTail(head);
-    if (tail->type == NodeType::kInnerBase) continue;  // raced restructure
-    // Fence routing when fences are known.
-    {
-      const std::string* high_key = nullptr;
-      PageId right_sib = kInvalidPageId;
-      if (ChainFences(head, &high_key, &right_sib) && !high_key->empty() &&
-          key.compare(Slice(*high_key)) >= 0 &&
-          right_sib != kInvalidPageId) {
-        continue;  // stale leaf; re-descend
-      }
-    }
-
-    delta->next = head;
-    delta->chain_length = head->chain_length + 1;
-    delta->blind = tail->type == NodeType::kFlashPointer;
-    if (table_.Cas(pid, w, EncodePointer(delta))) {
-      if (delta->blind) Bump(cell.blind);
-      Bump(cell.mm);
-      opclass::Publish(OpClass::kMm);
-      MetaMarkDirty(pid);
-      if (options_.cache != nullptr) {
-        options_.cache->Resize(pid, ChainBytes(delta));
-      }
-      CacheTouch(pid);
-      MaybeConsolidate(pid, &path);
-      return Status::Ok();
-    }
-    s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
-    delta->next = nullptr;
-  }
-  delete delta;
-  return Status::Internal("Put retry budget exhausted");
+  return PostDelta(key, delta);
 }
 
 Status BwTree::Delete(const Slice& key, uint64_t timestamp) {
-  OpStatCell& cell = StatCell();
-  Bump(cell.deletes);
   auto* delta = new DeleteDelta();
   delta->key = key.ToString();
   delta->timestamp = timestamp;
+  return PostDelta(key, delta);
+}
+
+Status BwTree::PostDelta(const Slice& key, Node* delta) {
+  const bool is_put = delta->type == NodeType::kInsertDelta;
+  OpStatCell& cell = StatCell();
+  Bump(is_put ? cell.puts : cell.deletes);
 
   for (int attempt = 0; attempt < 1000; ++attempt) {
     EpochGuard guard(&epochs_);
@@ -700,48 +622,37 @@ Status BwTree::Delete(const Slice& key, uint64_t timestamp) {
     uint64_t w = table_.Get(pid);
     if (w == 0) continue;
 
+    FlashPointer* fresh_tail = nullptr;  // ours until the CAS publishes it
+    Node* head = nullptr;
+    bool blind = true;
     if (IsFlashWord(w)) {
-      auto* fp = new FlashPointer();
-      fp->addr = DecodeFlash(w);
-      delta->next = fp;
-      delta->chain_length = 1;
-      if (table_.Cas(pid, w, EncodePointer(delta))) {
-        Bump(cell.blind);
-        Bump(cell.mm);
-        opclass::Publish(OpClass::kMm);
-        MetaMarkDirty(pid);
-        CacheInsertOrResize(pid, delta);
-        return Status::Ok();
-      }
-      s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
-      delta->next = nullptr;
-      delete fp;
-      continue;
-    }
-
-    Node* head = DecodePointer(w);
-    if (head->type == NodeType::kRemoveNode) continue;  // page merged away
-    Node* tail = ChainTail(head);
-    if (tail->type == NodeType::kInnerBase) continue;
-    {
-      const std::string* high_key = nullptr;
-      PageId right_sib = kInvalidPageId;
-      if (ChainFences(head, &high_key, &right_sib) && !high_key->empty() &&
-          key.compare(Slice(*high_key)) >= 0 &&
-          right_sib != kInvalidPageId) {
-        continue;
-      }
+      // Fully evicted page: materialize a FlashPointer tail so the delta
+      // can be prepended without any I/O (§6.2 blind update).
+      fresh_tail = new FlashPointer();
+      fresh_tail->addr = DecodeFlash(w);
+      head = fresh_tail;
+    } else {
+      head = DecodePointer(w);
+      if (head->type == NodeType::kRemoveNode) continue;  // page merged away
+      Node* tail = ChainTail(head);
+      if (tail->type == NodeType::kInnerBase) continue;  // raced restructure
+      // Stale leaf (the key moved right past a split): re-descend.
+      if (RightOfFence(head, key) != kInvalidPageId) continue;
+      blind = tail->type == NodeType::kFlashPointer;
     }
 
     delta->next = head;
     delta->chain_length = head->chain_length + 1;
     if (table_.Cas(pid, w, EncodePointer(delta))) {
-      if (tail->type == NodeType::kFlashPointer) {
-        Bump(cell.blind);
-      }
+      if (blind) Bump(cell.blind);
       Bump(cell.mm);
       opclass::Publish(OpClass::kMm);
       MetaMarkDirty(pid);
+      if (fresh_tail != nullptr) {
+        // Insert: the page re-enters the cache (a CSS entry promotes).
+        CacheInsertOrResize(pid, delta);
+        return Status::Ok();
+      }
       if (options_.cache != nullptr) {
         options_.cache->Resize(pid, ChainBytes(delta));
       }
@@ -751,9 +662,11 @@ Status BwTree::Delete(const Slice& key, uint64_t timestamp) {
     }
     s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
     delta->next = nullptr;
+    delete fresh_tail;
   }
-  delete delta;
-  return Status::Internal("Delete retry budget exhausted");
+  FreeChain(delta);
+  return Status::Internal(is_put ? "Put retry budget exhausted"
+                                 : "Delete retry budget exhausted");
 }
 
 // ---------------------------------------------------------------------
@@ -876,9 +789,10 @@ bool BwTree::MaybeConsolidate(PageId pid, std::vector<PageId>* path) {
     return true;
   }
 
-  if (table_.Cas(pid, w, EncodePointer(fresh))) {
+  if (CasWithMeta(pid, w, EncodePointer(fresh), [&](PageMeta& m) {
+        if (merged_deltas) m.base_dirty = true;
+      })) {
     s_consolidations_.fetch_add(1, std::memory_order_relaxed);
-    if (merged_deltas) MetaMarkDirty(pid);
     RetireChain(head);
     if (options_.cache != nullptr) {
       options_.cache->Resize(pid, ChainBytes(fresh));
@@ -917,27 +831,13 @@ void BwTree::SplitLeaf(PageId pid, uint64_t expected_word,
   right->search.Build(right->keys);
   const std::string sep = right->keys.front();
 
-  // Publish the right page in two steps so raw mapping-slot scanners
-  // (background housekeeping) never act on a page this split may still
-  // take back: allocate the slot with an inert placeholder, register the
-  // pid as under construction, then install the real node. Scanners skip
-  // placeholders by type and registered pids by lookup, so `right` stays
-  // private until the link CAS below resolves.
-  auto* placeholder = new RemoveNodeDelta();
-  PageId right_pid = table_.Allocate(EncodePointer(placeholder));
+  // `right` stays private until the link CAS below resolves.
+  PageId right_pid = PublishUnderConstruction(right);
   if (right_pid == kInvalidPageId) {
-    delete placeholder;
     delete right;
     delete consolidated;
     return;  // mapping table full; operate unsplit
   }
-  {
-    MutexLock lk(&construction_mu_);
-    under_construction_.insert(right_pid);
-  }
-  table_.Set(right_pid, EncodePointer(right));
-  // A scanner may already hold the placeholder pointer; epoch-retire it.
-  RetireChain(placeholder);
 
   auto* left = new LeafBase();
   left->keys.assign(consolidated->keys.begin(),
@@ -952,15 +852,12 @@ void BwTree::SplitLeaf(PageId pid, uint64_t expected_word,
   // The left half must reflect exactly the chain we consolidated; CAS
   // against the observed word so concurrent deltas are never lost.
   Node* old_head = DecodePointer(expected_word);
-  if (table_.Cas(pid, expected_word, EncodePointer(left))) {
+  if (CasWithMeta(pid, expected_word, EncodePointer(left),
+                  [](PageMeta& m) { m.base_dirty = true; })) {
     s_consolidations_.fetch_add(1, std::memory_order_relaxed);
     s_leaf_splits_.fetch_add(1, std::memory_order_relaxed);
-    MetaMarkDirty(pid);
     MetaMarkDirty(right_pid);
-    {
-      MutexLock lk(&construction_mu_);
-      under_construction_.erase(right_pid);
-    }
+    FinishConstruction(right_pid);
     RetireChain(old_head);
     if (options_.cache != nullptr) {
       options_.cache->Resize(pid, ChainBytes(left));
@@ -970,44 +867,18 @@ void BwTree::SplitLeaf(PageId pid, uint64_t expected_word,
   } else {
     s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
     delete left;
-    // Take the never-linked right page back: clear the slot first (a
-    // scanner re-reading it sees "no page"), epoch-retire the node (a
-    // scanner inside an epoch may still hold the pointer — never plain
-    // delete a published node), then free the id. Unregister last, so
-    // by the time the pid stops being skipped its slot is already empty.
-    table_.Set(right_pid, 0);
-    RetireChain(right);
-    table_.Free(right_pid);
-    {
-      MutexLock lk(&construction_mu_);
-      under_construction_.erase(right_pid);
-    }
+    AbandonConstruction(right_pid, right);
   }
 }
 
 void BwTree::PostSplitToParent(PageId left_pid, const std::string& sep,
                                PageId right_pid, std::vector<PageId>* path) {
+  // Locate the parent: prefer the recorded path, and fall back to a
+  // search once the check below finds it stale.
+  bool use_path = path != nullptr && !path->empty();
   for (int attempt = 0; attempt < 1000; ++attempt) {
-    // Locate the parent: prefer the recorded path, fall back to a search.
-    PageId parent = kInvalidPageId;
-    if (path != nullptr && !path->empty()) {
-      parent = path->back();
-      // Verify it still points at left_pid.
-      uint64_t w = table_.Get(parent);
-      bool valid = false;
-      if (w != 0 && !IsFlashWord(w)) {
-        Node* h = DecodePointer(w);
-        if (h->type == NodeType::kInnerBase) {
-          auto* in = static_cast<InnerBase*>(h);
-          valid = std::find(in->children.begin(), in->children.end(),
-                            left_pid) != in->children.end();
-        }
-      }
-      if (!valid) parent = kInvalidPageId;
-    }
-    if (parent == kInvalidPageId) {
-      parent = FindParentOf(left_pid, Slice(sep));
-    }
+    PageId parent =
+        use_path ? path->back() : FindParentOf(left_pid, Slice(sep));
 
     if (parent == kInvalidPageId) {
       // left is the root: grow the tree.
@@ -1016,7 +887,9 @@ void BwTree::PostSplitToParent(PageId left_pid, const std::string& sep,
       new_root->children.push_back(left_pid);
       new_root->children.push_back(right_pid);
       new_root->search.Build(new_root->seps);
-      PageId new_root_pid = table_.Allocate(EncodePointer(new_root));
+      // Under construction until the root CAS lands: FindParentOf's slot
+      // scan must not adopt a root that may be taken back.
+      PageId new_root_pid = PublishUnderConstruction(new_root);
       if (new_root_pid == kInvalidPageId) {
         delete new_root;
         return;
@@ -1025,20 +898,27 @@ void BwTree::PostSplitToParent(PageId left_pid, const std::string& sep,
       if (root_pid_.compare_exchange_strong(expected, new_root_pid,
                                             std::memory_order_acq_rel)) {
         s_root_splits_.fetch_add(1, std::memory_order_relaxed);
+        FinishConstruction(new_root_pid);
         return;
       }
-      // Someone else changed the root; clean up and retry the post.
-      table_.Set(new_root_pid, 0);
-      table_.Free(new_root_pid);
-      delete new_root;
+      // Someone else changed the root; retry the post.
+      AbandonConstruction(new_root_pid, new_root);
       continue;
     }
 
+    // The node the CAS below replaces must list left_pid: the parent may
+    // have split since it was found, moving left to its right half.
     uint64_t w = table_.Get(parent);
-    if (w == 0 || IsFlashWord(w)) continue;
-    Node* head = DecodePointer(w);
-    if (head->type != NodeType::kInnerBase) continue;
-    auto* inner = static_cast<InnerBase*>(head);
+    Node* head = w != 0 && !IsFlashWord(w) ? DecodePointer(w) : nullptr;
+    auto* inner = head != nullptr && head->type == NodeType::kInnerBase
+                      ? static_cast<InnerBase*>(head)
+                      : nullptr;
+    if (inner == nullptr ||
+        std::find(inner->children.begin(), inner->children.end(),
+                  left_pid) == inner->children.end()) {
+      use_path = false;
+      continue;
+    }
 
     // Idempotence: another thread may have posted the same split.
     if (std::find(inner->children.begin(), inner->children.end(),
@@ -1090,7 +970,8 @@ void BwTree::SplitInner(PageId pid, InnerBase* inner,
   right->high_key = inner->high_key;
   right->right_sibling = inner->right_sibling;
   right->search.Build(right->seps);
-  PageId right_pid = table_.Allocate(EncodePointer(right));
+  // Under construction until the CAS below links it, as in SplitLeaf.
+  PageId right_pid = PublishUnderConstruction(right);
   if (right_pid == kInvalidPageId) {
     delete right;
     return;
@@ -1106,6 +987,7 @@ void BwTree::SplitInner(PageId pid, InnerBase* inner,
 
   if (table_.Cas(pid, EncodePointer(inner), EncodePointer(left))) {
     s_inner_splits_.fetch_add(1, std::memory_order_relaxed);
+    FinishConstruction(right_pid);
     RetireChain(inner);
     // Pop the path element for this level if it matches.
     std::vector<PageId> parent_path;
@@ -1116,9 +998,7 @@ void BwTree::SplitInner(PageId pid, InnerBase* inner,
   } else {
     s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
     delete left;
-    table_.Set(right_pid, 0);
-    table_.Free(right_pid);
-    delete right;
+    AbandonConstruction(right_pid, right);
   }
 }
 
@@ -1151,8 +1031,11 @@ PageId BwTree::FindParentOf(PageId child_pid, const Slice& toward_key) {
     Node* head = DecodePointer(w);
     if (head->type != NodeType::kInnerBase) continue;
     auto* inner = static_cast<InnerBase*>(head);
+    // Checked after the slot read, as in HousekeepingScan: a node an SMO
+    // may still take back is never adopted as a parent.
     if (std::find(inner->children.begin(), inner->children.end(),
-                  child_pid) != inner->children.end()) {
+                  child_pid) != inner->children.end() &&
+        !IsUnderConstruction(p)) {
       return p;
     }
   }
@@ -1212,24 +1095,14 @@ Status BwTree::MaterializeFromFlash(FlashAddress addr, LeafBase* leaf,
     if (!s.ok()) return s;
     ctx->flash_reads++;
     s_flash_reads_.fetch_add(1, std::memory_order_relaxed);
-    if (was_compressed) {
-      // CSS-tier record: the log store already decompressed it; this op
-      // paid decompress CPU instead of the larger SS transfer.
-      ctx->compressed_reads++;
-      s_compressed_loads_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // CSS-tier record: the log store already decompressed it; this op
+    // paid decompress CPU instead of the larger SS transfer.
+    if (was_compressed) ctx->compressed_reads++;
     uint8_t kind = 0;
     Status ks = PageCodec::PeekKind(Slice(image), &kind);
     if (!ks.ok()) return ks;
     images.push_back(std::move(image));
-    if (PageCodec::IsLeafKind(kind)) {
-      if (kind == PageCodec::kCompressedLeaf && !was_compressed) {
-        // Legacy codec-level compressed image (the tier now compresses
-        // at the log-record layer instead).
-        s_compressed_loads_.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;
-    }
+    if (kind == PageCodec::kFullLeaf) break;
     FlashAddress prev;
     std::vector<DeltaOp> ops;
     Status ds = PageCodec::DecodeDeltaPage(Slice(images.back()), &prev, &ops);
@@ -1241,8 +1114,8 @@ Status BwTree::MaterializeFromFlash(FlashAddress addr, LeafBase* leaf,
   }
   if (images.empty()) return Status::Corruption("empty flash chain");
 
-  // Oldest image is the full leaf (possibly CSS-compressed).
-  Status s = PageCodec::DecodeAnyLeaf(Slice(images.back()), leaf);
+  // Oldest image is the full leaf.
+  Status s = PageCodec::DecodeLeaf(Slice(images.back()), leaf);
   if (!s.ok()) return s;
   // Apply delta pages oldest -> newest.
   for (size_t i = images.size() - 1; i-- > 0;) {
@@ -1346,7 +1219,8 @@ Status BwTree::LoadAndInstall(PageId pid, uint64_t entry_word,
 
   LeafBase* fresh = leaf.release();
   fresh->search.Build(fresh->keys);
-  if (table_.Cas(pid, entry_word, EncodePointer(fresh))) {
+  if (CasWithMeta(pid, entry_word, EncodePointer(fresh),
+                  [&](PageMeta& m) { m.base_dirty = had_memory_deltas; })) {
     s_loads_.fetch_add(1, std::memory_order_relaxed);
     // The install counts as a CSS hit when the base image came back from
     // a compressed record: the tier answered instead of plain SS. The
@@ -1354,7 +1228,6 @@ Status BwTree::LoadAndInstall(PageId pid, uint64_t entry_word,
     // when it was tracking this page in the compressed tier.
     if (from_css) s_css_hits_.fetch_add(1, std::memory_order_relaxed);
     if (old_head != nullptr) RetireChain(old_head);
-    MetaSetChain(pid, MetaGet(pid).flash_chain, had_memory_deltas);
     CacheInsertOrResize(pid, fresh);
     return Status::Ok();
   }
@@ -1470,11 +1343,12 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
       new_fp->fences_known = fp->fences_known;
       new_fp->high_key = fp->high_key;
       new_fp->right_sibling = fp->right_sibling;
-      if (table_.Cas(pid, w, EncodePointer(new_fp))) {
+      if (CasWithMeta(pid, w, EncodePointer(new_fp), [&](PageMeta& m) {
+            m.flash_chain.insert(m.flash_chain.begin(), addr->packed());
+          })) {
         s_delta_flushes_.fetch_add(1, std::memory_order_relaxed);
         s_bytes_flushed_.fetch_add(image.size(), std::memory_order_relaxed);
         RetireChain(head);
-        MetaPushDelta(pid, addr->packed());
         if (options_.cache != nullptr) {
           options_.cache->Resize(pid, ChainBytes(new_fp));
         }
@@ -1485,8 +1359,8 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
       options_.log_store->MarkDead(*addr);
       return Status::Aborted("page changed during delta flush");
     }
-    // Full/compressed flush of a flash-tailed chain: load, then fall
-    // through by retrying (the resident path below handles it).
+    // Full flush of a flash-tailed chain: load, then fall through by
+    // retrying (the resident path below handles it).
     OpContext ctx;
     Status s = LoadAndInstall(pid, w, &ctx);
     if (!s.ok() && !s.IsAborted()) return s;
@@ -1495,8 +1369,7 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
 
   // Resident base.
   bool has_deltas = head != tail;
-  if (!has_deltas && !meta.base_dirty && !meta.flash_chain.empty() &&
-      mode != FlushMode::kCompressedPage) {
+  if (!has_deltas && !meta.base_dirty && !meta.flash_chain.empty()) {
     return Status::Ok();  // clean
   }
 
@@ -1509,23 +1382,9 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
       return ss;
     }
   }
-  // The image is always the plain leaf encoding; for the compressed
-  // tier the *log record* carries the compression (flags + raw length
-  // in the record header), so recovery, GC, and the auditor see one
-  // uniform record identity instead of a second page kind.
   std::string image;
   PageCodec::EncodeLeaf(*fresh, &image);
-  uint64_t stored_len = image.size();
-  Result<FlashAddress> addr = Status::Internal("flush never appended");
-  if (mode == FlushMode::kCompressedPage) {
-    std::string compressed;
-    compression::Compressor::Compress(Slice(image), &compressed);
-    stored_len = compressed.size();
-    addr = RetryAppendCompressed(pid, Slice(compressed),
-                                 static_cast<uint32_t>(image.size()));
-  } else {
-    addr = RetryAppend(pid, Slice(image));
-  }
+  auto addr = RetryAppend(pid, Slice(image));
   if (!addr.ok()) {
     if (addr.status().code() == StatusCode::kInvalidArgument &&
         fresh->keys.size() >= 2) {
@@ -1542,15 +1401,14 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
     delete fresh;
     return addr.status();
   }
-  if (table_.Cas(pid, w, EncodePointer(fresh))) {
-    if (mode == FlushMode::kCompressedPage) {
-      s_compressed_flushes_.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (CasWithMeta(pid, w, EncodePointer(fresh), [&](PageMeta& m) {
+        m.flash_chain = {addr->packed()};
+        m.base_dirty = false;
+      })) {
     s_full_flushes_.fetch_add(1, std::memory_order_relaxed);
-    s_bytes_flushed_.fetch_add(stored_len, std::memory_order_relaxed);
+    s_bytes_flushed_.fetch_add(image.size(), std::memory_order_relaxed);
     if (head != fresh) RetireChain(head);
     MarkChainDead(meta.flash_chain);
-    MetaSetChain(pid, {addr->packed()}, /*dirty=*/false);
     if (options_.cache != nullptr) {
       options_.cache->Resize(pid, ChainBytes(fresh));
     }
@@ -1585,8 +1443,9 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode) {
       if (tail->type == NodeType::kFlashPointer) return Status::Ok();
       auto* base = static_cast<LeafBase*>(tail);
       PageMeta meta = MetaGet(pid);
+      const bool write_base = meta.base_dirty || meta.flash_chain.empty();
       FlashAddress base_addr;
-      if (meta.base_dirty || meta.flash_chain.empty()) {
+      if (write_base) {
         // Base content not on flash: write the base image (without
         // deltas, which stay in memory).
         Status ss = EnsureSplitSiblingDurable(base->right_sibling);
@@ -1628,13 +1487,14 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode) {
         new_head = clone;
       }
 
-      if (table_.Cas(pid, w, EncodePointer(new_head))) {
+      if (CasWithMeta(pid, w, EncodePointer(new_head), [&](PageMeta& m) {
+            if (!write_base) return;
+            m.flash_chain = {base_addr.packed()};
+            m.base_dirty = false;
+          })) {
         s_rc_evictions_.fetch_add(1, std::memory_order_relaxed);
         RetireChain(head);
-        if (meta.base_dirty || meta.flash_chain.empty()) {
-          MarkChainDead(meta.flash_chain);
-          MetaSetChain(pid, {base_addr.packed()}, /*dirty=*/false);
-        }
+        if (write_base) MarkChainDead(meta.flash_chain);
         if (options_.cache != nullptr) {
           options_.cache->Resize(pid, ChainBytes(new_head));
         }
@@ -1738,8 +1598,10 @@ Status BwTree::DemotePage(PageId pid, const CssPolicy& policy,
   PageMeta meta = MetaGet(pid);
   // Flush and eviction in one step: swing the mapping word straight to
   // the new record's flash address.
-  if (table_.Cas(pid, w, EncodeFlash(*addr))) {
-    s_compressed_flushes_.fetch_add(1, std::memory_order_relaxed);
+  if (CasWithMeta(pid, w, EncodeFlash(*addr), [&](PageMeta& m) {
+        m.flash_chain = {addr->packed()};
+        m.base_dirty = false;
+      })) {
     s_css_demotions_.fetch_add(1, std::memory_order_relaxed);
     s_css_raw_demoted_.fetch_add(info.raw_size, std::memory_order_relaxed);
     s_css_stored_demoted_.fetch_add(info.compressed_size,
@@ -1748,7 +1610,6 @@ Status BwTree::DemotePage(PageId pid, const CssPolicy& policy,
     RetireChain(head);
     delete fresh;  // never installed; only its encoding reached the log
     MarkChainDead(meta.flash_chain);
-    MetaSetChain(pid, {addr->packed()}, /*dirty=*/false);
     if (options_.cache != nullptr) {
       options_.cache->SetTier(pid, llama::CacheTier::kCss,
                               compressed.size());
@@ -2029,9 +1890,10 @@ void BwTree::MaybeConsolidateForced(PageId pid) {
     LeafBase* fresh = ConsolidateChain(head);
     if (fresh == nullptr) return;
     bool merged_deltas = head->next != nullptr || head != ChainTail(head);
-    if (table_.Cas(pid, w, EncodePointer(fresh))) {
+    if (CasWithMeta(pid, w, EncodePointer(fresh), [&](PageMeta& m) {
+          if (merged_deltas) m.base_dirty = true;
+        })) {
       s_consolidations_.fetch_add(1, std::memory_order_relaxed);
-      if (merged_deltas) MetaMarkDirty(pid);
       RetireChain(head);
       if (options_.cache != nullptr) {
         options_.cache->Resize(pid, ChainBytes(fresh));
@@ -2231,10 +2093,47 @@ bool BwTree::IsUnderConstruction(PageId pid) const {
   return under_construction_.count(pid) != 0;
 }
 
+PageId BwTree::PublishUnderConstruction(Node* node) {
+  // The slot first holds an inert placeholder, then the pid is
+  // registered, then the real node goes in: scanners skip placeholders
+  // by type and registered pids by lookup.
+  auto* placeholder = new RemoveNodeDelta();
+  PageId pid = table_.Allocate(EncodePointer(placeholder));
+  if (pid == kInvalidPageId) {
+    delete placeholder;
+    return kInvalidPageId;
+  }
+  {
+    MutexLock lk(&construction_mu_);
+    under_construction_.insert(pid);
+  }
+  table_.Set(pid, EncodePointer(node));
+  // A scanner may already hold the placeholder pointer; epoch-retire it.
+  RetireChain(placeholder);
+  return pid;
+}
+
+void BwTree::FinishConstruction(PageId pid) {
+  MutexLock lk(&construction_mu_);
+  under_construction_.erase(pid);
+}
+
+void BwTree::AbandonConstruction(PageId pid, Node* node) {
+  // Clear the slot first (a scanner re-reading it sees "no page"), and
+  // epoch-retire the node (a scanner inside an epoch may still hold the
+  // pointer — never plain delete a published node). Unregister only
+  // then, so the pid stops being skipped once its slot is empty, and
+  // free the id last: freed first, it could be reallocated and
+  // registered by another SMO whose registration this erase would drop.
+  table_.Set(pid, 0);
+  RetireChain(node);
+  FinishConstruction(pid);
+  table_.Free(pid);
+}
+
 BwTree::HousekeepingStats BwTree::HousekeepingScan(PageId* cursor,
                                                    size_t scan_pages,
-                                                   size_t max_flushes,
-                                                   FlushMode mode) {
+                                                   size_t max_flushes) {
   HousekeepingStats out;
   const PageId high = table_.high_water();
   if (high == 0 || (scan_pages == 0 && max_flushes == 0)) return out;
@@ -2261,7 +2160,7 @@ BwTree::HousekeepingStats BwTree::HousekeepingScan(PageId* cursor,
       if (MaybeConsolidate(pid, &path)) out.consolidated++;
     }
     if (out.flushed < max_flushes && IsDirty(pid)) {
-      Status s = FlushPage(pid, mode);
+      Status s = FlushPage(pid, FlushMode::kFullPage);
       if (s.ok()) {
         out.flushed++;
       } else if (!s.IsAborted() && !out.flush_error) {
@@ -2382,7 +2281,7 @@ Status BwTree::RecoverFromStore() {
       if (!rs.ok()) return rs;
     }
     LeafBase leaf;
-    Status ds = PageCodec::DecodeAnyLeaf(Slice(base_image), &leaf);
+    Status ds = PageCodec::DecodeLeaf(Slice(base_image), &leaf);
     if (!ds.ok()) return ds;
     fences[pid] = {leaf.high_key, leaf.right_sibling};
     if (leaf.right_sibling != kInvalidPageId) {
@@ -2508,9 +2407,9 @@ Status BwTree::SalvageRebuild(
     if (!rs.ok()) return rs;
     uint8_t kind = 0;
     if (!PageCodec::PeekKind(Slice(image), &kind).ok()) continue;
-    if (PageCodec::IsLeafKind(kind)) {
+    if (kind == PageCodec::kFullLeaf) {
       LeafBase leaf;
-      if (!PageCodec::DecodeAnyLeaf(Slice(image), &leaf).ok()) continue;
+      if (!PageCodec::DecodeLeaf(Slice(image), &leaf).ok()) continue;
       auto& state = pages[pid];
       state.clear();  // a full image is the page's whole state
       for (size_t i = 0; i < leaf.keys.size(); ++i) {
@@ -2581,28 +2480,21 @@ bool BwTree::GcIsLive(PageId pid, FlashAddress addr) const {
 bool BwTree::GcInstall(PageId pid, FlashAddress old_addr,
                        FlashAddress new_addr) {
   // Only simply-relocatable state: a fully evicted page whose single
-  // flash record is old_addr. PrepareSegmentForGc guarantees this.
-  {
-    MutexLock lk(&meta_mu_);
-    auto it = meta_.find(pid);
-    if (it == meta_.end() || it->second.flash_chain.size() != 1 ||
-        it->second.flash_chain[0] != old_addr.packed()) {
-      return false;
-    }
-    it->second.flash_chain[0] = new_addr.packed();
-  }
-  uint64_t expected = EncodeFlash(old_addr);
-  if (table_.Cas(pid, expected, EncodeFlash(new_addr))) return true;
-  // Resident page pointing at old_addr via a FlashPointer tail: patch by
-  // loading is overkill; PrepareSegmentForGc rewrites those pages, so
-  // reaching here means a race. Roll the meta back and report failure.
+  // flash record is old_addr. PrepareSegmentForGc guarantees this; a
+  // page loaded since then no longer holds the flash word, and the CAS
+  // fails. The check, the CAS and the chain update share one meta_mu_
+  // hold, as in CasWithMeta.
   MutexLock lk(&meta_mu_);
   auto it = meta_.find(pid);
-  if (it != meta_.end() && it->second.flash_chain.size() == 1 &&
-      it->second.flash_chain[0] == new_addr.packed()) {
-    it->second.flash_chain[0] = old_addr.packed();
+  if (it == meta_.end() || it->second.flash_chain.size() != 1 ||
+      it->second.flash_chain[0] != old_addr.packed()) {
+    return false;
   }
-  return false;
+  if (!table_.Cas(pid, EncodeFlash(old_addr), EncodeFlash(new_addr))) {
+    return false;
+  }
+  it->second.flash_chain[0] = new_addr.packed();
+  return true;
 }
 
 Status BwTree::PrepareSegmentForGc(uint64_t segment_id,
@@ -2672,9 +2564,6 @@ BwTreeStats BwTree::stats() const {
   s.page_loads = s_loads_.load(std::memory_order_relaxed);
   s.full_flushes = s_full_flushes_.load(std::memory_order_relaxed);
   s.delta_flushes = s_delta_flushes_.load(std::memory_order_relaxed);
-  s.compressed_flushes =
-      s_compressed_flushes_.load(std::memory_order_relaxed);
-  s.compressed_loads = s_compressed_loads_.load(std::memory_order_relaxed);
   s.full_evictions = s_full_evictions_.load(std::memory_order_relaxed);
   s.record_cache_evictions = s_rc_evictions_.load(std::memory_order_relaxed);
   s.bytes_flushed = s_bytes_flushed_.load(std::memory_order_relaxed);

@@ -58,14 +58,13 @@ struct BwTreeOptions {
   }
 };
 
-// How a dirty page reaches flash (paper Fig. 5 and §7.2).
+// How a dirty page reaches flash (paper Fig. 5). The compressed tier
+// (§7.2) has its own entry point, BwTree::DemotePage.
 enum class FlushMode {
   kFullPage,   // write the full consolidated page image
   kDeltaOnly,  // write just the in-memory deltas with a back-pointer to
                // the previously stored image (valid when the base page is
                // already on flash; falls back to full otherwise)
-  kCompressedPage,  // CSS tier: full consolidated image, compressed —
-                    // smaller media footprint, decompression CPU on load
 };
 
 // What stays in memory after eviction (paper §6.3).
@@ -114,8 +113,7 @@ struct BwTreeStats {
   uint64_t read_relocation_retries = 0;
   // Paging.
   uint64_t page_loads = 0;
-  uint64_t full_flushes = 0, delta_flushes = 0, compressed_flushes = 0;
-  uint64_t compressed_loads = 0;
+  uint64_t full_flushes = 0, delta_flushes = 0;
   uint64_t full_evictions = 0, record_cache_evictions = 0;
   uint64_t bytes_flushed = 0;
   // Tier hierarchy (§7.2 / Fig. 8).
@@ -240,7 +238,7 @@ class BwTree {
   // One quota-bounded slice of background housekeeping: scans up to
   // `scan_pages` mapping slots starting at *cursor (wrapping at the
   // high-water mark), consolidating leaves whose delta chain reached the
-  // threshold and flushing up to `max_flushes` dirty leaves in `mode`.
+  // threshold and flushing up to `max_flushes` dirty leaves as full pages.
   // Resumable: *cursor advances so successive calls cover the whole
   // table; all work is best-effort CAS (safe concurrent with foreground
   // ops). Counts are approximate under concurrency (counters only).
@@ -252,7 +250,7 @@ class BwTree {
     Status first_error;       // first such status (Ok when none)
   };
   HousekeepingStats HousekeepingScan(PageId* cursor, size_t scan_pages,
-                                     size_t max_flushes, FlushMode mode);
+                                     size_t max_flushes);
 
   // --- restart recovery ---
 
@@ -346,6 +344,25 @@ class BwTree {
   // because the guard blocks reclamation).
   COSTPERF_HOT void StepProbe(BatchProbe* p, OpStatCell& cell)
       REQUIRES_EPOCH(epochs_);
+  // The leaf answer both read paths share (Get's attempt loop and
+  // StepProbe): searches the resident chain `head` of leaf `pid` for
+  // `key`. When the chain decides the answer it does the per-read
+  // bookkeeping — cache touch, record-cache hit, MM/SS count and its
+  // opclass publication, consolidation of a long chain — stores Ok or
+  // NotFound in *status and returns true. False means the base is on
+  // flash: the caller loads it and retries. Defined inline in
+  // bwtree.cc, where both callers live.
+  inline bool AnswerFromLeaf(PageId pid, Node* head, const Slice& key,
+                             std::string* value, const OpContext& ctx,
+                             std::vector<PageId>* path, OpStatCell& cell,
+                             Status* status) REQUIRES_EPOCH(epochs_);
+
+  // The one blind-write path behind Put and Delete, which differ only in
+  // the delta they post: prepends `delta` to the leaf covering `key` with
+  // a mapping-table CAS — over a fresh FlashPointer tail when the page is
+  // evicted, so the write never reads the base (§6.2). Takes ownership of
+  // `delta`.
+  Status PostDelta(const Slice& key, Node* delta);
 
   // Loads the flash portion of `pid` and installs a consolidated base.
   // `entry_word` is the observed mapping word. On success the page is
@@ -437,8 +454,18 @@ class BwTree {
   // Meta accessors.
   void MetaSetChain(PageId pid, std::vector<uint64_t> chain, bool dirty)
       EXCLUDES(meta_mu_);
-  void MetaPushDelta(PageId pid, uint64_t addr) EXCLUDES(meta_mu_);
   void MetaMarkDirty(PageId pid) EXCLUDES(meta_mu_);
+  // Swings `pid`'s mapping word from `expected` to `desired` and, when
+  // it lands, applies `update` to the page's metadata in the same
+  // meta_mu_ hold. Every swing that folds deltas into a base or moves
+  // the page's flash state goes through here, so flash_chain and
+  // base_dirty always describe the base the table holds. Applied after
+  // the lock is dropped, a "clean" update could overwrite the dirty
+  // mark of a consolidation or load that swung the word in between, and
+  // eviction would then drop that unflushed base.
+  template <typename Update>
+  bool CasWithMeta(PageId pid, uint64_t expected, uint64_t desired,
+                   Update update) EXCLUDES(meta_mu_);
   PageMeta MetaGet(PageId pid) const EXCLUDES(meta_mu_);
   void MarkChainDead(const std::vector<uint64_t>& chain);
 
@@ -461,6 +488,14 @@ class BwTree {
   mutable Mutex construction_mu_;
   std::set<PageId> under_construction_ GUARDED_BY(construction_mu_);
   bool IsUnderConstruction(PageId pid) const;
+  // An SMO publishes a page it may still take back (a split's right
+  // half, a new root) under construction: slot scanners
+  // (HousekeepingScan, FindParentOf) skip it until the SMO links it
+  // (FinishConstruction) or takes it back (AbandonConstruction).
+  // kInvalidPageId when the table is full; the caller keeps `node`.
+  PageId PublishUnderConstruction(Node* node) REQUIRES_EPOCH(epochs_);
+  void FinishConstruction(PageId pid);
+  void AbandonConstruction(PageId pid, Node* node) REQUIRES_EPOCH(epochs_);
 
   // Hot-path op counters live in per-thread cells indexed by the epoch
   // thread slot, so an increment is a relaxed load+store on a private
@@ -487,8 +522,8 @@ class BwTree {
       s_root_collapses_{0}, s_cas_failures_{0},
       s_read_relocation_retries_{0};
   mutable std::atomic<uint64_t> s_loads_{0}, s_full_flushes_{0},
-      s_delta_flushes_{0}, s_compressed_flushes_{0}, s_compressed_loads_{0},
-      s_full_evictions_{0}, s_rc_evictions_{0}, s_bytes_flushed_{0};
+      s_delta_flushes_{0}, s_full_evictions_{0}, s_rc_evictions_{0},
+      s_bytes_flushed_{0};
   mutable std::atomic<uint64_t> s_io_retries_{0}, s_io_give_ups_{0},
       s_salvage_{0};
   mutable std::atomic<uint64_t> s_css_hits_{0}, s_css_demotions_{0},

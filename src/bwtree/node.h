@@ -155,7 +155,6 @@ struct InsertDelta : Node {
   std::string key;
   std::string value;
   uint64_t timestamp = 0;
-  bool blind = false;  // posted without reading the base page
 
   uint64_t ApproxBytes() const {
     return sizeof(InsertDelta) + key.size() + value.size();

@@ -1,7 +1,6 @@
 #include "bwtree/page_codec.h"
 
 #include "common/coding.h"
-#include "compression/compressor.h"
 
 namespace costperf::bwtree {
 
@@ -51,33 +50,6 @@ Status PageCodec::DecodeLeaf(const Slice& image, LeafBase* leaf) {
   }
   if (p != limit) return Status::Corruption("trailing bytes in leaf image");
   return Status::Ok();
-}
-
-void PageCodec::EncodeCompressedLeaf(const LeafBase& leaf,
-                                     std::string* out) {
-  std::string raw;
-  EncodeLeaf(leaf, &raw);
-  std::string compressed;
-  compression::Compressor::Compress(Slice(raw), &compressed);
-  out->clear();
-  out->reserve(compressed.size() + 1);
-  out->push_back(static_cast<char>(kCompressedLeaf));
-  out->append(compressed);
-}
-
-Status PageCodec::DecodeAnyLeaf(const Slice& image, LeafBase* leaf) {
-  uint8_t kind = 0;
-  Status s = PeekKind(image, &kind);
-  if (!s.ok()) return s;
-  if (kind == kFullLeaf) return DecodeLeaf(image, leaf);
-  if (kind != kCompressedLeaf) {
-    return Status::Corruption("not a leaf image");
-  }
-  std::string raw;
-  s = compression::Compressor::Decompress(
-      Slice(image.data() + 1, image.size() - 1), &raw);
-  if (!s.ok()) return s;
-  return DecodeLeaf(Slice(raw), leaf);
 }
 
 void PageCodec::EncodeDeltaPage(FlashAddress prev,
@@ -144,7 +116,7 @@ Status PageCodec::DecodeDeltaPage(const Slice& image, FlashAddress* prev,
 Status PageCodec::PeekKind(const Slice& image, uint8_t* kind) {
   if (image.empty()) return Status::Corruption("empty page image");
   *kind = static_cast<uint8_t>(image[0]);
-  if (*kind > kCompressedLeaf) return Status::Corruption("unknown page kind");
+  if (*kind > kDeltaPage) return Status::Corruption("unknown page kind");
   return Status::Ok();
 }
 

@@ -27,18 +27,10 @@ class PageCodec {
  public:
   static constexpr uint8_t kFullLeaf = 0;
   static constexpr uint8_t kDeltaPage = 1;
-  // A full leaf image stored compressed (the paper's §7.2 CSS tier):
-  // smaller media footprint bought with decompression CPU on load.
-  static constexpr uint8_t kCompressedLeaf = 2;
 
   // Full consolidated leaf image.
   static void EncodeLeaf(const LeafBase& leaf, std::string* out);
   static Status DecodeLeaf(const Slice& image, LeafBase* leaf);
-
-  // Compressed full leaf image.
-  static void EncodeCompressedLeaf(const LeafBase& leaf, std::string* out);
-  // Accepts either kind (transparent fallthrough for uncompressed).
-  static Status DecodeAnyLeaf(const Slice& image, LeafBase* leaf);
 
   // Incremental delta page: ops since `prev` was written.
   static void EncodeDeltaPage(FlashAddress prev,
@@ -49,10 +41,6 @@ class PageCodec {
 
   // Peeks at the image kind without a full parse.
   static Status PeekKind(const Slice& image, uint8_t* kind);
-
-  static bool IsLeafKind(uint8_t kind) {
-    return kind == kFullLeaf || kind == kCompressedLeaf;
-  }
 };
 
 }  // namespace costperf::bwtree

@@ -6,7 +6,6 @@
 #include "analysis/bwtree_validator.h"
 #include "analysis/log_store_auditor.h"
 #include "analysis/mapping_table_auditor.h"
-#include "costmodel/five_minute_rule.h"
 
 namespace costperf::core {
 
@@ -244,8 +243,8 @@ bool CachingStore::PressureThresholds() {
       stall_cv_.notify_all();
     }
   }
-  if (options_.background.log_dead_trigger > 0 &&
-      log_->DeadSpaceFraction() >= options_.background.log_dead_trigger) {
+  if (options_.log_dead_trigger > 0 &&
+      log_->DeadSpaceFraction() >= options_.log_dead_trigger) {
     signal = true;
   }
   return signal;
@@ -284,32 +283,48 @@ bool CachingStore::MaintenanceStep(const maintenance::MaintenanceQuota& quota) {
   // the step rather than waiting on a worker thread.
   if (!maintenance_mu_.TryLock()) return true;
   background_steps_.fetch_add(1, std::memory_order_relaxed);
-  bool more = false;
-  if (degraded_.load(std::memory_order_acquire)) {
-    // No flash writes into failing media; epoch reclamation is pure
-    // memory and still safe.
-    tree_->ReclaimMemory();
-  } else {
-    more |= BackgroundEvictStep(quota);
-    more |= BackgroundTierStep(quota);
-    more |= BackgroundGcStep(quota);
-    BackgroundHousekeepingStep(quota);
-    tree_->ReclaimMemory();
-  }
+  const bool more = RunStep(quota);
   maintenance_mu_.Unlock();
   ReleaseStallWaiters();
   return more;
 }
 
-bool CachingStore::BackgroundEvictStep(
-    const maintenance::MaintenanceQuota& quota) {
+void CachingStore::Maintain() {
+  // Try-lock: if another thread is already inside maintenance, skip this
+  // round rather than stacking a second pass on top of it.
+  if (!maintenance_mu_.TryLock()) return;
+  for (int i = 0; i < kMaxMaintainSteps; ++i) {
+    if (!RunStep(options_.background.quota)) break;
+  }
+  maintenance_mu_.Unlock();
+  ReleaseStallWaiters();
+}
+
+bool CachingStore::RunStep(const maintenance::MaintenanceQuota& quota) {
+  if (degraded_.load(std::memory_order_acquire)) {
+    // No flash writes into failing media; epoch reclamation is pure
+    // memory and still safe.
+    tree_->ReclaimMemory();
+    return false;
+  }
+  bool more = EvictStep(quota);
+  more |= TierStep(quota);
+  more |= GcStep(quota);
+  HousekeepingStep(quota);
+  tree_->ReclaimMemory();
+  return more;
+}
+
+bool CachingStore::EvictStep(const maintenance::MaintenanceQuota& quota) {
+  // Every policy evicts down to the budget; the cost-based policy also
+  // evicts pages idle past breakeven under budget (their DRAM rental no
+  // longer pays for itself).
+  const bool cost_based =
+      options_.eviction_policy == llama::EvictionPolicy::kCostBased;
   const uint64_t resident = cache_->resident_bytes();
   const uint64_t want =
       resident > effective_budget_ ? resident - effective_budget_ : 0;
-  if (want == 0 &&
-      options_.eviction_policy != llama::EvictionPolicy::kCostBased) {
-    return false;
-  }
+  if (want == 0 && !cost_based) return false;
   auto victims = cache_->PickVictims(want, quota.evict_pages);
   bool progressed = false;
   uint32_t demoted = 0;
@@ -323,7 +338,7 @@ bool CachingStore::BackgroundEvictStep(
       if (degraded_.load(std::memory_order_acquire)) return false;
       continue;
     }
-    Status s = tree_->EvictPage(pid, options_.evict_mode);
+    Status s = tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction);
     NoteWriteOutcome(s, /*reset_on_ok=*/true);
     if (s.ok()) {
       progressed = true;
@@ -331,10 +346,13 @@ bool CachingStore::BackgroundEvictStep(
     }
     if (degraded_.load(std::memory_order_acquire)) return false;
   }
-  // Requeue only when this step evicted something AND the debt remains:
-  // a step that made no progress (all victims pinned/aborted) must not
-  // spin the worker — the next op-path signal retries it.
-  return progressed && cache_->resident_bytes() > effective_budget_;
+  // Requeue only when this step evicted something AND work remains: the
+  // debt, or — when a cost-based pick filled its quota — more pages idle
+  // past breakeven. A step that made no progress (all victims
+  // pinned/aborted) must not spin the worker — the next op-path signal
+  // retries it.
+  return progressed && (cache_->resident_bytes() > effective_budget_ ||
+                        (cost_based && victims.size() >= quota.evict_pages));
 }
 
 bool CachingStore::TryDemote(mapping::PageId pid) {
@@ -359,8 +377,7 @@ bool CachingStore::TryDemote(mapping::PageId pid) {
   return false;
 }
 
-bool CachingStore::BackgroundTierStep(
-    const maintenance::MaintenanceQuota& quota) {
+bool CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
   const auto& tier = options_.tier;
   if (tier.css_budget_bytes == 0) return false;
 
@@ -405,17 +422,14 @@ bool CachingStore::BackgroundTierStep(
   return more;
 }
 
-bool CachingStore::BackgroundGcStep(
-    const maintenance::MaintenanceQuota& quota) {
-  const double trigger = options_.background.log_dead_trigger;
+bool CachingStore::GcStep(const maintenance::MaintenanceQuota& quota) {
+  // The dead-space trigger decides *when* to collect; gc_live_threshold
+  // decides which segments are eligible victims.
+  const double trigger = options_.log_dead_trigger;
   if (trigger <= 0) return false;
-  // gc_live_threshold keeps its inline-mode meaning (victim
-  // eligibility); the dead-space trigger decides *when* to collect.
-  const double victim_threshold =
-      options_.gc_live_threshold > 0 ? options_.gc_live_threshold : 0.9;
   for (uint32_t i = 0; i < quota.gc_segments; ++i) {
     if (log_->DeadSpaceFraction() < trigger) return false;
-    Status s = CollectOneSegment(victim_threshold);
+    Status s = CollectOneSegment(options_.gc_live_threshold);
     // NotFound: dead space is spread across segments above the victim
     // threshold — nothing eligible, stop rather than respin.
     if (!s.ok()) {
@@ -427,12 +441,11 @@ bool CachingStore::BackgroundGcStep(
   return log_->DeadSpaceFraction() >= trigger;
 }
 
-void CachingStore::BackgroundHousekeepingStep(
+void CachingStore::HousekeepingStep(
     const maintenance::MaintenanceQuota& quota) {
   auto hk = tree_->HousekeepingScan(&housekeeping_cursor_,
                                     quota.consolidate_scan_pages,
-                                    quota.flush_dirty_leaves,
-                                    options_.flush_mode);
+                                    quota.flush_dirty_leaves);
   bg_consolidations_.fetch_add(hk.consolidated, std::memory_order_relaxed);
   bg_leaf_flushes_.fetch_add(hk.flushed, std::memory_order_relaxed);
   if (hk.flush_error) NoteWriteOutcome(hk.first_error, /*reset_on_ok=*/false);
@@ -449,58 +462,6 @@ void CachingStore::ReleaseStallWaiters() {
   // set cannot park between our store and the notify.
   MutexLock lock(&stall_mu_);
   stall_cv_.notify_all();
-}
-
-void CachingStore::EnforceBudget() {
-  // Cost-based policy evicts past-breakeven pages even under budget
-  // (their DRAM rental no longer pays for itself); all policies evict to
-  // budget.
-  uint64_t want = 0;
-  uint64_t resident = cache_->resident_bytes();
-  if (resident > effective_budget_) want = resident - effective_budget_;
-  if (want != 0 ||
-      options_.eviction_policy == llama::EvictionPolicy::kCostBased) {
-    auto victims = cache_->PickVictims(want);
-    for (auto pid : victims) {
-      // Demote-before-evict: a cold victim whose measured economics pay
-      // moves to the compressed tier (its demotion IS its eviction); the
-      // rest take the plain SS path.
-      if (TryDemote(pid)) continue;
-      NoteWriteOutcome(tree_->EvictPage(pid, options_.evict_mode),
-                       /*reset_on_ok=*/true);
-      if (degraded_.load(std::memory_order_acquire)) return;
-    }
-  }
-  // Inline tier upkeep for stores running without the background
-  // scheduler: the same proactive-demotion and overflow passes
-  // BackgroundTierStep runs, under the default per-step quota. Runs even
-  // under budget — demotion is about idle pages' rent, not memory debt.
-  if (options_.tier.css_budget_bytes != 0) {
-    (void)BackgroundTierStep(maintenance::MaintenanceQuota{});
-  }
-}
-
-void CachingStore::Maintain() {
-  // Try-lock: if another thread is already inside maintenance, skip this
-  // round rather than stacking a second eviction/GC pass on top of it.
-  if (!maintenance_mu_.TryLock()) return;
-  // While degraded, skip everything that issues flash writes — flushing
-  // into a failing device would only spin the failure streak; reclaiming
-  // epochs is still safe (pure memory).
-  if (degraded_.load(std::memory_order_acquire)) {
-    tree_->ReclaimMemory();
-    maintenance_mu_.Unlock();
-    return;
-  }
-  EnforceBudget();
-  if (options_.merge_fill_target > 0) {
-    tree_->MergeUnderfullLeaves(options_.merge_fill_target);
-  }
-  if (options_.gc_live_threshold > 0) {
-    (void)CollectOneSegment(options_.gc_live_threshold);
-  }
-  tree_->ReclaimMemory();
-  maintenance_mu_.Unlock();
 }
 
 std::vector<analysis::Violation> CachingStore::CheckInvariants() {
@@ -626,10 +587,9 @@ KvStoreStats CachingStore::Stats() const {
   for (size_t i = 0; i < l.group_size_hist.size(); ++i) {
     s.log_group_size_hist[i] = l.group_size_hist[i];
   }
-  // Three-tier hierarchy: occupancy and traffic from the cache and tree,
-  // then the Fig. 8 / Eq. 6 breakevens — once at the paper's modeled
-  // constants, and again at the page size and compression ratio this
-  // store actually measured while demoting.
+  // Three-tier hierarchy: occupancy and traffic from the cache and tree.
+  // The Fig. 8 / Eq. 6 breakevens are KvStoreStats methods over these
+  // additive accumulators.
   s.tier_dram_pages = c.resident_pages;
   s.tier_dram_bytes = c.resident_bytes;
   s.tier_css_pages = c.css_pages;
@@ -650,22 +610,6 @@ KvStoreStats CachingStore::Stats() const {
       bg_pages_demoted_.load(std::memory_order_relaxed);
   s.background_pages_promoted =
       bg_pages_promoted_.load(std::memory_order_relaxed);
-  const costmodel::CostParams modeled = costmodel::CostParams::PaperDefaults();
-  s.modeled_t_i_seconds = costmodel::BreakevenIntervalSeconds(modeled);
-  s.modeled_css_breakeven_ops =
-      costmodel::CssSsBreakevenOpsPerSec(modeled, costmodel::CompressionParams{});
-  if (t.css_demotions > 0 && t.css_raw_bytes_demoted > 0) {
-    costmodel::CostParams measured = modeled;
-    measured.page_size_bytes = static_cast<double>(t.css_raw_bytes_demoted) /
-                               static_cast<double>(t.css_demotions);
-    costmodel::CompressionParams ratio;
-    ratio.compression_ratio =
-        static_cast<double>(t.css_stored_bytes_demoted) /
-        static_cast<double>(t.css_raw_bytes_demoted);
-    s.measured_t_i_seconds = costmodel::BreakevenIntervalSeconds(measured);
-    s.measured_css_breakeven_ops =
-        costmodel::CssSsBreakevenOpsPerSec(measured, ratio);
-  }
   return s;
 }
 

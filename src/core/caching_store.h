@@ -26,9 +26,6 @@ struct CachingStoreOptions {
   // Breakeven interval for the cost-based policy; by default derived
   // from CostParams::PaperDefaults() via Eq. (6).
   double breakeven_interval_seconds = 45.0;
-  // What eviction keeps in memory and how dirty pages reach flash.
-  bwtree::EvictMode evict_mode = bwtree::EvictMode::kFullEviction;
-  bwtree::FlushMode flush_mode = bwtree::FlushMode::kFullPage;
   // The compressed-secondary-storage tier (§7.2 / Fig. 8): with a
   // non-zero budget the store runs a live three-level hierarchy —
   // DRAM -> compressed-SS -> SS. Cold DRAM pages demote to a compressed
@@ -61,8 +58,12 @@ struct CachingStoreOptions {
   uint32_t cache_shards = 0;
   // Run maintenance every N operations.
   uint32_t maintenance_interval_ops = 256;
-  // GC: collect segments below this live fraction during maintenance.
-  double gc_live_threshold = 0.0;  // 0 disables GC in maintenance
+  // GC: maintenance collects log segments while the log's dead-space
+  // fraction is at least log_dead_trigger (<= 0 disables GC), choosing
+  // victims among sealed segments whose live fraction is at most
+  // gc_live_threshold.
+  double log_dead_trigger = 0.5;
+  double gc_live_threshold = 0.9;
   // Merge adjacent leaves whose combined payload is below this fraction
   // of max_page_bytes during maintenance. 0 disables merging.
   double merge_fill_target = 0.0;
@@ -71,11 +72,11 @@ struct CachingStoreOptions {
   uint32_t degrade_after_write_failures = 3;
 
   // Background maintenance. Inactive by default: with scheduler == nullptr
-  // and workers == 0 the store keeps the historical inline behavior
-  // (Maintain() runs on the calling thread every maintenance_interval_ops
-  // operations). When active, the op path only *signals* pressure — an
+  // and workers == 0 the store runs inline — Maintain() executes the
+  // maintenance step on the calling thread every maintenance_interval_ops
+  // operations. When active, the op path only *signals* pressure — an
   // atomic threshold check, never eviction/GC I/O — and scheduler worker
-  // threads drain it in quota-bounded steps.
+  // threads run the same step, quota-bounded, off the op path.
   struct BackgroundMaintenanceOptions {
     // External scheduler to register with (shared across stores/shards).
     // Not owned; must outlive the store.
@@ -83,15 +84,13 @@ struct CachingStoreOptions {
     // When > 0 and no external scheduler is given, the store owns a
     // private scheduler with this many worker threads.
     uint32_t workers = 0;
-    // Per-step work bounds for the owned scheduler (ignored when an
-    // external scheduler is supplied — its own quota applies).
+    // Per-step work bounds for the owned scheduler (an external
+    // scheduler applies its own) and for every Maintain() call.
     maintenance::MaintenanceQuota quota;
     // Signal when resident bytes exceed this fraction of the memory
     // budget (<= 0 disables the fill trigger; interval signals remain).
+    // The log's dead space past log_dead_trigger signals too.
     double cache_fill_trigger = 0.9;
-    // Signal when the log's dead-space fraction exceeds this (<= 0
-    // disables background GC).
-    double log_dead_trigger = 0.5;
     // Write backpressure: foreground Put/Delete stalls (bounded) while
     // resident bytes exceed this multiple of the budget, giving the
     // background workers room to catch up instead of letting eviction
@@ -142,6 +141,9 @@ class CachingStore : public KvStore,
   uint64_t MemoryFootprintBytes() const override;
   KvStoreStats Stats() const override;
   std::string DebugString() const override;
+  // Runs the maintenance step the scheduler runs, on the calling thread
+  // with background.quota, repeating it while it reports more work (up to
+  // kMaxMaintainSteps). Skips when another thread is maintaining.
   void Maintain() override;
   // Runs BwTreeValidator, MappingTableAuditor and LogStoreAuditor over
   // this store's components (quiescent stores only).
@@ -200,17 +202,24 @@ class CachingStore : public KvStore,
   void MaybeStallForDebt();
   // BackgroundMaintainer — runs on a scheduler worker thread.
   bool MaintenanceStep(const maintenance::MaintenanceQuota& quota) override;
-  bool BackgroundEvictStep(const maintenance::MaintenanceQuota& quota)
+  // The one maintenance step, shared by scheduler workers and Maintain():
+  // at most `quota` of eviction, CSS tiering, GC and housekeeping. Returns
+  // true when it knows more work remains.
+  bool RunStep(const maintenance::MaintenanceQuota& quota)
+      REQUIRES(maintenance_mu_);
+  // Bound on the steps one Maintain() call repeats.
+  static constexpr int kMaxMaintainSteps = 64;
+  bool EvictStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // CSS tier maintenance: demotes cold DRAM pages (quota.compress_pages),
   // drops CSS overflow to plain SS, and promotes hot CSS pages back while
   // DRAM has headroom (quota.promote_pages). No-op when the tier is off.
-  bool BackgroundTierStep(const maintenance::MaintenanceQuota& quota)
+  bool TierStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // Demote-before-evict decision for one victim: true when the page went
   // to the CSS tier (so plain eviction must be skipped).
   bool TryDemote(mapping::PageId pid) REQUIRES(maintenance_mu_);
-  bool BackgroundGcStep(const maintenance::MaintenanceQuota& quota)
+  bool GcStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // One prepare-then-collect GC round: picks the coldest sealed segment at
   // or below victim_threshold, rewrites every page that is not simply
@@ -220,12 +229,11 @@ class CachingStore : public KvStore,
   // image is memory-only, and trimming it would destroy the only durable
   // copy.
   Status CollectOneSegment(double victim_threshold);
-  void BackgroundHousekeepingStep(const maintenance::MaintenanceQuota& quota)
+  void HousekeepingStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // Clears the stall flag and wakes stalled writers once resident bytes
   // are back under the stall budget.
   void ReleaseStallWaiters();
-  void EnforceBudget() REQUIRES(maintenance_mu_);
   // Ok when writable; the degradation-causing IoError once degraded.
   Status CheckWritable();
   // Health bookkeeping for a write-path status. An IoError grows the
@@ -249,7 +257,7 @@ class CachingStore : public KvStore,
   // Single-admission gate for maintenance: concurrent callers whose op
   // count also crosses the interval skip (TryLock fails) instead of
   // double-running eviction/GC (the tree tolerates concurrent
-  // flush/evict, but two EnforceBudget passes evict twice the intended
+  // flush/evict, but two eviction steps evict twice the intended
   // bytes). Rank 1 (outermost) in the global lock order: held across a
   // whole maintenance pass, which appends to the log and latches cache
   // shards underneath it (see common/lock_order.h).
@@ -282,7 +290,9 @@ class CachingStore : public KvStore,
 
   // Maintenance attribution stats. foreground_maintenance_ops_ counts
   // maintenance passes executed on an application thread — the steady
-  // state in background mode keeps it at zero.
+  // state in background mode keeps it at zero — and background_steps_
+  // counts scheduler steps. The bg_* work counters count what the step
+  // did, on whichever thread ran it.
   std::atomic<uint64_t> foreground_maintenance_ops_{0};
   std::atomic<uint64_t> background_steps_{0};
   std::atomic<uint64_t> bg_pages_evicted_{0};

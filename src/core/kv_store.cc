@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "costmodel/five_minute_rule.h"
+
 namespace costperf::core {
 
 KvStoreStats& KvStoreStats::operator+=(const KvStoreStats& other) {
@@ -54,22 +56,47 @@ KvStoreStats& KvStoreStats::operator+=(const KvStoreStats& other) {
   tier_css_interval_samples += other.tier_css_interval_samples;
   background_pages_demoted += other.background_pages_demoted;
   background_pages_promoted += other.background_pages_promoted;
-  // Breakeven figures are per-store, not additive: adopt the first
-  // non-zero contributor (shards share cost parameters; an exact
-  // aggregate can be recomputed from the additive accumulators).
-  if (modeled_t_i_seconds == 0) modeled_t_i_seconds = other.modeled_t_i_seconds;
-  if (measured_t_i_seconds == 0) {
-    measured_t_i_seconds = other.measured_t_i_seconds;
-  }
-  if (modeled_css_breakeven_ops == 0) {
-    modeled_css_breakeven_ops = other.modeled_css_breakeven_ops;
-  }
-  if (measured_css_breakeven_ops == 0) {
-    measured_css_breakeven_ops = other.measured_css_breakeven_ops;
-  }
   // Aggregate health: degraded if any contributor is degraded.
   if (other.health == HealthStatus::kDegraded) health = HealthStatus::kDegraded;
   return *this;
+}
+
+namespace {
+
+// The paper's constants with the page size measured from demotions.
+costmodel::CostParams MeasuredParams(const KvStoreStats& s) {
+  costmodel::CostParams p = costmodel::CostParams::PaperDefaults();
+  p.page_size_bytes = static_cast<double>(s.css_raw_bytes) /
+                      static_cast<double>(s.tier_demotions);
+  return p;
+}
+
+bool HasDemotions(const KvStoreStats& s) {
+  return s.tier_demotions > 0 && s.css_raw_bytes > 0;
+}
+
+}  // namespace
+
+double KvStoreStats::ModeledTiSeconds() const {
+  return costmodel::BreakevenIntervalSeconds(
+      costmodel::CostParams::PaperDefaults());
+}
+
+double KvStoreStats::MeasuredTiSeconds() const {
+  if (!HasDemotions(*this)) return 0;
+  return costmodel::BreakevenIntervalSeconds(MeasuredParams(*this));
+}
+
+double KvStoreStats::ModeledCssBreakevenOps() const {
+  return costmodel::CssSsBreakevenOpsPerSec(
+      costmodel::CostParams::PaperDefaults(), costmodel::CompressionParams{});
+}
+
+double KvStoreStats::MeasuredCssBreakevenOps() const {
+  if (!HasDemotions(*this)) return 0;
+  costmodel::CompressionParams ratio;
+  ratio.compression_ratio = MeasuredCompressionRatio();
+  return costmodel::CssSsBreakevenOpsPerSec(MeasuredParams(*this), ratio);
 }
 
 std::string KvStoreStats::ToString() const {
@@ -147,9 +174,9 @@ std::string KvStoreStats::ToString() const {
              (unsigned long long)tier_demotion_refusals,
              (unsigned long long)tier_css_fallthroughs,
              MeasuredCompressionRatio(), MeanDramIntervalSeconds(),
-             MeanCssIntervalSeconds(), measured_t_i_seconds,
-             modeled_t_i_seconds, measured_css_breakeven_ops,
-             modeled_css_breakeven_ops);
+             MeanCssIntervalSeconds(), MeasuredTiSeconds(),
+             ModeledTiSeconds(), MeasuredCssBreakevenOps(),
+             ModeledCssBreakevenOps());
     out += tier;
   }
   return out;

@@ -74,7 +74,9 @@ struct KvStoreStats {
   // Maintenance attribution: who paid for eviction/GC/consolidation.
   // foreground_maintenance_ops counts maintenance passes executed on an
   // application thread (inline mode, or a background-mode fallback) —
-  // with background maintenance active it stays 0 in steady state.
+  // with background maintenance active it stays 0 in steady state. The
+  // background_* work counters below count what the maintenance step did
+  // on whichever thread ran it.
   uint64_t foreground_maintenance_ops = 0;
   uint64_t background_maintenance_steps = 0;  // scheduler worker steps
   uint64_t background_pages_evicted = 0;
@@ -107,16 +109,17 @@ struct KvStoreStats {
   uint64_t tier_css_interval_samples = 0;
   uint64_t background_pages_demoted = 0;
   uint64_t background_pages_promoted = 0;
-  // Five-minute-rule breakeven T_i (Eq. 6): the modeled value at the
-  // paper's §4.1 constants, and the measured value with the mean demoted
-  // page size observed from running code. Likewise the Fig. 8 CSS-vs-SS
-  // crossover at the modeled vs the measured compression ratio. Per-store
-  // quantities: operator+= adopts the first non-zero value (shards share
-  // parameters; recompute from the additive accumulators for exactness).
-  double modeled_t_i_seconds = 0;
-  double measured_t_i_seconds = 0;
-  double modeled_css_breakeven_ops = 0;
-  double measured_css_breakeven_ops = 0;
+
+  // Five-minute-rule breakeven T_i (Eq. 6), seconds: modeled at the
+  // paper's §4.1 constants, and measured at the mean demoted page size
+  // (css_raw_bytes / tier_demotions; 0 before any demotion). Likewise the
+  // Fig. 8 CSS-vs-SS crossover, ops/sec, at the modeled vs the measured
+  // compression ratio. Computed from the additive accumulators, so a
+  // summed (sharded) KvStoreStats yields the exact aggregate.
+  double ModeledTiSeconds() const;
+  double MeasuredTiSeconds() const;
+  double ModeledCssBreakevenOps() const;
+  double MeasuredCssBreakevenOps() const;
 
   // Measured compression ratio across all demotions (1.0 before any).
   double MeasuredCompressionRatio() const {

@@ -202,49 +202,66 @@ MassTree::Border* MassTree::FindBorder(const Layer* layer,
   }
 }
 
+// Forced inline into both lookup paths, like BwTree::AnswerFromLeaf: a
+// call on the single probe's leaf step is measurable in
+// bench/index_probe.
+[[gnu::always_inline]] inline MassTree::BorderHit MassTree::ReadBorder(
+    const Border* b, uint64_t slice, uint8_t len, std::string* value,
+    const Layer** sublayer) const {
+  const uint64_t v = b->version.StableSnapshot();
+  // Snapshot the matching entry: one vector equality over the slice
+  // array, then the (rare) same-slice candidates checked by length.
+  void* payload = nullptr;
+  bool found = false;
+  int n = RacyLoad(&b->n);
+  if (n < 0) n = 0;
+  if (n > kLeafCap) n = kLeafCap;
+  uint32_t m = RacyMatchEqU64(b->slices, static_cast<size_t>(n), slice);
+  while (m != 0) {
+    const int i = std::countr_zero(m);
+    if (RacyLoad(&b->lens[i]) == len) {
+      payload = b->payloads[i].load(std::memory_order_acquire);
+      found = true;
+      break;
+    }
+    m &= m - 1;
+  }
+  if (found) {
+    if (len == kLinkLen) {
+      *sublayer = static_cast<const Layer*>(payload);
+    } else {
+      // Copy before the version check (the payload string is
+      // epoch-retired, never freed under us) so a racing overwrite is
+      // caught by Changed and retried.
+      *value = *static_cast<std::string*>(payload);
+    }
+  }
+  if (b->version.Changed(v)) {
+    s_retries_.fetch_add(1, std::memory_order_relaxed);
+    return BorderHit::kRetry;
+  }
+  if (!found) return BorderHit::kMissing;
+  return len == kLinkLen ? BorderHit::kLayer : BorderHit::kValue;
+}
+
 Result<std::string> MassTree::GetInLayer(const Layer* layer,
                                          const Slice& key) const {
   uint8_t len = 0;
   uint64_t slice = MakeSlice(key, &len);
+  std::string value;
   for (int attempt = 0; attempt < 1 << 20; ++attempt) {
-    Border* b = FindBorder(layer, slice);
-    uint64_t v = b->version.StableSnapshot();
-    // Snapshot the matching entry: one vector equality over the slice
-    // array, then the (rare) same-slice candidates checked by length.
-    void* payload = nullptr;
-    bool found = false;
-    int n = RacyLoad(&b->n);
-    if (n < 0) n = 0;
-    if (n > kLeafCap) n = kLeafCap;
-    uint32_t m = RacyMatchEqU64(b->slices, static_cast<size_t>(n), slice);
-    while (m != 0) {
-      const int i = std::countr_zero(m);
-      if (RacyLoad(&b->lens[i]) == len) {
-        payload = b->payloads[i].load(std::memory_order_acquire);
-        found = true;
-        break;
-      }
-      m &= m - 1;
-    }
-    std::string value;
     const Layer* sublayer = nullptr;
-    if (found) {
-      if (len == kLinkLen) {
-        sublayer = static_cast<Layer*>(payload);
-      } else {
-        value = *static_cast<std::string*>(payload);
-      }
+    switch (ReadBorder(FindBorder(layer, slice), slice, len, &value,
+                       &sublayer)) {
+      case BorderHit::kRetry:
+        continue;
+      case BorderHit::kMissing:
+        return Status::NotFound();
+      case BorderHit::kLayer:
+        return GetInLayer(sublayer, Slice(key.data() + 8, key.size() - 8));
+      case BorderHit::kValue:
+        return value;
     }
-    if (b->version.Changed(v)) {
-      s_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!found) return Status::NotFound();
-    if (sublayer != nullptr) {
-      Slice suffix(key.data() + 8, key.size() - 8);
-      return GetInLayer(sublayer, suffix);
-    }
-    return value;
   }
   return Status::Internal("Get retry budget exhausted");
 }
@@ -353,51 +370,24 @@ void MassTree::StepLookup(LookupProbe* p) const {
     }
 
     case LookupProbe::St::kRead: {
-      auto* b = static_cast<Border*>(p->node);
-      const uint64_t v = b->version.StableSnapshot();
-      void* payload = nullptr;
-      bool found = false;
-      int n = RacyLoad(&b->n);
-      if (n < 0) n = 0;
-      if (n > kLeafCap) n = kLeafCap;
-      uint32_t m = RacyMatchEqU64(b->slices, static_cast<size_t>(n),
-                                  p->slice);
-      while (m != 0) {
-        const int i = std::countr_zero(m);
-        if (RacyLoad(&b->lens[i]) == p->len) {
-          payload = b->payloads[i].load(std::memory_order_acquire);
-          found = true;
-          break;
-        }
-        m &= m - 1;
-      }
       const Layer* sublayer = nullptr;
-      if (found) {
-        if (p->len == kLinkLen) {
-          sublayer = static_cast<const Layer*>(payload);
-        } else {
-          // Copy before the version check (the payload string is
-          // epoch-retired, never freed under us) so a racing overwrite
-          // is caught by Changed and retried, same as GetInLayer.
-          *p->value = *static_cast<std::string*>(payload);
-        }
+      switch (ReadBorder(static_cast<Border*>(p->node), p->slice, p->len,
+                         p->value, &sublayer)) {
+        case BorderHit::kRetry:
+          p->st = LookupProbe::St::kRoot;  // restart this layer's descent
+          return;
+        case BorderHit::kMissing:
+          finish(Status::NotFound());
+          return;
+        case BorderHit::kLayer:
+          simd::PrefetchRead(sublayer);
+          p->EnterLayer(sublayer,
+                        Slice(p->key.data() + 8, p->key.size() - 8));
+          return;
+        case BorderHit::kValue:
+          finish(Status::Ok());
+          return;
       }
-      if (b->version.Changed(v)) {
-        s_retries_.fetch_add(1, std::memory_order_relaxed);
-        p->st = LookupProbe::St::kRoot;
-        return;
-      }
-      if (!found) {
-        finish(Status::NotFound());
-        return;
-      }
-      if (sublayer != nullptr) {
-        simd::PrefetchRead(sublayer);
-        p->EnterLayer(sublayer,
-                      Slice(p->key.data() + 8, p->key.size() - 8));
-        return;
-      }
-      finish(Status::Ok());
       return;
     }
 

@@ -119,6 +119,18 @@ class MassTree {
 
   Border* FindBorder(const Layer* layer, uint64_t slice) const
       REQUIRES_EPOCH(epochs_);
+  // What one copy-then-validate border read found.
+  enum class BorderHit : uint8_t { kRetry, kMissing, kValue, kLayer };
+  // The border read both lookup paths share (GetInLayer and StepLookup):
+  // snapshots the border's version, finds the (slice, len) entry, copies
+  // a terminal value into *value or the link into *sublayer, then
+  // validates. kRetry means a writer changed the border mid-read and the
+  // caller restarts the layer's descent. Defined inline in
+  // masstree.cc, where both callers live.
+  inline BorderHit ReadBorder(const Border* b, uint64_t slice, uint8_t len,
+                              std::string* value,
+                              const Layer** sublayer) const
+      REQUIRES_EPOCH(epochs_);
   // Per-probe state of the LookupBatch machine (defined in masstree.cc).
   struct LookupProbe;
   // Advances one probe by one descent step; runs inside the group guard.

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -108,63 +110,177 @@ TEST(MassTreeBatchTest, BatchedLookupsRaceBorderSplits) {
   writer.join();
 }
 
-class BwTreeBatchTest : public ::testing::Test {
- protected:
-  void SetUpStore(uint64_t max_page_bytes = 1024,
-                  uint32_t consolidate_threshold = 4) {
+// A Bw-tree over its own simulated device and log store.
+struct TestTree {
+  TestTree(uint64_t max_page_bytes, uint32_t consolidate_threshold) {
     storage::SsdOptions dev;
     dev.capacity_bytes = 256ull << 20;
     dev.max_iops = 0;
-    device_ = std::make_unique<storage::SsdDevice>(dev);
-    log_ = std::make_unique<llama::LogStructuredStore>(device_.get());
+    device = std::make_unique<storage::SsdDevice>(dev);
+    log = std::make_unique<llama::LogStructuredStore>(device.get());
     bwtree::BwTreeOptions opts;
     opts.max_page_bytes = max_page_bytes;
     opts.consolidate_threshold = consolidate_threshold;
     opts.max_inner_children = 8;
-    opts.log_store = log_.get();
-    tree_ = std::make_unique<bwtree::BwTree>(opts);
+    opts.log_store = log.get();
+    tree = std::make_unique<bwtree::BwTree>(opts);
   }
 
-  std::unique_ptr<storage::SsdDevice> device_;
-  std::unique_ptr<llama::LogStructuredStore> log_;
-  std::unique_ptr<bwtree::BwTree> tree_;
+  std::unique_ptr<storage::SsdDevice> device;
+  std::unique_ptr<llama::LogStructuredStore> log;
+  std::unique_ptr<bwtree::BwTree> tree;
 };
 
-TEST_F(BwTreeBatchTest, MatchesGetOverDeltaChainsAndBasePages) {
-  // High consolidation threshold keeps delta chains alive, so one batch
-  // crosses a mix of plain base pages and chains of insert/delete deltas.
-  SetUpStore(/*max_page_bytes=*/1024, /*consolidate_threshold=*/12);
-  constexpr uint64_t kN = 600;
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
+class BwTreeBatchTest : public ::testing::Test {
+ protected:
+  void SetUpStore(uint64_t max_page_bytes = 1024,
+                  uint32_t consolidate_threshold = 4) {
+    store_ = std::make_unique<TestTree>(max_page_bytes, consolidate_threshold);
+    tree_ = store_->tree.get();
   }
-  for (uint64_t i = 0; i < kN; i += 3) {                // overwrite deltas
-    ASSERT_TRUE(tree_->Put(Key(i), Val(i * 1000)).ok());
+
+  std::unique_ptr<TestTree> store_;
+  bwtree::BwTree* tree_ = nullptr;
+};
+
+// One fixed op sequence that leaves every leaf shape a read can meet:
+// plain base pages, insert/delete delta chains, fully evicted leaves,
+// record-cache leaves (deltas kept over an evicted base), leaves demoted
+// to the compressed tier, and blind deltas over evicted and demoted
+// bases.
+void BuildMixedLeaves(bwtree::BwTree* tree, uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(tree->Put(Key(i), Val(i)).ok());
   }
-  for (uint64_t i = 1; i < kN; i += 9) {                // delete deltas
-    ASSERT_TRUE(tree_->Delete(Key(i)).ok());
+  for (uint64_t i = 0; i < n; i += 3) {  // overwrite deltas
+    ASSERT_TRUE(tree->Put(Key(i), Val(i * 1000)).ok());
   }
-  std::vector<std::string> probes;
-  for (uint64_t i = 0; i < kN + 50; ++i) probes.push_back(Key(i));
+  for (uint64_t i = 1; i < n; i += 9) {  // delete deltas
+    ASSERT_TRUE(tree->Delete(Key(i)).ok());
+  }
+  const std::vector<bwtree::PageId> leaves = tree->LeafPageIds();
+  for (size_t j = 0; j < leaves.size(); ++j) {
+    if (j % 4 == 1) {
+      ASSERT_TRUE(
+          tree->EvictPage(leaves[j], bwtree::EvictMode::kFullEviction).ok());
+    } else if (j % 4 == 2) {
+      ASSERT_TRUE(
+          tree->EvictPage(leaves[j], bwtree::EvictMode::kKeepDeltas).ok());
+    } else if (j % 4 == 3) {
+      ASSERT_TRUE(tree->DemotePage(leaves[j], bwtree::CssPolicy{}).ok());
+    }
+  }
+  for (uint64_t i = 2; i < n; i += 7) {  // blind deltas
+    ASSERT_TRUE(tree->Put(Key(i), Val(i + 7)).ok());
+  }
+}
+
+// Keys 0..n-1 ordered round-robin over the leaves holding them, one key
+// per leaf per round, for as many rounds as every leaf can fill. Probes
+// closer together than the leaf count then never share a page: two lanes
+// of one interleave group meeting on a record-cache page could see it
+// before and after the other lane's load — the same answer, but counted
+// differently from back-to-back Gets.
+std::vector<std::string> RoundRobinByLeaf(bwtree::BwTree* tree, uint64_t n) {
+  std::map<bwtree::PageId, std::vector<std::string>> by_leaf;
+  for (uint64_t i = 0; i < n; ++i) {
+    by_leaf[*tree->LeafOf(Key(i))].push_back(Key(i));
+  }
+  size_t rounds = n;
+  for (const auto& [pid, keys] : by_leaf) {
+    rounds = std::min(rounds, keys.size());
+  }
+  std::vector<std::string> order;
+  for (size_t r = 0; r < rounds; ++r) {
+    for (const auto& [pid, keys] : by_leaf) order.push_back(keys[r]);
+  }
+  EXPECT_GE(by_leaf.size(), kInterleaves[3]);
+  return order;
+}
+
+// Two trees from one op sequence: one answers `probes` through Get, the
+// other through MultiGetBatch. Statuses and values must match; with
+// `compare_counters`, so must the per-read counter deltas. Returns the
+// batched tree's deltas of ss_ops, record_cache_hits, page_loads and
+// css_hits.
+bwtree::BwTreeStats ProbeBothPaths(const std::vector<std::string>& probes,
+                                   uint64_t n, size_t interleave,
+                                   bool compare_counters) {
+  // The high consolidation threshold keeps delta chains alive.
+  TestTree single(/*max_page_bytes=*/1024, /*consolidate_threshold=*/12);
+  TestTree batched(/*max_page_bytes=*/1024, /*consolidate_threshold=*/12);
+  BuildMixedLeaves(single.tree.get(), n);
+  BuildMixedLeaves(batched.tree.get(), n);
+  bwtree::BwTreeStats delta;
+  if (::testing::Test::HasFatalFailure()) return delta;
+  const bwtree::BwTreeStats s0 = single.tree->stats();
+  const bwtree::BwTreeStats b0 = batched.tree->stats();
+
   std::vector<std::string> values(probes.size());
   std::vector<Status> statuses(probes.size());
   std::vector<bwtree::BwTree::BatchGetOp> ops(probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ops[i] = {Slice(probes[i]), &values[i], &statuses[i]};
+  }
+  batched.tree->MultiGetBatch(ops.data(), ops.size(), interleave);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    std::string value;
+    const Status s = single.tree->Get(probes[i], &value);
+    EXPECT_EQ(statuses[i].code(), s.code()) << probes[i];
+    if (s.ok()) {
+      EXPECT_EQ(values[i], value) << probes[i];
+    }
+  }
+
+  const bwtree::BwTreeStats s1 = single.tree->stats();
+  const bwtree::BwTreeStats b1 = batched.tree->stats();
+  if (compare_counters) {
+    EXPECT_EQ(b1.gets - b0.gets, s1.gets - s0.gets);
+    EXPECT_EQ(b1.mm_ops - b0.mm_ops, s1.mm_ops - s0.mm_ops);
+    EXPECT_EQ(b1.ss_ops - b0.ss_ops, s1.ss_ops - s0.ss_ops);
+    EXPECT_EQ(b1.record_cache_hits - b0.record_cache_hits,
+              s1.record_cache_hits - s0.record_cache_hits);
+    EXPECT_EQ(b1.page_loads - b0.page_loads, s1.page_loads - s0.page_loads);
+    EXPECT_EQ(b1.css_hits - b0.css_hits, s1.css_hits - s0.css_hits);
+  }
+  delta.ss_ops = b1.ss_ops - b0.ss_ops;
+  delta.record_cache_hits = b1.record_cache_hits - b0.record_cache_hits;
+  delta.page_loads = b1.page_loads - b0.page_loads;
+  delta.css_hits = b1.css_hits - b0.css_hits;
+  return delta;
+}
+
+TEST_F(BwTreeBatchTest, MatchesGetOverDeltaChainsAndBasePages) {
+  constexpr uint64_t kN = 2000;
   for (size_t interleave : kInterleaves) {
-    for (size_t i = 0; i < probes.size(); ++i) {
-      values[i].clear();
-      ops[i] = {Slice(probes[i]), &values[i], &statuses[i]};
+    SCOPED_TRACE("interleave=" + std::to_string(interleave));
+    // Answers, in key order: lanes of one group share leaves over delta
+    // chains, record-cache and demoted pages; includes deleted keys and
+    // 50 keys past the end (absent).
+    std::vector<std::string> keyed;
+    for (uint64_t i = 0; i < kN + 50; ++i) keyed.push_back(Key(i));
+    bwtree::BwTreeStats d =
+        ProbeBothPaths(keyed, kN, interleave, /*compare_counters=*/false);
+    ASSERT_FALSE(HasFailure());
+    EXPECT_GT(d.ss_ops, 0u);
+    EXPECT_GT(d.record_cache_hits, 0u);
+    EXPECT_GT(d.css_hits, 0u);
+
+    // Answers and per-read counters, one lane per leaf in each group.
+    std::vector<std::string> spread;
+    {
+      TestTree shape(/*max_page_bytes=*/1024, /*consolidate_threshold=*/12);
+      BuildMixedLeaves(shape.tree.get(), kN);
+      ASSERT_FALSE(HasFatalFailure());
+      spread = RoundRobinByLeaf(shape.tree.get(), kN);
     }
-    tree_->MultiGetBatch(ops.data(), ops.size(), interleave);
-    for (size_t i = 0; i < probes.size(); ++i) {
-      auto ref = tree_->Get(probes[i]);
-      ASSERT_EQ(statuses[i].ok(), ref.ok())
-          << "interleave=" << interleave << " key=" << probes[i];
-      if (ref.ok()) {
-        ASSERT_EQ(values[i], *ref) << "interleave=" << interleave;
-      } else {
-        ASSERT_TRUE(statuses[i].IsNotFound()) << statuses[i].ToString();
-      }
-    }
+    d = ProbeBothPaths(spread, kN, interleave, /*compare_counters=*/true);
+    ASSERT_FALSE(HasFailure());
+    // Every leaf shape was actually read.
+    EXPECT_GT(d.ss_ops, 0u);
+    EXPECT_GT(d.record_cache_hits, 0u);
+    EXPECT_GT(d.css_hits, 0u);
+    EXPECT_GT(d.page_loads, d.css_hits);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -487,6 +489,39 @@ TEST_F(BwTreeTest, ConcurrentWritersDisjointKeys) {
   }
 }
 
+TEST(BwTreeSmoTest, ConcurrentSplitsWithTinyFanout) {
+  // Eight writers on 256-byte leaves under fanout-4 inner nodes: leaf,
+  // inner and root splits race all the time. A split takes back a page
+  // it published when its link CAS loses (a new root, an inner split's
+  // right half); no other split may adopt such a page as a parent, or
+  // the page is retired twice.
+  constexpr int kThreads = 8, kPerThread = 2000;
+  for (int round = 0; round < 30; ++round) {
+    BwTreeOptions opts;
+    opts.max_page_bytes = 256;
+    opts.consolidate_threshold = 4;
+    opts.max_inner_children = 4;
+    BwTree tree(opts);
+    std::vector<std::thread> threads;
+    std::atomic<uint64_t> put_errors{0};
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const uint64_t k = static_cast<uint64_t>(t) * kPerThread + i;
+          if (!tree.Put(Key(k), "v").ok()) put_errors++;
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    tree.ReclaimMemory();
+    ASSERT_EQ(put_errors.load(), 0u) << "round " << round;
+    for (uint64_t k = 0; k < uint64_t{kThreads} * kPerThread; ++k) {
+      auto r = tree.Get(Key(k));
+      ASSERT_TRUE(r.ok()) << "round " << round << " " << Key(k);
+    }
+  }
+}
+
 TEST_F(BwTreeTest, ConcurrentReadersAndWriters) {
   SetUpStore(512);
   for (int i = 0; i < 1000; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
@@ -511,6 +546,61 @@ TEST_F(BwTreeTest, ConcurrentReadersAndWriters) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(read_errors.load(), 0u);
+}
+
+TEST_F(BwTreeTest, PagingRacesNeverLoseAcknowledgedWrites) {
+  // One leaf, written in bursts while another thread flushes, evicts,
+  // demotes and reloads it. A consolidation or load that folds deltas
+  // into a base must leave the page dirty. If a racing flush or demotion
+  // marks it clean afterwards, the next eviction maps the page back to
+  // an older flash image and an acknowledged write disappears.
+  SetUpStore(4096);
+  constexpr int kKeys = 4;
+  constexpr uint64_t kRounds = 20000;
+  for (int k = 0; k < kKeys; ++k) ASSERT_TRUE(tree_->Put(Key(k), Val(0)).ok());
+  const PageId pid = *tree_->LeafOf(Key(0));
+  std::atomic<uint64_t> acked[kKeys] = {};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> stale{0};
+  std::thread pager([&] {
+    CssPolicy always;  // demote at any ratio, however often
+    always.min_ratio = 1e9;
+    always.max_reheats = UINT32_MAX;
+    for (uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      switch (i % 4) {
+        case 0: (void)tree_->FlushPage(pid, FlushMode::kFullPage); break;
+        case 1: (void)tree_->EvictPage(pid, EvictMode::kFullEviction); break;
+        case 2: (void)tree_->DemotePage(pid, always); break;
+        default: (void)tree_->LoadPage(pid); break;
+      }
+      tree_->ReclaimMemory();
+    }
+  });
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (int k = 0; k < kKeys; ++k) {
+        const uint64_t lo = acked[k].load(std::memory_order_acquire);
+        auto r = tree_->Get(Key(k));
+        if (!r.ok() || std::stoull(r->substr(6)) < lo) stale++;
+      }
+    }
+  });
+  uint64_t write_errors = 0;
+  for (uint64_t v = 1; v <= kRounds; ++v) {
+    for (int k = 0; k < kKeys; ++k) {
+      if (!tree_->Put(Key(k), Val(v)).ok()) ++write_errors;
+      acked[k].store(v, std::memory_order_release);
+    }
+    // A quiet gap lets the page consolidate and be paged out between
+    // bursts.
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  stop.store(true, std::memory_order_release);
+  pager.join();
+  reader.join();
+  EXPECT_EQ(write_errors, 0u);
+  EXPECT_EQ(stale.load(), 0u);
+  for (int k = 0; k < kKeys; ++k) EXPECT_EQ(*tree_->Get(Key(k)), Val(kRounds));
 }
 
 TEST_F(BwTreeTest, PurelyInMemoryTreeRejectsPaging) {

@@ -119,8 +119,9 @@ TEST(CacheConcurrencyTest, EvictionSweepRacesReaders) {
       }
     });
   }
-  // The evictor loop mirrors EnforceBudget: pick victims under the shard
-  // latches, erase them while readers keep touching the same pids.
+  // The evictor loop mirrors the maintenance eviction step: pick victims
+  // under the shard latches, erase them while readers keep touching the
+  // same pids.
   int sweeps = 0;
   while (cm.OverBudget() && sweeps < 64) {
     uint64_t over = cm.resident_bytes() - 64 * 100;

@@ -222,7 +222,7 @@ TEST(CrashRecoveryTortureTest, CrashMidBackgroundMaintenanceRecovers) {
     opts.tree.io_retry.max_attempts = 1;
     opts.degrade_after_write_failures = 0;
     opts.background.workers = 1;
-    opts.background.log_dead_trigger = 0.2;  // aggressive background GC
+    opts.log_dead_trigger = 0.2;  // aggressive background GC
     // Short stall bound: post-crash evictions all fail, so backpressure
     // must not turn the remaining (unstallable) debt into long waits.
     opts.background.stall_max_wait_micros = 2000;

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "bwtree/bwtree.h"
-#include "bwtree/page_codec.h"
 #include "common/random.h"
 #include "core/caching_store.h"
 
@@ -17,50 +16,6 @@ std::string StructuredValue(int i) {
   snprintf(buf, sizeof(buf), "name=customer_%04d|city=city_%03d|tier=gold|",
            i % 1000, i % 250);
   return buf;
-}
-
-TEST(CompressedLeafCodecTest, RoundTrip) {
-  LeafBase leaf;
-  for (int i = 0; i < 60; ++i) {
-    leaf.keys.push_back("key" + std::to_string(1000 + i));
-    leaf.values.push_back(StructuredValue(i));
-  }
-  leaf.high_key = "kez";
-  leaf.right_sibling = 77;
-  std::string compressed;
-  PageCodec::EncodeCompressedLeaf(leaf, &compressed);
-
-  LeafBase out;
-  ASSERT_TRUE(PageCodec::DecodeAnyLeaf(Slice(compressed), &out).ok());
-  EXPECT_EQ(out.keys, leaf.keys);
-  EXPECT_EQ(out.values, leaf.values);
-  EXPECT_EQ(out.high_key, leaf.high_key);
-  EXPECT_EQ(out.right_sibling, 77u);
-
-  // And it actually shrinks structured content.
-  std::string raw;
-  PageCodec::EncodeLeaf(leaf, &raw);
-  EXPECT_LT(compressed.size(), raw.size() * 0.7);
-}
-
-TEST(CompressedLeafCodecTest, DecodeAnyAcceptsPlainLeaf) {
-  LeafBase leaf;
-  leaf.keys = {"a"};
-  leaf.values = {"b"};
-  std::string raw;
-  PageCodec::EncodeLeaf(leaf, &raw);
-  LeafBase out;
-  ASSERT_TRUE(PageCodec::DecodeAnyLeaf(Slice(raw), &out).ok());
-  EXPECT_EQ(out.keys, leaf.keys);
-}
-
-TEST(CompressedLeafCodecTest, PeekKindRecognizesCompressed) {
-  LeafBase leaf;
-  std::string img;
-  PageCodec::EncodeCompressedLeaf(leaf, &img);
-  uint8_t kind = 0;
-  ASSERT_TRUE(PageCodec::PeekKind(Slice(img), &kind).ok());
-  EXPECT_EQ(kind, PageCodec::kCompressedLeaf);
 }
 
 class CssTreeTest : public ::testing::Test {
@@ -89,16 +44,19 @@ TEST_F(CssTreeTest, CompressedFlushEvictReloadRoundTrip) {
   }
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kCompressedPage).ok());
-  EXPECT_EQ(tree_->stats().compressed_flushes, 1u);
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
+  // Demotion is the compressed flush and the eviction in one step.
+  DemoteResult res;
+  ASSERT_TRUE(tree_->DemotePage(pids[0], CssPolicy{}, &res).ok());
+  EXPECT_TRUE(res.demoted);
+  EXPECT_EQ(tree_->stats().css_demotions, 1u);
+  EXPECT_FALSE(tree_->IsLeafResident(pids[0]));
 
   for (int i = 0; i < 100; ++i) {
     auto r = tree_->Get("key" + std::to_string(i));
     ASSERT_TRUE(r.ok()) << i;
     EXPECT_EQ(*r, StructuredValue(i));
   }
-  EXPECT_EQ(tree_->stats().compressed_loads, 1u);
+  EXPECT_EQ(tree_->stats().css_hits, 1u);
 }
 
 TEST_F(CssTreeTest, CompressedImageSmallerOnMedia) {
@@ -113,11 +71,14 @@ TEST_F(CssTreeTest, CompressedImageSmallerOnMedia) {
   ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kFullPage).ok());
   uint64_t full_bytes = log_->stats().payload_bytes_appended - before;
 
-  // Dirty it again so the compressed flush re-appends.
+  // Same page content, now demoted to a compressed record.
   ASSERT_TRUE(tree_->Put("key5", StructuredValue(5)).ok());
   before = log_->stats().payload_bytes_appended;
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kCompressedPage).ok());
+  DemoteResult res;
+  ASSERT_TRUE(tree_->DemotePage(pids[0], CssPolicy{}, &res).ok());
+  ASSERT_TRUE(res.demoted);
   uint64_t css_bytes = log_->stats().payload_bytes_appended - before;
+  EXPECT_EQ(css_bytes, res.stored_bytes);
 
   EXPECT_LT(css_bytes, full_bytes / 2)
       << "CSS image should be much smaller than the raw page";
@@ -129,8 +90,9 @@ TEST_F(CssTreeTest, DeltaChainOverCompressedBase) {
         tree_->Put("key" + std::to_string(i), StructuredValue(i)).ok());
   }
   auto pids = tree_->LeafPageIds();
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kCompressedPage).ok());
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
+  DemoteResult res;
+  ASSERT_TRUE(tree_->DemotePage(pids[0], CssPolicy{}, &res).ok());
+  ASSERT_TRUE(res.demoted);
   // Blind update + delta flush on top of the compressed base.
   ASSERT_TRUE(tree_->Put("key3", "updated").ok());
   ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kDeltaOnly).ok());
@@ -146,7 +108,9 @@ TEST_F(CssTreeTest, RecoveryOfCompressedPages) {
         tree_->Put("key" + std::to_string(i), StructuredValue(i)).ok());
   }
   for (auto pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->FlushPage(pid, FlushMode::kCompressedPage).ok());
+    DemoteResult res;
+    ASSERT_TRUE(tree_->DemotePage(pid, CssPolicy{}, &res).ok());
+    ASSERT_TRUE(res.demoted);
   }
   ASSERT_TRUE(log_->Flush().ok());
 
@@ -205,9 +169,9 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   EXPECT_GT(after_demote.tier_css_bytes, 0u);
   EXPECT_LT(after_demote.MeasuredCompressionRatio(), 0.7)
       << "structured payloads must actually shrink";
-  EXPECT_GT(after_demote.measured_css_breakeven_ops, 0.0)
+  EXPECT_GT(after_demote.MeasuredCssBreakevenOps(), 0.0)
       << "demotions must feed the measured Fig. 8 breakeven";
-  EXPECT_GT(after_demote.measured_t_i_seconds, 0.0);
+  EXPECT_GT(after_demote.MeasuredTiSeconds(), 0.0);
 
   // Data still correct through the compressed tier, and reading it IS
   // the promotion path: the load decompresses and flips the entry back

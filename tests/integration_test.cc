@@ -151,12 +151,9 @@ TEST(IntegrationTest, MixedWorkloadWithGcAndCompressionStaysConsistent) {
         EXPECT_EQ(*r, it->second);
       }
     } else if (dice < 0.97) {
-      // Occasional compressed flush of a random page (CSS tier).
+      // Occasional demotion of a random page to the CSS tier.
       auto pid = store.tree()->LeafOf(key);
-      if (pid.ok()) {
-        (void)store.tree()->FlushPage(*pid,
-                                      bwtree::FlushMode::kCompressedPage);
-      }
+      if (pid.ok()) (void)store.tree()->DemotePage(*pid, bwtree::CssPolicy{});
     } else {
       (void)store.RunGc(0.5);
     }

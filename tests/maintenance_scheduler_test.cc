@@ -245,31 +245,45 @@ TEST(BackgroundMaintenanceTest, EvictsToBudgetWithZeroForegroundOps) {
 }
 
 TEST(BackgroundMaintenanceTest, GcTriggersOnDeadSpaceFraction) {
-  auto opts = SmallBudgetOptions();
-  opts.memory_budget_bytes = 128 << 10;  // eviction keeps flash churning
-  opts.background.workers = 1;
-  opts.background.log_dead_trigger = 0.3;
-  opts.gc_live_threshold = 0.8;
-  core::CachingStore store(opts);
+  // Inline (Maintain() on the op path) and background (scheduler
+  // workers, drained by Quiesce) run one maintenance step, so both must
+  // collect a segment once dead space passes log_dead_trigger — and
+  // neither may collect while the trigger is disabled.
+  for (const bool background : {false, true}) {
+    for (const double trigger : {0.3, 0.0}) {
+      SCOPED_TRACE(std::string(background ? "background" : "inline") +
+                   " trigger=" + std::to_string(trigger));
+      auto opts = SmallBudgetOptions();
+      opts.memory_budget_bytes = 128 << 10;  // eviction keeps flash churning
+      if (background) opts.background.workers = 1;
+      opts.log_dead_trigger = trigger;
+      opts.gc_live_threshold = 0.8;
+      core::CachingStore store(opts);
 
-  const std::string value(512, 'v');
-  // Overwrite a small key set many times: each eviction/flush rewrites
-  // pages, deadening the previous flash images.
-  for (int round = 0; round < 40; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(store.Put("key" + std::to_string(i), value).ok());
+      const std::string value(512, 'v');
+      // Overwrite a small key set many times: each eviction/flush
+      // rewrites pages, deadening the previous flash images.
+      for (int round = 0; round < 40; ++round) {
+        for (int i = 0; i < 200; ++i) {
+          ASSERT_TRUE(store.Put("key" + std::to_string(i), value).ok());
+        }
+      }
+      if (background) store.maintenance_scheduler()->Quiesce();
+      const auto stats = store.Stats();
+      EXPECT_EQ(stats.foreground_maintenance_ops == 0, background);
+      const uint64_t collected = store.log_store()->stats().gc_runs;
+      if (trigger > 0) {
+        EXPECT_GT(collected, 0u);
+        EXPECT_EQ(stats.background_gc_segments, collected);
+        EXPECT_LT(store.log_store()->DeadSpaceFraction(), 0.95);
+      } else {
+        EXPECT_EQ(collected, 0u);
+      }
+      // Either way the data is intact.
+      for (int i = 0; i < 200; ++i) {
+        EXPECT_TRUE(store.Get("key" + std::to_string(i)).ok()) << i;
+      }
     }
-  }
-  store.maintenance_scheduler()->Quiesce();
-  const auto stats = store.Stats();
-  EXPECT_EQ(stats.foreground_maintenance_ops, 0u);
-  if (stats.background_gc_segments > 0) {
-    // GC ran in the background; dead space must not still be saturated.
-    EXPECT_LT(store.log_store()->DeadSpaceFraction(), 0.95);
-  }
-  // Either way the data is intact.
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(store.Get("key" + std::to_string(i)).ok()) << i;
   }
 }
 

@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "core/caching_store.h"
 #include "core/sharded_store.h"
+#include "costmodel/five_minute_rule.h"
 
 namespace costperf::core {
 namespace {
@@ -92,6 +94,56 @@ TEST(ShardedStoreTest, StatsAggregateAcrossShards) {
   // the rendering exists is all the coverage it needs — the counters
   // above are asserted structurally.
   EXPECT_NE(store->DebugString().find("sharded[3]"), std::string::npos);
+}
+
+TEST(ShardedStoreTest, BreakevensAggregateFromSummedAccumulators) {
+  CachingStoreOptions opts;
+  opts.memory_budget_bytes = 0;
+  opts.maintenance_interval_ops = 0;
+  opts.device.capacity_bytes = 64ull << 20;
+  opts.device.max_iops = 0;
+  auto store = ShardedStore::OfCaching(2, opts);
+  // Shard 0 holds a few short records, shard 1 many long ones, so the two
+  // shards demote very different page sizes.
+  const int want[2] = {20, 400};
+  int placed[2] = {0, 0};
+  for (int i = 0; placed[0] < want[0] || placed[1] < want[1]; ++i) {
+    const std::string key = Key(i);
+    const size_t shard = store->ShardIndexOf(key);
+    if (placed[shard] == want[shard]) continue;
+    ++placed[shard];
+    const std::string value(shard == 0 ? 16 : 200,
+                            static_cast<char>('a' + i % 4));
+    ASSERT_TRUE(store->Put(key, value).ok());
+  }
+  for (size_t s = 0; s < store->shard_count(); ++s) {
+    auto* tree = static_cast<CachingStore*>(store->shard(s))->tree();
+    for (auto pid : tree->LeafPageIds()) {
+      ASSERT_TRUE(tree->DemotePage(pid, bwtree::CssPolicy{}).ok());
+    }
+  }
+  const KvStoreStats a = store->shard(0)->Stats();
+  const KvStoreStats b = store->shard(1)->Stats();
+  ASSERT_GT(a.tier_demotions, 0u);
+  ASSERT_GT(b.tier_demotions, 0u);
+  ASSERT_NE(a.MeasuredTiSeconds(), b.MeasuredTiSeconds());
+
+  // The aggregate is Eq. 6 / Fig. 8 at the pooled page size and ratio,
+  // not either shard's value.
+  costmodel::CostParams pooled = costmodel::CostParams::PaperDefaults();
+  pooled.page_size_bytes =
+      static_cast<double>(a.css_raw_bytes + b.css_raw_bytes) /
+      static_cast<double>(a.tier_demotions + b.tier_demotions);
+  costmodel::CompressionParams ratio;
+  ratio.compression_ratio =
+      static_cast<double>(a.css_stored_bytes + b.css_stored_bytes) /
+      static_cast<double>(a.css_raw_bytes + b.css_raw_bytes);
+  const KvStoreStats total = store->Stats();
+  EXPECT_DOUBLE_EQ(total.MeasuredTiSeconds(),
+                   costmodel::BreakevenIntervalSeconds(pooled));
+  EXPECT_DOUBLE_EQ(total.MeasuredCssBreakevenOps(),
+                   costmodel::CssSsBreakevenOpsPerSec(pooled, ratio));
+  EXPECT_DOUBLE_EQ(total.ModeledTiSeconds(), a.ModeledTiSeconds());
 }
 
 TEST(ShardedStoreTest, MultiGetPreservesInputOrder) {
