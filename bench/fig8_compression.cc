@@ -57,9 +57,20 @@ int Run() {
   }
   const double ratio = static_cast<double>(comp_bytes) / raw_bytes;
 
+  // A decoder that failed early would time as fast as a correct one, so
+  // every page must round-trip before the timed loop.
+  std::string out;
+  for (int i = 0; i < kPages; ++i) {
+    Status s = compression::Compressor::Decompress(Slice(compressed[i]), &out);
+    if (!s.ok() || out != pages[i]) {
+      printf("FAIL: page %d does not round-trip: %s\n", i,
+             s.ToString().c_str());
+      return 1;
+    }
+  }
+
   // Decompression CPU per page.
   uint64_t t0 = ThreadCpuNanos();
-  std::string out;
   constexpr int kRounds = 50;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kPages; ++i) {

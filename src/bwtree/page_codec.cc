@@ -35,6 +35,11 @@ Status PageCodec::DecodeLeaf(const Slice& image, LeafBase* leaf) {
   leaf->high_key = high_key.ToString();
   leaf->right_sibling = DecodeFixed64(p);
   p += sizeof(uint64_t);
+  // Each record takes at least its two length bytes: a larger count cannot
+  // be honest, and reserving it could throw instead of failing.
+  if (n > static_cast<uint64_t>(limit - p) / 2) {
+    return Status::Corruption("record count exceeds image");
+  }
   leaf->keys.clear();
   leaf->values.clear();
   leaf->keys.reserve(n);
@@ -85,6 +90,10 @@ Status PageCodec::DecodeDeltaPage(const Slice& image, FlashAddress* prev,
   uint64_t n = 0;
   p = GetVarint64(p, limit, &n);
   if (p == nullptr) return Status::Corruption("bad op count");
+  // Each op takes at least a kind byte, a key length and a timestamp.
+  if (n > static_cast<uint64_t>(limit - p) / 3) {
+    return Status::Corruption("op count exceeds image");
+  }
   ops->clear();
   ops->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

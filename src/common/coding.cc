@@ -2,26 +2,11 @@
 
 namespace costperf {
 
-void PutVarint32(std::string* dst, uint32_t v) {
-  unsigned char buf[5];
-  int i = 0;
-  while (v >= 128) {
-    buf[i++] = static_cast<unsigned char>(v | 128);
-    v >>= 7;
-  }
-  buf[i++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<const char*>(buf), i);
-}
+void PutVarint32(std::string* dst, uint32_t v) { PutVarint64(dst, v); }
 
 void PutVarint64(std::string* dst, uint64_t v) {
-  unsigned char buf[10];
-  int i = 0;
-  while (v >= 128) {
-    buf[i++] = static_cast<unsigned char>(v | 128);
-    v >>= 7;
-  }
-  buf[i++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<const char*>(buf), i);
+  char buf[10];
+  dst->append(buf, EncodeVarint64(buf, v));
 }
 
 const char* GetVarint64(const char* p, const char* limit, uint64_t* value) {

@@ -38,6 +38,16 @@ inline uint64_t DecodeFixed64(const char* p) {
 }
 
 // Varint32/64 in the protobuf wire format.
+// Writes v at dst, which has room for 10 bytes; returns the bytes written.
+inline size_t EncodeVarint64(char* dst, uint64_t v) {
+  size_t i = 0;
+  while (v >= 128) {
+    dst[i++] = static_cast<char>(v | 128);
+    v >>= 7;
+  }
+  dst[i++] = static_cast<char>(v);
+  return i;
+}
 void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 

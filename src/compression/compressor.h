@@ -17,9 +17,25 @@ namespace costperf::compression {
 //     [varint literal_len][literal bytes]
 //     [varint match_len][varint match_offset]   (match_len 0 ends stream)
 //
-// Matches are found with a 4-byte hash table over a 64 KiB window —
-// LZ4-class speed/ratio, which is what a store would actually run on its
-// cold tier. Decompression cost is the model's `decompress_r` input.
+// Compress finds matches through a hash of 4 input bytes over a 64 KiB
+// window, extends each match 8 bytes per compare, and seeds the hash table
+// every 7 bytes inside a match. The 2^14-entry table is per thread and
+// reused across calls: each entry carries the base of the call that wrote
+// it, so a call never clears it. The stream is the on-flash form of every
+// CSS page; tests pin its bytes, so a faster encoder may not change them.
+//
+// Decompress sizes its output once, from raw_size, and fills it with
+// memcpy: literals and non-overlapping matches directly, short ones as one
+// fixed 16-byte copy where the room allows, and a self-overlapping match
+// (offset < length) by copies that double in length and read only bytes
+// already written. Every length is checked against the room left.
+//
+// Speed on a 3.3 KB leaf shaped like the tiered benchmark's (16 B keys,
+// 256 B templated values, ratio 0.14), `micro_structures` pinned to one
+// vCPU of a shared 4-vCPU Xeon: compress 2.0–2.2 µs/page (1.4–1.5 GB/s),
+// decompress 0.80–0.86 µs/page (3.6–3.9 GB/s). Decompression cost is the
+// model's `decompress_r` input.
+
 // Raw/compressed byte counts from a single Compress call, so a demotion
 // path can apply a ratio policy without compressing twice.
 struct CompressInfo {

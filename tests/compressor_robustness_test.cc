@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "compression/compressor.h"
 
@@ -26,15 +28,84 @@ std::string StructuredPayload(size_t records) {
   return out;
 }
 
+// Reference decoder: the format decoded one byte at a time, with every
+// check Decompress makes. Its match loop reads each byte after the one
+// before it was written, so self-overlapping matches are right by
+// construction; its bounds compare each length with the room left, so it
+// too fails cleanly on any stream. Decompress must agree with it.
+Status ReferenceDecompress(const Slice& input, std::string* out,
+                           size_t max_raw_size) {
+  out->clear();
+  const char* p = input.data();
+  const char* limit = p + input.size();
+  uint64_t raw_size = 0;
+  p = GetVarint64(p, limit, &raw_size);
+  if (p == nullptr) return Status::Corruption("bad raw size");
+  if (raw_size > max_raw_size) return Status::Corruption("size over limit");
+  for (;;) {
+    uint64_t lit_len = 0;
+    p = GetVarint64(p, limit, &lit_len);
+    if (p == nullptr) return Status::Corruption("truncated literal length");
+    if (static_cast<uint64_t>(limit - p) < lit_len) {
+      return Status::Corruption("truncated literals");
+    }
+    if (lit_len > raw_size - out->size()) {
+      return Status::Corruption("output overruns declared size");
+    }
+    out->append(p, lit_len);
+    p += lit_len;
+    uint64_t match_len = 0;
+    p = GetVarint64(p, limit, &match_len);
+    if (p == nullptr) return Status::Corruption("truncated match length");
+    if (match_len == 0) break;
+    uint64_t offset = 0;
+    p = GetVarint64(p, limit, &offset);
+    if (p == nullptr) return Status::Corruption("truncated match offset");
+    if (offset == 0 || offset > out->size()) {
+      return Status::Corruption("match offset out of range");
+    }
+    if (match_len > raw_size - out->size()) {
+      return Status::Corruption("output overruns declared size");
+    }
+    const size_t from = out->size() - offset;
+    for (uint64_t i = 0; i < match_len; ++i) out->push_back((*out)[from + i]);
+  }
+  if (out->size() != raw_size) {
+    return Status::Corruption("decompressed size mismatch");
+  }
+  return Status::Ok();
+}
+
+// Decompress either succeeds within max_raw with the reference's bytes, or
+// fails with Corruption where the reference fails too.
 void ExpectDecompressIsTotal(const Slice& input, size_t max_raw) {
-  std::string out;
+  std::string out, want;
   Status s = Compressor::Decompress(input, &out, max_raw);
+  Status ref = ReferenceDecompress(input, &want, max_raw);
+  EXPECT_EQ(s.code(), ref.code()) << s.ToString() << " vs " << ref.ToString();
   if (s.ok()) {
     EXPECT_LE(out.size(), max_raw);
+    EXPECT_EQ(out, want);
   } else {
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   }
 }
+
+// Builds a stream by hand: raw_size, then (literals, match) pairs. A pair
+// with match_len 0 ends the stream.
+struct StreamBuilder {
+  std::string bytes;
+  explicit StreamBuilder(uint64_t raw_size) { PutVarint64(&bytes, raw_size); }
+  StreamBuilder& Step(const std::string& literals, uint64_t match_len,
+                      uint64_t offset = 0) {
+    PutVarint64(&bytes, literals.size());
+    bytes += literals;
+    PutVarint64(&bytes, match_len);
+    if (match_len > 0) PutVarint64(&bytes, offset);
+    return *this;
+  }
+  Slice slice() const { return Slice(bytes); }
+};
 
 TEST(CompressorRobustnessTest, TruncationAtEveryLengthIsClean) {
   std::string compressed;
@@ -135,6 +206,88 @@ TEST(CompressorRobustnessTest, RoundTripRandomLengthsRandomContent) {
     ASSERT_TRUE(Compressor::Decompress(Slice(compressed), &back).ok())
         << "trial " << trial;
     ASSERT_EQ(back, raw) << "trial " << trial;
+  }
+}
+
+TEST(CompressorRobustnessTest, MatchLengthNearWrapIsRefused) {
+  // raw_size 100, five literals, then a match of 2^64 - 1 bytes at offset
+  // 1: produced + match_len wraps, so only a room-left check refuses it.
+  constexpr uint64_t kHuge = std::numeric_limits<uint64_t>::max();
+  StreamBuilder stream(100);
+  stream.Step("abcde", kHuge, 1).Step("", 0);
+  ASSERT_EQ(stream.bytes.size(), 20u);
+  std::string out;
+  Status s = Compressor::Decompress(stream.slice(), &out, 1 << 20);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_LE(out.size(), 100u);
+  ExpectDecompressIsTotal(stream.slice(), 1 << 20);
+}
+
+TEST(CompressorRobustnessTest, LiteralLengthNearWrapIsRefused) {
+  constexpr uint64_t kHuge = std::numeric_limits<uint64_t>::max();
+  StreamBuilder stream(100);
+  stream.Step("abcde", 3, 1);
+  PutVarint64(&stream.bytes, kHuge);  // a literal run of 2^64 - 1 bytes
+  stream.bytes += "xyz";
+  std::string out;
+  Status s = Compressor::Decompress(stream.slice(), &out, 1 << 20);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_LE(out.size(), 100u);
+  ExpectDecompressIsTotal(stream.slice(), 1 << 20);
+}
+
+TEST(CompressorRobustnessTest, OverlappingMatchesAgreeWithReference) {
+  // Every offset from 1 to 40 against lengths 1..300: offsets below the
+  // length make the match copy its own output. Literals before the match
+  // are longer than the offset for some lengths, so the match source is
+  // not always the stream's first byte; a literal tail follows it.
+  for (uint64_t offset = 1; offset <= 40; ++offset) {
+    for (uint64_t len = 1; len <= 300; ++len) {
+      std::string head;
+      for (uint64_t i = 0; i < offset + len % 3; ++i) {
+        head.push_back(static_cast<char>('A' + (i * 7 + len) % 26));
+      }
+      const std::string tail = "tail";
+      StreamBuilder stream(head.size() + len + tail.size());
+      stream.Step(head, len, offset).Step(tail, 0);
+      SCOPED_TRACE("offset " + std::to_string(offset) + " len " +
+                   std::to_string(len));
+      std::string out;
+      ASSERT_TRUE(Compressor::Decompress(stream.slice(), &out).ok());
+      ExpectDecompressIsTotal(stream.slice(), 1 << 20);
+    }
+  }
+}
+
+TEST(CompressorRobustnessTest, OutputEndingExactlyAtRawSize) {
+  // The last literal, and the last match, fill the output exactly.
+  StreamBuilder literal_end(8);
+  literal_end.Step("abcdefgh", 0);
+  StreamBuilder match_end(13);
+  match_end.Step("abc", 10, 3).Step("", 0);
+  StreamBuilder both(9);
+  both.Step("ab", 5, 1).Step("xy", 0);
+  for (const StreamBuilder* s : {&literal_end, &match_end, &both}) {
+    std::string out;
+    ASSERT_TRUE(Compressor::Decompress(s->slice(), &out).ok());
+    ExpectDecompressIsTotal(s->slice(), 1 << 20);
+  }
+}
+
+TEST(CompressorRobustnessTest, OffByOneStreamsAreRefusedLikeReference) {
+  StreamBuilder offset_past_output(10);  // offset = produced + 1
+  offset_past_output.Step("abcd", 6, 5).Step("", 0);
+  StreamBuilder match_past_raw(10);  // one byte past raw_size
+  match_past_raw.Step("abcd", 7, 2).Step("", 0);
+  StreamBuilder literal_past_raw(4);
+  literal_past_raw.Step("abcde", 0);
+  StreamBuilder early_end(11);  // end marker one byte early
+  early_end.Step("abcd", 6, 2).Step("", 0);
+  for (const StreamBuilder* s : {&offset_past_output, &match_past_raw,
+                                 &literal_past_raw, &early_end}) {
+    std::string out;
+    EXPECT_TRUE(Compressor::Decompress(s->slice(), &out).IsCorruption());
+    ExpectDecompressIsTotal(s->slice(), 1 << 20);
   }
 }
 

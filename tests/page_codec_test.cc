@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/random.h"
 
 namespace costperf::bwtree {
@@ -102,6 +103,30 @@ TEST(PageCodecTest, DecodeRejectsTrailingBytes) {
   image += "extra";
   LeafBase out;
   EXPECT_TRUE(PageCodec::DecodeLeaf(Slice(image), &out).IsCorruption());
+}
+
+TEST(PageCodecTest, DecodeRejectsRecordCountPastImage) {
+  // A 16-byte leaf image claiming 2^40 records: the count must be refused
+  // before anything is sized by it.
+  std::string leaf_img;
+  leaf_img.push_back(static_cast<char>(PageCodec::kFullLeaf));
+  PutVarint64(&leaf_img, uint64_t{1} << 40);
+  PutLengthPrefixedSlice(&leaf_img, Slice());
+  PutFixed64(&leaf_img, kInvalidPageId);
+  ASSERT_EQ(leaf_img.size(), 16u);
+  LeafBase leaf;
+  EXPECT_TRUE(PageCodec::DecodeLeaf(Slice(leaf_img), &leaf).IsCorruption());
+
+  // A 15-byte delta image claiming 2^40 ops.
+  std::string delta_img;
+  delta_img.push_back(static_cast<char>(PageCodec::kDeltaPage));
+  PutFixed64(&delta_img, FlashAddress().packed());
+  PutVarint64(&delta_img, uint64_t{1} << 40);
+  ASSERT_EQ(delta_img.size(), 15u);
+  FlashAddress prev;
+  std::vector<DeltaOp> ops;
+  EXPECT_TRUE(
+      PageCodec::DecodeDeltaPage(Slice(delta_img), &prev, &ops).IsCorruption());
 }
 
 TEST(PageCodecTest, BinaryKeysAndValues) {
