@@ -7,9 +7,13 @@
 #             *and* epoch capabilities as compile errors). Stage 1
 #             failing means the change is wrong; nothing else runs.
 #   stage 2 — depth lanes (after stage 1): tidy, then the sanitizer
-#             matrix + stress + serve + chaos (network fault injection
-#             under TSan) via scripts/check.sh. Lanes whose toolchain is
-#             missing skip with a message (tidy can be forced fatal with
+#             matrix + simd (the scalar search fallback, built only with
+#             -DCOSTPERF_NO_SIMD=ON) + stress + serve + chaos (network
+#             fault injection under TSan) + benchmark (the repo
+#             benchmark's quick run, which builds ../src outside the root
+#             build and so is the only lane that catches a src/ API change
+#             that breaks it) via scripts/check.sh. Lanes whose toolchain
+#             is missing skip with a message (tidy can be forced fatal with
 #             COSTPERF_REQUIRE_TIDY=1).
 #
 # Usage: scripts/ci.sh [--stage1-only]
@@ -38,8 +42,9 @@ if [[ "${1:-}" == "--stage1-only" ]]; then
 fi
 
 echo
-echo "=== CI stage 2: tidy + sanitizer matrix ==="
-"$ROOT/scripts/check.sh" tidy asan tsan ubsan stress serve chaos || exit 1
+echo "=== CI stage 2: tidy + sanitizer matrix + simd + benchmark ==="
+"$ROOT/scripts/check.sh" tidy asan tsan ubsan simd stress serve chaos \
+  benchmark || exit 1
 
 echo
 echo "CI: all stages passed."

@@ -96,7 +96,7 @@ void Traverse(BwTree* tree, const Fn& visit) {
     } else if (merge != nullptr) {
       EnqueueChild(merge->right_sibling, &seen, &frontier);
     } else if (tail->type == NodeType::kLeafBase) {
-      EnqueueChild(static_cast<const LeafBase*>(tail)->right_sibling, &seen,
+      EnqueueChild(static_cast<const LeafBase*>(tail)->right_sibling(), &seen,
                    &frontier);
     } else if (tail->type == NodeType::kFlashPointer) {
       const auto* fp = static_cast<const bwtree::FlashPointer*>(tail);
@@ -130,29 +130,22 @@ void CheckChainLengths(PageId pid, const std::vector<const Node*>& nodes,
 
 void CheckLeafOrder(PageId pid, const LeafBase* leaf,
                     std::vector<Violation>* out) {
-  if (leaf->keys.size() != leaf->values.size()) {
-    out->push_back(Violation{
-        "BwTreeValidator", "key-order", PidEntity(pid),
-        "leaf has " + std::to_string(leaf->keys.size()) + " keys but " +
-            std::to_string(leaf->values.size()) + " values"});
-    return;
-  }
-  for (size_t i = 1; i < leaf->keys.size(); ++i) {
-    if (!(leaf->keys[i - 1] < leaf->keys[i])) {
+  for (size_t i = 1; i < leaf->size(); ++i) {
+    if (!(leaf->key(i - 1) < leaf->key(i))) {
       out->push_back(Violation{
           "BwTreeValidator", "key-order", PidEntity(pid),
           "leaf keys not strictly ascending at slot " + std::to_string(i) +
-              " (\"" + leaf->keys[i - 1] + "\" !< \"" + leaf->keys[i] +
-              "\")"});
+              " (\"" + leaf->key(i - 1).ToString() + "\" !< \"" +
+              leaf->key(i).ToString() + "\")"});
       return;
     }
   }
-  if (!leaf->high_key.empty() && !leaf->keys.empty() &&
-      !(leaf->keys.back() < leaf->high_key)) {
+  if (!leaf->high_key().empty() && leaf->size() != 0 &&
+      !(leaf->key(leaf->size() - 1) < leaf->high_key())) {
     out->push_back(Violation{
         "BwTreeValidator", "key-order", PidEntity(pid),
-        "leaf key \"" + leaf->keys.back() + "\" >= high fence \"" +
-            leaf->high_key + "\""});
+        "leaf key \"" + leaf->key(leaf->size() - 1).ToString() +
+            "\" >= high fence \"" + leaf->high_key().ToString() + "\""});
   }
 }
 

@@ -370,9 +370,14 @@ class BwTree {
   Status LoadAndInstall(PageId pid, uint64_t entry_word, OpContext* ctx)
       REQUIRES_EPOCH(epochs_);
 
-  // Reads and applies the flash image chain starting at addr into `leaf`.
-  Status MaterializeFromFlash(FlashAddress addr, LeafBase* leaf,
-                              OpContext* ctx);
+  // Reads the flash image chain starting at `addr` and builds the page it
+  // holds into a new *out, with the in-memory record deltas of chain
+  // [head, stop) merged over it (head == stop: none). A lone full image
+  // becomes the leaf's storage as it is; delta pages and deltas go
+  // through the one newest-wins merge.
+  Status MaterializeFromFlash(FlashAddress addr, const Node* head,
+                              const Node* stop, OpContext* ctx,
+                              LeafBase** out);
 
   // Builds a consolidated LeafBase from a fully resident chain.
   LeafBase* ConsolidateChain(Node* head) const REQUIRES_EPOCH(epochs_);
@@ -393,9 +398,10 @@ class BwTree {
   // Consolidates regardless of chain length (merge-delta folding).
   void MaybeConsolidateForced(PageId pid) REQUIRES_EPOCH(epochs_);
 
-  // Splits `base` (already consolidated, oversized); posts to parent.
-  // `expected_word` is the chain the consolidation was built from.
-  void SplitLeaf(PageId pid, uint64_t expected_word, LeafBase* base,
+  // Splits `page` (the consolidated, oversized content of the chain
+  // `expected_word` holds) into two new leaves; posts to parent. The
+  // caller keeps `page`.
+  void SplitLeaf(PageId pid, uint64_t expected_word, const LeafBase& page,
                  std::vector<PageId>* path) REQUIRES_EPOCH(epochs_);
 
   // Inserts (sep, right_pid) into the parent of left_pid; creates a new

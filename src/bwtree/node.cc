@@ -1,58 +1,80 @@
 #include "bwtree/node.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/simd.h"
 
 namespace costperf::bwtree {
 
-void NodeSearchIndex::Build(const std::vector<std::string>& keys) {
-  skip = 0;
-  slices.clear();
-  if (keys.empty()) return;
+namespace {
+
+// The key arrays the search helpers run over: an inner node's separator
+// strings and a leaf's records.
+struct StringKeys {
+  const std::vector<std::string>& keys;
+  size_t size() const { return keys.size(); }
+  Slice operator[](size_t i) const { return Slice(keys[i]); }
+};
+struct LeafKeys {
+  const LeafBase& leaf;
+  size_t size() const { return leaf.size(); }
+  Slice operator[](size_t i) const { return leaf.key(i); }
+};
+
+template <typename Keys>
+void BuildIndex(const Keys& keys, NodeSearchIndex* idx) {
+  idx->skip = 0;
+  idx->slices.clear();
+  const size_t n = keys.size();
+  if (n == 0) return;
   // Sorted array: every key shares exactly the common prefix of the
   // first and last ones.
-  const std::string& lo = keys.front();
-  const std::string& hi = keys.back();
+  const Slice lo = keys[0];
+  const Slice hi = keys[n - 1];
   const size_t max = lo.size() < hi.size() ? lo.size() : hi.size();
   size_t p = 0;
   while (p < max && lo[p] == hi[p]) ++p;
-  skip = static_cast<uint32_t>(p);
-  slices.reserve(keys.size());
-  for (const auto& k : keys) {
-    slices.push_back(simd::KeySliceAt(k.data(), k.size(), skip));
+  idx->skip = static_cast<uint32_t>(p);
+  idx->slices.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Slice k = keys[i];
+    idx->slices.push_back(simd::KeySliceAt(k.data(), k.size(), idx->skip));
   }
 }
-
-namespace {
 
 // Orders `key` against the node's common prefix: <0 / >0 place it below
 // or above every key in the node; 0 means the slice window decides.
 // A key shorter than the prefix that matches what it has of it sorts
 // below every node key (they all carry the full prefix plus more).
-int ComparePrefix(const Slice& key, const std::string& first_key,
-                  uint32_t skip) {
+int ComparePrefix(const Slice& key, const Slice& first_key, uint32_t skip) {
   const size_t take = key.size() < skip ? key.size() : skip;
   int c = take == 0 ? 0 : std::memcmp(key.data(), first_key.data(), take);
   if (c == 0 && key.size() < skip) return -1;
   return c;
 }
 
-}  // namespace
-
-size_t NodeLowerBound(const std::vector<std::string>& keys,
-                      const NodeSearchIndex& idx, const Slice& key) {
+// First position whose key is >= `key` (kUpper: > `key`).
+template <bool kUpper, typename Keys>
+size_t Bound(const Keys& keys, const NodeSearchIndex& idx, const Slice& key) {
   const size_t n = keys.size();
+  // Does keys[i] stay below the bound?
+  auto below = [&](size_t i) {
+    const int c = keys[i].compare(key);
+    return kUpper ? c <= 0 : c < 0;
+  };
   if (!idx.Ready(n)) {
-    return static_cast<size_t>(
-        std::lower_bound(keys.begin(), keys.end(), key,
-                         [](const std::string& s, const Slice& k) {
-                           return Slice(s).compare(k) < 0;
-                         }) -
-        keys.begin());
+    size_t lo = 0, hi = n;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (below(mid)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
   }
-  const int pc = ComparePrefix(key, keys.front(), idx.skip);
+  const int pc = ComparePrefix(key, keys[0], idx.skip);
   if (pc < 0) return 0;
   if (pc > 0) return n;
   const uint64_t ks = simd::KeySliceAt(key.data(), key.size(), idx.skip);
@@ -60,34 +82,32 @@ size_t NodeLowerBound(const std::vector<std::string>& keys,
   // Slices are only non-strictly monotonic with key order: resolve the
   // run of equal slices (keys agreeing on bytes [skip, skip+8)) with
   // full compares. Runs are short — 8+ shared bytes past the prefix.
-  while (pos < n && idx.slices[pos] == ks &&
-         Slice(keys[pos]).compare(key) < 0) {
-    ++pos;
-  }
+  while (pos < n && idx.slices[pos] == ks && below(pos)) ++pos;
   return pos;
+}
+
+}  // namespace
+
+void NodeSearchIndex::Build(const std::vector<std::string>& keys) {
+  BuildIndex(StringKeys{keys}, this);
+}
+
+void NodeSearchIndex::Build(const LeafBase& leaf) {
+  BuildIndex(LeafKeys{leaf}, this);
+}
+
+size_t NodeLowerBound(const std::vector<std::string>& keys,
+                      const NodeSearchIndex& idx, const Slice& key) {
+  return Bound<false>(StringKeys{keys}, idx, key);
+}
+
+size_t NodeLowerBound(const LeafBase& leaf, const Slice& key) {
+  return Bound<false>(LeafKeys{leaf}, leaf.search(), key);
 }
 
 size_t NodeUpperBound(const std::vector<std::string>& seps,
                       const NodeSearchIndex& idx, const Slice& key) {
-  const size_t n = seps.size();
-  if (!idx.Ready(n)) {
-    return static_cast<size_t>(
-        std::upper_bound(seps.begin(), seps.end(), key,
-                         [](const Slice& k, const std::string& s) {
-                           return k.compare(Slice(s)) < 0;
-                         }) -
-        seps.begin());
-  }
-  const int pc = ComparePrefix(key, seps.front(), idx.skip);
-  if (pc < 0) return 0;
-  if (pc > 0) return n;
-  const uint64_t ks = simd::KeySliceAt(key.data(), key.size(), idx.skip);
-  size_t pos = simd::LowerBoundU64(idx.slices.data(), n, ks);
-  while (pos < n && idx.slices[pos] == ks &&
-         Slice(seps[pos]).compare(key) <= 0) {
-    ++pos;
-  }
-  return pos;
+  return Bound<true>(StringKeys{seps}, idx, key);
 }
 
 uint64_t NodeBytes(const Node* n) {

@@ -16,6 +16,8 @@ using mapping::PageId;
 using mapping::kInvalidPageId;
 using llama::FlashAddress;
 
+class LeafBase;
+
 // SIMD search accelerator embedded in base nodes: the 8-byte big-endian
 // key slice of every key, taken at the node's common-prefix offset
 // `skip` (workload keys often share a long prefix — "user000000012345" —
@@ -24,12 +26,13 @@ using llama::FlashAddress;
 // installed; the node's key array is immutable afterwards, so the index
 // never goes stale on the read path.
 //
-// Copies deliberately produce an EMPTY index. SMO sites copy a node and
-// then mutate its key array in place (ReplaceBoundarySep even keeps the
-// array sizes equal, so a size-only staleness guard cannot catch it); a
-// copied node therefore degrades to scalar search until Build() is
-// explicitly called on the final key array. Ready() is the guard the
-// search helpers check before trusting the slices.
+// Copies deliberately produce an EMPTY index. Inner-node SMO sites copy
+// a node and then mutate its separator array in place
+// (ReplaceBoundarySep even keeps the array sizes equal, so a size-only
+// staleness guard cannot catch it); a copied node therefore degrades to
+// scalar search until Build() is explicitly called on the final array.
+// Ready() is the guard the search helpers check before trusting the
+// slices.
 //
 // Not counted in ApproxBytes: that models the packed on-page image the
 // cost model compares layouts with, and the index never goes to flash.
@@ -45,8 +48,9 @@ struct NodeSearchIndex {
     return *this;
   }
 
-  // `keys` must be sorted (skip = LCP of front and back covers all).
+  // The keys must be sorted (skip = LCP of front and back covers all).
   void Build(const std::vector<std::string>& keys);
+  void Build(const LeafBase& leaf);
   bool Ready(size_t n) const { return n != 0 && slices.size() == n; }
 };
 
@@ -57,6 +61,8 @@ struct NodeSearchIndex {
 COSTPERF_HOT size_t NodeLowerBound(const std::vector<std::string>& keys,
                                    const NodeSearchIndex& idx,
                                    const Slice& key);
+// The same over a leaf's records, with the leaf's own index.
+COSTPERF_HOT size_t NodeLowerBound(const LeafBase& leaf, const Slice& key);
 
 // Index of the first element of sorted `seps` that is > `key`
 // (std::upper_bound) — the inner-node child-selection rule.
@@ -89,19 +95,41 @@ struct Node {
   explicit Node(NodeType t) : type(t) {}
 };
 
-// Sorted leaf payload. Immutable once installed.
-struct LeafBase : Node {
+// Sorted leaf payload. Immutable once installed. The records live in one
+// contiguous image in PageCodec's kFullLeaf format — the exact bytes a
+// flush appends to the log (paper §6.1: a page is one variable-size byte
+// image) — and an offset/length index beside it says where each key and
+// value starts, so records are read as Slices into the image. A leaf is
+// filled only by PageCodec::DecodeLeaf, which adopts an image and indexes
+// it: a page load adopts the image the log store returned, and
+// LeafBuilder writes one record by record for everything else
+// (consolidation, splits, loads that merge deltas). Not copyable: the
+// high key is a Slice into this leaf's own image.
+class LeafBase : public Node {
+ public:
+  // A blank leaf (no image); PageCodec::DecodeLeaf or LeafBuilder fills
+  // it before it is installed.
   LeafBase() : Node(NodeType::kLeafBase) {}
+  LeafBase(const LeafBase&) = delete;
+  LeafBase& operator=(const LeafBase&) = delete;
 
-  std::vector<std::string> keys;
-  std::vector<std::string> values;
-  // Exclusive upper fence; empty string means +infinity.
-  std::string high_key;
+  size_t size() const { return records_.size(); }
+  Slice key(size_t i) const {
+    const Record& r = records_[i];
+    return Slice(image_.data() + r.key_off, r.key_len);
+  }
+  Slice value(size_t i) const {
+    const Record& r = records_[i];
+    return Slice(image_.data() + r.value_off, r.value_len);
+  }
+  // Exclusive upper fence; empty means +infinity.
+  Slice high_key() const { return high_key_; }
   // B-link pointer: the sibling holding keys >= high_key.
-  PageId right_sibling = kInvalidPageId;
-  // SIMD slice index over `keys`; Build() after the final key array is
-  // in place, before install. Empty (scalar search) on copies.
-  NodeSearchIndex search;
+  PageId right_sibling() const { return right_sibling_; }
+  // The kFullLeaf image: what FlushPage appends and DemotePage compresses.
+  Slice image() const { return Slice(image_); }
+  // SIMD slice index over the keys, built when the image is indexed.
+  const NodeSearchIndex& search() const { return search_; }
 
   // Footprint of the page in its packed on-page representation: the
   // paper's Deuteronomy pages are variable-size and ~100% utilized, so a
@@ -109,20 +137,26 @@ struct LeafBase : Node {
   // + offset). This is what M_x compares against MassTree's
   // pointer-linked fixed-fanout layout.
   uint64_t ApproxBytes() const {
-    uint64_t b = sizeof(LeafBase);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      b += keys[i].size() + values[i].size() + 10;
-    }
-    return b + high_key.size();
+    return sizeof(LeafBase) + payload_bytes_ + 10 * records_.size() +
+           high_key_.size();
   }
   // Payload-only footprint (what a serialized page roughly costs).
-  uint64_t PayloadBytes() const {
-    uint64_t b = 0;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      b += keys[i].size() + values[i].size();
-    }
-    return b;
-  }
+  uint64_t PayloadBytes() const { return payload_bytes_; }
+
+ private:
+  friend class PageCodec;
+
+  // Where record i's key and value sit in image_.
+  struct Record {
+    uint32_t key_off, key_len, value_off, value_len;
+  };
+
+  std::string image_;
+  std::vector<Record> records_;
+  Slice high_key_;
+  PageId right_sibling_ = kInvalidPageId;
+  uint64_t payload_bytes_ = 0;  // sum of key and value bytes
+  NodeSearchIndex search_;
 };
 
 // Sorted inner node: children[i] covers keys < seps[i]; children.back()

@@ -227,8 +227,10 @@ Status LogStructuredStore::Read(FlashAddress addr, std::string* image,
   if (!addr.valid()) return Status::InvalidArgument("invalid flash address");
   const uint64_t seg = addr.offset() / options_.segment_bytes;
   // Raw record bytes land here (copied out of the open buffer, or read
-  // from the device); decode and any decompression run latch-free.
-  std::string raw;
+  // from the device); decode and any decompression run latch-free. The
+  // buffer is per thread and keeps its capacity, so a read allocates only
+  // the payload it hands back.
+  thread_local std::string raw;
   bool buffered = false;
   {
     MutexLock lk(&mu_);

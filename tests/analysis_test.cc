@@ -9,6 +9,7 @@
 #include "analysis/log_store_auditor.h"
 #include "analysis/mapping_table_auditor.h"
 #include "bwtree/node.h"
+#include "bwtree/page_codec.h"
 #include "core/caching_store.h"
 #include "core/sharded_store.h"
 #include "workload/runner.h"
@@ -105,9 +106,10 @@ TEST(BwTreeValidatorTest, DetectsUnsortedLeafKeys) {
   mapping::MappingTable* table = tree->mapping_table();
   const uint64_t orig = table->Get(*pid);
 
-  auto* bad = new bwtree::LeafBase();
-  bad->keys = {"zeta", "alpha"};  // not ascending
-  bad->values = {"1", "2"};
+  bwtree::LeafBuilder builder(Slice(), bwtree::kInvalidPageId);
+  builder.Add("zeta", "1");  // not ascending
+  builder.Add("alpha", "2");
+  bwtree::LeafBase* bad = builder.Finish().release();
   table->Set(*pid, bwtree::EncodePointer(bad));
 
   BwTreeValidator validator(tree);

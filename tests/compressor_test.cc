@@ -130,7 +130,7 @@ TEST(CompressorTest, MeasureRatioBounds) {
 // 256-byte values, each value a 16-byte binary header then a repeated
 // per-key text template (about 3.3 KB, one leaf page of the tiered store).
 std::string WorkloadShapedLeaf() {
-  bwtree::LeafBase leaf;
+  bwtree::LeafBuilder leaf(Slice("key:000000004012"), 77);
   for (uint32_t k = 4000; k < 4012; ++k) {
     char key[17];
     snprintf(key, sizeof(key), "key:%012u", k);
@@ -142,14 +142,9 @@ std::string WorkloadShapedLeaf() {
     const int n =
         snprintf(frag, sizeof(frag), "|key=%08x|status=active|region=2", k);
     for (size_t i = 16; i < value.size(); ++i) value[i] = frag[(i - 16) % n];
-    leaf.keys.emplace_back(key, 16);
-    leaf.values.push_back(value);
+    leaf.Add(Slice(key, 16), value);
   }
-  leaf.high_key = "key:000000004012";
-  leaf.right_sibling = 77;
-  std::string image;
-  bwtree::PageCodec::EncodeLeaf(leaf, &image);
-  return image;
+  return leaf.Finish()->image().ToString();
 }
 
 // 100 KB of random bytes and runs, with copies of earlier stretches from

@@ -399,22 +399,20 @@ TEST(SalvageRecoveryTest, TornSplitCheckpointFallsBackToLosslessSalvage) {
   llama::LogStructuredStore log(&device);
 
   // Checkpoint 1: pid 1 is the sole leaf and holds every key.
-  bwtree::LeafBase full;
-  full.keys = {"a", "b", "c", "d"};
-  full.values = {"1", "2", "3", "4"};
-  std::string img;
-  bwtree::PageCodec::EncodeLeaf(full, &img);
-  ASSERT_TRUE(log.Append(1, Slice(img)).ok());
+  bwtree::LeafBuilder full(Slice(), bwtree::kInvalidPageId);
+  full.Add("a", "1");
+  full.Add("b", "2");
+  full.Add("c", "3");
+  full.Add("d", "4");
+  ASSERT_TRUE(log.Append(1, full.Finish()->image()).ok());
   ASSERT_TRUE(log.Flush().ok());
 
   // Torn checkpoint 2 after pid 1 split into (pid 1, pid 2): the sibling
   // image landed, the source's re-image was torn off the adopted prefix.
-  bwtree::LeafBase sib;
-  sib.keys = {"c", "d"};
-  sib.values = {"3x", "4x"};
-  std::string sib_img;
-  bwtree::PageCodec::EncodeLeaf(sib, &sib_img);
-  ASSERT_TRUE(log.Append(2, Slice(sib_img)).ok());
+  bwtree::LeafBuilder sib(Slice(), bwtree::kInvalidPageId);
+  sib.Add("c", "3x");
+  sib.Add("d", "4x");
+  ASSERT_TRUE(log.Append(2, sib.Finish()->image()).ok());
   ASSERT_TRUE(log.Flush().ok());
 
   // Both adopted images claim ranges up to +infinity, so the fast path
