@@ -81,10 +81,11 @@ int Run() {
     printf("%-11s | %12.0f | %8.1f %8.1f %8.1f | %10llu %10llu %8llu "
            "%12llu\n",
            row.name, r.ops_per_wall_sec, r.p50_micros, r.p99_micros,
-           r.p999_micros, (unsigned long long)r.foreground_maintenance_ops,
-           (unsigned long long)r.background_maintenance_steps,
-           (unsigned long long)r.write_stalls,
-           (unsigned long long)r.stall_micros_total);
+           r.p999_micros,
+           (unsigned long long)r.store.foreground_maintenance_ops,
+           (unsigned long long)r.store.background_maintenance_steps,
+           (unsigned long long)r.store.write_stalls,
+           (unsigned long long)r.store.stall_micros_total);
     if (r.mm_latency_micros.count() > 0 || r.ss_latency_micros.count() > 0) {
       printf("%-11s | classes: mm=%llu (p50 %.1f / p99 %.1f)  ss=%llu "
              "(p50 %.1f / p99 %.1f)\n",
@@ -102,19 +103,19 @@ int Run() {
   // generates maintenance pressure; background mode proves all of it
   // moved off the foreground path.
   int rc = 0;
-  if (inline_r.foreground_maintenance_ops == 0) {
+  if (inline_r.store.foreground_maintenance_ops == 0) {
     printf("\nFAIL: inline run did no foreground maintenance — the "
            "workload is not generating pressure, so the background "
            "assertion below would be vacuous\n");
     rc = 1;
   }
-  if (bg_r.foreground_maintenance_ops != 0) {
+  if (bg_r.store.foreground_maintenance_ops != 0) {
     printf("\nFAIL: background run charged %llu maintenance ops to "
            "foreground threads (contract: exactly 0)\n",
-           (unsigned long long)bg_r.foreground_maintenance_ops);
+           (unsigned long long)bg_r.store.foreground_maintenance_ops);
     rc = 1;
   }
-  if (bg_r.background_maintenance_steps == 0) {
+  if (bg_r.store.background_maintenance_steps == 0) {
     printf("\nFAIL: background run executed no scheduler steps under "
            "sustained eviction pressure\n");
     rc = 1;
@@ -122,7 +123,7 @@ int Run() {
   if (rc == 0) {
     printf("\nOK: steady-state foreground_maintenance_ops == 0 in "
            "background mode (%llu scheduler steps did the work)\n",
-           (unsigned long long)bg_r.background_maintenance_steps);
+           (unsigned long long)bg_r.store.background_maintenance_steps);
   }
   return rc;
 }

@@ -92,14 +92,10 @@ int RunSingleThreadMixes() {
 
     // Miss fraction from the structured stats delta — no component
     // poking, no string parsing.
-    core::KvStoreStats before = caching.Stats();
+    const core::KvStoreStats before = caching.Stats();
     workload::Workload w1(spec, 1);
     auto r1 = workload::RunWorkload(&caching, &w1, kOps);
-    core::KvStoreStats after = caching.Stats();
-    core::KvStoreStats delta;
-    delta.hits = after.hits - before.hits;
-    delta.misses = after.misses - before.misses;
-    double f = delta.MissFraction();
+    const double f = (caching.Stats() - before).MissFraction();
 
     workload::Workload w2(spec, 1);
     auto r2 = workload::RunWorkload(&memory, &w2, kOps);
@@ -125,7 +121,6 @@ int RunSingleThreadMixes() {
 struct SweepPoint {
   int threads = 0;
   workload::RunReport report;
-  double miss_fraction = 0;
 };
 
 // One (store kind, workload) sweep over thread counts. Returns the
@@ -145,28 +140,20 @@ std::vector<SweepPoint> Sweep(const char* store_name,
     opts.ops_per_thread = kSweepOps / threads;
     workload::Runner runner(store.get(), spec, opts);
 
-    core::KvStoreStats before = store->Stats();
     workload::RunReport report = runner.LoadAndRun();
-    core::KvStoreStats after = store->Stats();
     if (report.failed_ops > 0) {
       printf("WARNING: %s %d threads: %llu failed ops\n", store_name,
              threads, (unsigned long long)report.failed_ops);
       return {};
     }
 
-    SweepPoint p;
-    p.threads = threads;
-    p.report = report;
-    core::KvStoreStats delta;
-    delta.hits = after.hits - before.hits;
-    delta.misses = after.misses - before.misses;
-    p.miss_fraction = delta.MissFraction();
-    points.push_back(std::move(p));
+    points.push_back({threads, report});
 
     printf("%-10s %7d | %12.0f %12.0f %12.0f | %8.1f %8.1f | %6.3f\n",
            store_name, threads, report.ops_per_wall_sec,
            report.ops_per_cpu_sec, report.modeled_parallel_ops_per_sec,
-           report.p50_micros, report.p99_micros, p.miss_fraction);
+           report.p50_micros, report.p99_micros,
+           report.store.MissFraction());
   }
   return points;
 }
@@ -237,10 +224,8 @@ int RunThreadSweep() {
 
     std::vector<costmodel::MixedObservation> observations;
     for (const SweepPoint& p : caching_c_points) {
-      if (p.miss_fraction > 0) {
-        observations.push_back(
-            {p.miss_fraction, p.report.ops_per_cpu_sec});
-      }
+      const double f = p.report.store.MissFraction();
+      if (f > 0) observations.push_back({f, p.report.ops_per_cpu_sec});
     }
     costmodel::CalibrationReport report = costmodel::DeriveRFromObservations(
         p0_report.ops_per_cpu_sec, observations);
@@ -298,8 +283,7 @@ int RunSmokeJson(const char* path) {
     opts.device.max_iops = 0;
     opts.maintenance_interval_ops = 128;
     // Sampled recency: with an unbounded budget eviction never consults
-    // ticks, so only the CLOCK reference bit matters — skip 15/16 of the
-    // hot-path clock reads.
+    // ticks — skip 15/16 of the hot-path clock reads.
     opts.cache_touch_sample = 16;
     auto store = core::ShardedStore::OfCaching(kShards, opts);
 
@@ -424,8 +408,8 @@ int RunSmokeJson(const char* path) {
     const char* mode = background ? "background" : "inline";
     printf("%-11s | %12.0f | %8.1f %8.1f %8.1f | %10llu %10llu\n", mode,
            r.ops_per_wall_sec, r.p50_micros, r.p99_micros, r.p999_micros,
-           (unsigned long long)r.foreground_maintenance_ops,
-           (unsigned long long)r.background_maintenance_steps);
+           (unsigned long long)r.store.foreground_maintenance_ops,
+           (unsigned long long)r.store.background_maintenance_steps);
     fprintf(out,
             "%s    {\"mode\": \"%s\", \"ops_per_wall_sec\": %.0f, "
             "\"p50_micros\": %.2f, \"p99_micros\": %.2f, "
@@ -434,10 +418,10 @@ int RunSmokeJson(const char* path) {
             "\"write_stalls\": %llu, \"stall_micros_total\": %llu}",
             first ? "" : ",\n", mode, r.ops_per_wall_sec, r.p50_micros,
             r.p99_micros, r.p999_micros,
-            (unsigned long long)r.foreground_maintenance_ops,
-            (unsigned long long)r.background_maintenance_steps,
-            (unsigned long long)r.write_stalls,
-            (unsigned long long)r.stall_micros_total);
+            (unsigned long long)r.store.foreground_maintenance_ops,
+            (unsigned long long)r.store.background_maintenance_steps,
+            (unsigned long long)r.store.write_stalls,
+            (unsigned long long)r.store.stall_micros_total);
     first = false;
   }
   fprintf(out, "\n  ],\n");
@@ -565,7 +549,7 @@ int RunSmokeJson(const char* path) {
               s.MeasuredCompressionRatio(), s.MeasuredTiSeconds(),
               s.ModeledTiSeconds(), s.MeasuredCssBreakevenOps(),
               s.ModeledCssBreakevenOps(),
-              (unsigned long long)r.foreground_maintenance_ops);
+              (unsigned long long)r.store.foreground_maintenance_ops);
       first = false;
       // Acceptance: background maintenance must never leak into the
       // foreground on any tier row, and the constrained (~25% DRAM)
@@ -574,12 +558,12 @@ int RunSmokeJson(const char* path) {
       // too fast for a deterministic css_hits floor.
       const bool must_hit_css =
           tier_on != 0 && b.budget_total == (1920ull << 10);
-      if (tier_on != 0 && (r.foreground_maintenance_ops != 0 ||
+      if (tier_on != 0 && (r.store.foreground_maintenance_ops != 0 ||
                            (must_hit_css && s.tier_css_hits == 0))) {
         fprintf(stderr,
                 "smoke: css acceptance failed (%s): css_hits=%llu fg_ops=%llu\n",
                 b.name, (unsigned long long)s.tier_css_hits,
-                (unsigned long long)r.foreground_maintenance_ops);
+                (unsigned long long)r.store.foreground_maintenance_ops);
         fclose(out);
         return 1;
       }

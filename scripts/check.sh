@@ -8,6 +8,9 @@
 # Usage: scripts/check.sh [--list] [lane...]
 #   lanes: plain analyze asan tsan ubsan simd stress serve chaos tidy
 #          benchmark (default: all but bench)
+#   Every ctest lane (plain, asan, tsan, ubsan) also runs the four
+#   programs under examples/ (ctest label `example`), so their
+#   DebugString() output is printed end to end under each sanitizer.
 #   Every ctest lane includes the three-tier suite — css_tier_test's
 #   demotion/promotion/reheat policies, compressor_robustness_test's
 #   adversarial decompression inputs, and the crash-recovery torture

@@ -128,7 +128,7 @@ LeafBase* NewEmptyLeaf() {
 }  // namespace
 
 BwTree::BwTree(BwTreeOptions options)
-    : options_(options), table_(options.mapping_capacity) {
+    : options_(options) {
   // Bootstrap: the root starts as a single empty leaf.
   auto* root = NewEmptyLeaf();
   PageId pid = table_.Allocate(EncodePointer(root));
@@ -630,7 +630,6 @@ void BwTree::StepProbe(BatchProbe* p, OpStatCell& cell) {
 
 void BwTree::MultiGetBatch(BatchGetOp* ops, size_t count, size_t interleave) {
   if (count == 0) return;
-  if (interleave == 0) interleave = options_.batch_interleave;
   if (interleave == 0) interleave = 1;
   OpStatCell& cell = StatCell();
   // Lane state is reused across calls (cleared, not freed), like the
@@ -731,7 +730,6 @@ Status BwTree::PostDelta(const Slice& key, Node* delta) {
       if (blind) Bump(cell.blind);
       Bump(cell.mm);
       opclass::Publish(OpClass::kMm);
-      MetaMarkDirty(pid);
       if (fresh_tail != nullptr) {
         // Insert: the page re-enters the cache (a CSS entry promotes).
         CacheInsertOrResize(pid, delta);

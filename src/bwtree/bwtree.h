@@ -26,17 +26,11 @@
 namespace costperf::bwtree {
 
 struct BwTreeOptions {
-  size_t mapping_capacity = 1 << 20;
   // Consolidated-leaf payload size that triggers a split. The paper's
   // Deuteronomy configuration caps pages at 4K with ~100% utilization.
   uint64_t max_page_bytes = 4096;
   // Delta-chain length that triggers consolidation on access.
   uint32_t consolidate_threshold = 8;
-  // Probes MultiGetBatch keeps in flight per thread (the AMAC interleave
-  // width): each probe advances one descent hop, prefetches its next
-  // node, then yields, so up to this many cache misses overlap instead
-  // of serializing. 1 degenerates to sequential Gets.
-  uint32_t batch_interleave = 8;
   // Inner-node fanout cap before an inner split.
   size_t max_inner_children = 64;
   // Log-structured store for page flush/load. May be null for a purely
@@ -174,15 +168,16 @@ class BwTree {
   using BatchGetOp = ::costperf::BatchGetOp;
 
   // Batched point reads. Equivalent to Get(op.key, op.value) per op, but
-  // runs up to `interleave` probes (0 = options().batch_interleave) as
-  // an AMAC-style state machine: each probe advances one hop — mapping
-  // resolve, inner-node descent, leaf-chain search — issues a software
-  // prefetch for the node it will touch next, and yields to the next
-  // probe, so the group's DRAM misses overlap instead of serializing.
+  // runs up to `interleave` probes as an AMAC-style state machine: each
+  // probe advances one hop — mapping resolve, inner-node descent,
+  // leaf-chain search — issues a software prefetch for the node it will
+  // touch next, and yields to the next probe, so up to `interleave`
+  // DRAM misses overlap instead of serializing (1 degenerates to
+  // sequential Gets).
   // One EpochGuard covers each interleave group (amortizing the
   // reservation CAS over the group); stats/consolidation behavior
   // matches Get exactly, per probe.
-  void MultiGetBatch(BatchGetOp* ops, size_t count, size_t interleave = 0);
+  void MultiGetBatch(BatchGetOp* ops, size_t count, size_t interleave = 8);
 
   // Blind delete (posts a delete delta).
   Status Delete(const Slice& key) { return Delete(key, 0); }

@@ -28,9 +28,7 @@ CachingStore::CachingStore(CachingStoreOptions options)
       options_.breakeven_interval_seconds;
   cache_opts.clock = options_.clock;
   cache_opts.touch_sample = options_.cache_touch_sample;
-  cache_opts.shards = options_.cache_shards;
   cache_ = std::make_unique<llama::CacheManager>(cache_opts);
-  cache_->set_css_budget(options_.tier.css_budget_bytes);
 
   bwtree::BwTreeOptions tree_opts = options_.tree;
   tree_opts.log_store = log_.get();
@@ -58,10 +56,8 @@ CachingStore::CachingStore(CachingStoreOptions options)
   }
   if (scheduler_ != nullptr) {
     if (effective_budget_ != ~0ull) {
-      if (bg.cache_fill_trigger > 0) {
-        fill_trigger_bytes_ = static_cast<uint64_t>(
-            static_cast<double>(effective_budget_) * bg.cache_fill_trigger);
-      }
+      fill_trigger_bytes_ = static_cast<uint64_t>(
+          static_cast<double>(effective_budget_) * kCacheFillTrigger);
       if (bg.stall_trigger > 0) {
         stall_limit_bytes_ = static_cast<uint64_t>(
             static_cast<double>(effective_budget_) * bg.stall_trigger);
@@ -368,13 +364,9 @@ bool CachingStore::TryDemote(mapping::PageId pid) {
   bwtree::DemoteResult res;
   Status s = tree_->DemotePage(pid, policy, &res);
   NoteWriteOutcome(s, /*reset_on_ok=*/res.demoted);
-  if (s.ok() && res.demoted) {
-    bg_pages_demoted_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
   // Refused (FailedPrecondition), raced (Aborted), or failed: the caller
   // falls back to plain eviction for this victim.
-  return false;
+  return s.ok() && res.demoted;
 }
 
 bool CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
@@ -407,9 +399,9 @@ bool CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
 
   // Background promotion: while DRAM has clear headroom, pay the
   // decompression for the hottest CSS pages ahead of demand.
-  if (tier.promote_fill_floor > 0 && effective_budget_ != ~0ull) {
+  if (effective_budget_ != ~0ull) {
     const uint64_t floor_bytes = static_cast<uint64_t>(
-        static_cast<double>(effective_budget_) * tier.promote_fill_floor);
+        static_cast<double>(effective_budget_) * kPromoteFillFloor);
     if (cache_->resident_bytes() < floor_bytes) {
       for (auto pid : cache_->PickPromotionCandidates(quota.promote_pages)) {
         if (tree_->LoadPage(pid).ok()) {
@@ -582,11 +574,13 @@ KvStoreStats CachingStore::Stats() const {
   s.stall_micros_total = stall_micros_total_.load(std::memory_order_relaxed);
   const auto l = log_->stats();
   s.log_append_groups = l.append_groups;
-  static_assert(KvStoreStats::kLogGroupBuckets ==
-                llama::LogStoreStats::kGroupSizeBuckets);
-  for (size_t i = 0; i < l.group_size_hist.size(); ++i) {
-    s.log_group_size_hist[i] = l.group_size_hist[i];
-  }
+  static_assert(llama::LogStoreStats::kGroupSizeBuckets == 6);
+  s.log_group_size_1 = l.group_size_hist[0];
+  s.log_group_size_2 = l.group_size_hist[1];
+  s.log_group_size_3_4 = l.group_size_hist[2];
+  s.log_group_size_5_8 = l.group_size_hist[3];
+  s.log_group_size_9_16 = l.group_size_hist[4];
+  s.log_group_size_17_up = l.group_size_hist[5];
   // Three-tier hierarchy: occupancy and traffic from the cache and tree.
   // The Fig. 8 / Eq. 6 breakevens are KvStoreStats methods over these
   // additive accumulators.
@@ -606,8 +600,6 @@ KvStoreStats CachingStore::Stats() const {
   s.tier_dram_interval_samples = c.dram_interval_samples;
   s.tier_css_interval_nanos = c.css_interval_nanos;
   s.tier_css_interval_samples = c.css_interval_samples;
-  s.background_pages_demoted =
-      bg_pages_demoted_.load(std::memory_order_relaxed);
   s.background_pages_promoted =
       bg_pages_promoted_.load(std::memory_order_relaxed);
   return s;

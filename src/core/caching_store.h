@@ -42,20 +42,13 @@ struct CachingStoreOptions {
     double min_ratio = 0.85;
     // Refuse pages already promoted back out of CSS this many times.
     uint32_t max_reheats = 4;
-    // Background promotion: pull the hottest CSS pages back to DRAM
-    // while resident bytes sit below this fraction of the memory budget
-    // (<= 0 disables proactive promotion; demand promotion on touch
-    // always works).
-    double promote_fill_floor = 0.7;
   };
   TierOptions tier;
   // Cache recency sampling: only every Nth Touch per thread reads the
-  // clock and refreshes the recency tick; the rest just set the CLOCK
-  // reference bit. 1 = exact recency on every touch (see
+  // clock and refreshes the page's recency tick; the rest only count the
+  // touch. 1 = exact recency on every touch (see
   // CacheOptions::touch_sample).
   uint32_t cache_touch_sample = 1;
-  // Cache shard count override; 0 = CacheManager default.
-  uint32_t cache_shards = 0;
   // Run maintenance every N operations.
   uint32_t maintenance_interval_ops = 256;
   // GC: maintenance collects log segments while the log's dead-space
@@ -87,10 +80,6 @@ struct CachingStoreOptions {
     // Per-step work bounds for the owned scheduler (an external
     // scheduler applies its own) and for every Maintain() call.
     maintenance::MaintenanceQuota quota;
-    // Signal when resident bytes exceed this fraction of the memory
-    // budget (<= 0 disables the fill trigger; interval signals remain).
-    // The log's dead space past log_dead_trigger signals too.
-    double cache_fill_trigger = 0.9;
     // Write backpressure: foreground Put/Delete stalls (bounded) while
     // resident bytes exceed this multiple of the budget, giving the
     // background workers room to catch up instead of letting eviction
@@ -209,6 +198,14 @@ class CachingStore : public KvStore,
       REQUIRES(maintenance_mu_);
   // Bound on the steps one Maintain() call repeats.
   static constexpr int kMaxMaintainSteps = 64;
+  // Background mode signals a maintenance step when resident bytes
+  // exceed this fraction of the memory budget (the log's dead space past
+  // log_dead_trigger signals too).
+  static constexpr double kCacheFillTrigger = 0.9;
+  // Background promotion pulls the hottest CSS pages back to DRAM while
+  // resident bytes sit below this fraction of the memory budget; demand
+  // promotion on touch always works.
+  static constexpr double kPromoteFillFloor = 0.7;
   bool EvictStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // CSS tier maintenance: demotes cold DRAM pages (quota.compress_pages),
@@ -296,7 +293,6 @@ class CachingStore : public KvStore,
   std::atomic<uint64_t> foreground_maintenance_ops_{0};
   std::atomic<uint64_t> background_steps_{0};
   std::atomic<uint64_t> bg_pages_evicted_{0};
-  std::atomic<uint64_t> bg_pages_demoted_{0};
   std::atomic<uint64_t> bg_pages_promoted_{0};
   std::atomic<uint64_t> bg_css_fallthroughs_{0};
   std::atomic<uint64_t> bg_gc_segments_{0};

@@ -1,7 +1,6 @@
 #ifndef COSTPERF_CORE_KV_STORE_H_
 #define COSTPERF_CORE_KV_STORE_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -28,87 +27,108 @@ inline const char* HealthStatusName(HealthStatus h) {
   return h == HealthStatus::kHealthy ? "healthy" : "degraded";
 }
 
-// Structured operation/IO counters common to every KvStore. Benches and
-// tests consume these fields directly instead of parsing DebugString().
+// Whether a counter only grows or reports current occupancy. A run's
+// delta (KvStoreStats::operator-) subtracts a kCount and keeps the later
+// value of a kLevel.
+enum class StatKind { kCount, kLevel };
+
+// The DebugString() line a KvStoreStats counter prints on.
+enum class StatsLine { kKv, kContention, kBatch, kMaintenance, kTier };
+inline constexpr int kStatsLines = static_cast<int>(StatsLine::kTier) + 1;
+
+// Every KvStoreStats counter, one line each: X(name, kind, line), with
+// kind a StatKind and line a StatsLine enumerator. The members,
+// operator+=, operator-, ToString() and the wire STATS `store.<name>`
+// keys are all generated from this list, so a new counter is one line
+// here plus the code that counts it and fills it in Stats().
+//
 // "hits" are operations completed purely in memory (the paper's MM ops);
 // "misses" needed at least one secondary-storage read (SS ops) — for a
 // pure main-memory store misses is always zero.
+#define COSTPERF_KV_STORE_STATS(X)                                         \
+  X(reads, kCount, kKv)         /* Get + Scan operations */                \
+  X(writes, kCount, kKv)        /* Put + Delete operations */              \
+  X(hits, kCount, kKv)          /* ops served without any flash read */    \
+  X(misses, kCount, kKv)        /* ops that required a flash read */       \
+  X(io_reads, kCount, kKv)      /* device read I/Os */                     \
+  X(io_writes, kCount, kKv)     /* device write I/Os */                    \
+  X(bytes_read, kCount, kKv)    /* device bytes read */                    \
+  X(bytes_written, kCount, kKv) /* device bytes written */                 \
+  X(memory_bytes, kLevel, kKv)  /* resident DRAM footprint */              \
+  X(io_retries, kCount, kKv)    /* transient I/O errors absorbed */        \
+  /* Hot-path contention: lock-free cache touches, epoch reclamation */    \
+  /* batches, and log group-append batching. */                            \
+  X(cache_touches, kCount, kContention)         /* every cache Touch */    \
+  X(cache_touches_sampled, kCount, kContention) /* of which skipped */     \
+  X(epoch_reclaim_batches, kCount, kContention) /* passes that freed */    \
+  X(epoch_reclaimed_items, kCount, kContention) /* retired deleters run */ \
+  X(log_append_groups, kCount, kContention)     /* completed groups */     \
+  /* Completed append groups by size: 1, 2, 3-4, 5-8, 9-16, 17+. */        \
+  X(log_group_size_1, kCount, kContention)                                 \
+  X(log_group_size_2, kCount, kContention)                                 \
+  X(log_group_size_3_4, kCount, kContention)                               \
+  X(log_group_size_5_8, kCount, kContention)                               \
+  X(log_group_size_9_16, kCount, kContention)                              \
+  X(log_group_size_17_up, kCount, kContention)                             \
+  /* Batched-surface visibility: how much traffic arrives through the */   \
+  /* batch API and how well composites (ShardedStore) group it. A wire */  \
+  /* server whose pipelined windows reach the batched store paths shows */ \
+  /* multiget_keys >> multiget_batches with multiget_shard_groups << */    \
+  /* multiget_keys. Plain stores leave these 0. */                         \
+  X(multiget_batches, kCount, kBatch)        /* MultiGet calls served */   \
+  X(multiget_keys, kCount, kBatch)           /* keys across those calls */ \
+  X(multiget_shard_groups, kCount, kBatch)   /* per-shard group visits */  \
+  X(writebatch_batches, kCount, kBatch)      /* WriteBatch calls served */ \
+  X(writebatch_entries, kCount, kBatch)      /* entries across those */    \
+  X(writebatch_shard_groups, kCount, kBatch)                               \
+  /* Maintenance attribution: who paid for eviction/GC/consolidation. */   \
+  /* foreground_maintenance_ops counts passes run on an application */     \
+  /* thread (inline mode, or a background-mode fallback); with */          \
+  /* background maintenance active it stays 0 in steady state. The */      \
+  /* background_* counters count what the step did on whichever thread */  \
+  /* ran it. Write stalls are the bounded foreground waits taken while */  \
+  /* eviction debt exceeded the stall budget, and their total time. */     \
+  X(foreground_maintenance_ops, kCount, kMaintenance)                      \
+  X(background_maintenance_steps, kCount, kMaintenance) /* worker steps */ \
+  X(background_pages_evicted, kCount, kMaintenance)                        \
+  X(background_gc_segments, kCount, kMaintenance)                          \
+  X(background_consolidations, kCount, kMaintenance)                       \
+  X(background_leaf_flushes, kCount, kMaintenance)                         \
+  X(write_stalls, kCount, kMaintenance)                                    \
+  X(stall_micros_total, kCount, kMaintenance)                              \
+  /* Three-tier hierarchy (DRAM -> compressed-SS -> SS, §7.2 / Fig. 8): */ \
+  /* occupancy, traffic, and the per-tier access-interval accumulators */  \
+  /* that make the five-minute-rule breakeven a measured quantity. */      \
+  /* Stores without a tier leave these 0. */                               \
+  X(tier_dram_pages, kLevel, kTier)                                        \
+  X(tier_dram_bytes, kLevel, kTier)                                        \
+  X(tier_css_pages, kLevel, kTier)                                         \
+  X(tier_css_bytes, kLevel, kTier)         /* compressed footprint */      \
+  X(tier_css_hits, kCount, kTier)          /* loads served by CSS */       \
+  X(tier_demotions, kCount, kTier)         /* DRAM -> CSS */               \
+  X(tier_promotions, kCount, kTier)        /* CSS -> DRAM */               \
+  X(tier_demotion_refusals, kCount, kTier) /* CSS would be a loss */       \
+  X(tier_css_fallthroughs, kCount, kTier)  /* CSS -> SS on overflow */     \
+  X(css_raw_bytes, kCount, kTier)          /* pre-compression, demoted */  \
+  X(css_stored_bytes, kCount, kTier)       /* compressed, demoted */       \
+  X(tier_dram_interval_nanos, kCount, kTier) /* sum of DRAM touch gaps */  \
+  X(tier_dram_interval_samples, kCount, kTier)                             \
+  X(tier_css_interval_nanos, kCount, kTier)  /* sum of CSS reheat gaps */  \
+  X(tier_css_interval_samples, kCount, kTier)                              \
+  X(background_pages_promoted, kCount, kTier) /* proactive CSS -> DRAM */
+
+// Structured counters common to every KvStore. Benches and tests consume
+// these fields directly instead of parsing DebugString().
 struct KvStoreStats {
-  uint64_t reads = 0;          // Get + Scan operations
-  uint64_t writes = 0;         // Put + Delete operations
-  uint64_t hits = 0;           // ops served without any flash read (MM)
-  uint64_t misses = 0;         // ops that required a flash read (SS)
-  uint64_t io_reads = 0;       // device read I/Os
-  uint64_t io_writes = 0;      // device write I/Os
-  uint64_t bytes_read = 0;     // device bytes read
-  uint64_t bytes_written = 0;  // device bytes written
-  uint64_t memory_bytes = 0;   // resident DRAM footprint
-  uint64_t io_retries = 0;     // transient I/O errors absorbed by retry
+#define COSTPERF_KV_STATS_MEMBER(name, kind, line) uint64_t name = 0;
+  COSTPERF_KV_STORE_STATS(COSTPERF_KV_STATS_MEMBER)
+#undef COSTPERF_KV_STATS_MEMBER
   HealthStatus health = HealthStatus::kHealthy;
 
-  // Hot-path contention visibility (so future PRs can see serialization
-  // without a profiler): lock-free cache-touch hits, epoch reclamation
-  // batches, and log group-append batching.
-  uint64_t cache_touches = 0;          // lock-free Touch fast-path hits
-  uint64_t cache_touches_sampled = 0;  // of which: ref-bit-only (sampled)
-  uint64_t epoch_reclaim_batches = 0;  // reclaim passes that freed memory
-  uint64_t epoch_reclaimed_items = 0;  // total retired deleters run
-  uint64_t log_append_groups = 0;      // completed append fill groups
-  // Append group sizes, bucketed 1, 2, 3-4, 5-8, 9-16, 17+.
-  static constexpr size_t kLogGroupBuckets = 6;
-  std::array<uint64_t, kLogGroupBuckets> log_group_size_hist{};
-
-  // Batched-surface visibility: how much traffic arrives through the
-  // batch API and how well composites (ShardedStore) group it. A wire
-  // server whose pipelined windows reach the batched store paths shows up
-  // here as multiget_keys >> multiget_batches with
-  // multiget_shard_groups << multiget_keys (one shard visit serving many
-  // keys). Plain stores leave these 0; ShardedStore fills them.
-  uint64_t multiget_batches = 0;       // batched MultiGet calls served
-  uint64_t multiget_keys = 0;          // keys across those calls
-  uint64_t multiget_shard_groups = 0;  // per-shard group visits
-  uint64_t writebatch_batches = 0;     // batched WriteBatch calls served
-  uint64_t writebatch_entries = 0;     // entries across those calls
-  uint64_t writebatch_shard_groups = 0;
-
-  // Maintenance attribution: who paid for eviction/GC/consolidation.
-  // foreground_maintenance_ops counts maintenance passes executed on an
-  // application thread (inline mode, or a background-mode fallback) —
-  // with background maintenance active it stays 0 in steady state. The
-  // background_* work counters below count what the maintenance step did
-  // on whichever thread ran it.
-  uint64_t foreground_maintenance_ops = 0;
-  uint64_t background_maintenance_steps = 0;  // scheduler worker steps
-  uint64_t background_pages_evicted = 0;
-  uint64_t background_gc_segments = 0;
-  uint64_t background_consolidations = 0;
-  uint64_t background_leaf_flushes = 0;
-  // Write backpressure: bounded foreground stalls taken while eviction
-  // debt exceeded the stall budget, and the total time spent in them.
-  uint64_t write_stalls = 0;
-  uint64_t stall_micros_total = 0;
-
-  // Three-tier hierarchy (DRAM -> compressed-SS -> SS, §7.2 / Fig. 8).
-  // Occupancy (point-in-time), traffic (cumulative), and the per-tier
-  // access-interval accumulators that make the five-minute-rule breakeven
-  // a *measured* quantity. Stores without a tier leave these 0.
-  uint64_t tier_dram_pages = 0;
-  uint64_t tier_dram_bytes = 0;
-  uint64_t tier_css_pages = 0;
-  uint64_t tier_css_bytes = 0;          // compressed (stored) footprint
-  uint64_t tier_css_hits = 0;           // loads served by compressed records
-  uint64_t tier_demotions = 0;          // DRAM -> CSS
-  uint64_t tier_promotions = 0;         // CSS -> DRAM
-  uint64_t tier_demotion_refusals = 0;  // policy said CSS would be a loss
-  uint64_t tier_css_fallthroughs = 0;   // CSS -> plain SS (budget overflow)
-  uint64_t css_raw_bytes = 0;           // pre-compression bytes demoted
-  uint64_t css_stored_bytes = 0;        // compressed bytes demoted
-  uint64_t tier_dram_interval_nanos = 0;    // sum of DRAM touch gaps
-  uint64_t tier_dram_interval_samples = 0;
-  uint64_t tier_css_interval_nanos = 0;     // sum of CSS reheat gaps
-  uint64_t tier_css_interval_samples = 0;
-  uint64_t background_pages_demoted = 0;
-  uint64_t background_pages_promoted = 0;
+#define COSTPERF_KV_STATS_ONE(name, kind, line) +1
+  static constexpr size_t kCounters =
+      0 COSTPERF_KV_STORE_STATS(COSTPERF_KV_STATS_ONE);
+#undef COSTPERF_KV_STATS_ONE
 
   // Five-minute-rule breakeven T_i (Eq. 6), seconds: modeled at the
   // paper's §4.1 constants, and measured at the mean demoted page size
@@ -148,12 +168,22 @@ struct KvStoreStats {
     return total == 0 ? 0.0 : static_cast<double>(misses) / total;
   }
 
+  // Sums every counter (a sharded aggregate); the sum is degraded when
+  // either side is.
   KvStoreStats& operator+=(const KvStoreStats& other);
+  // The run delta from `earlier` to this snapshot: counts subtract,
+  // levels and health keep this (later) snapshot's values.
+  KvStoreStats operator-(const KvStoreStats& earlier) const;
 
-  // One-line "kv: reads=... writes=..." rendering; the canonical body of
-  // DebugString().
+  // "kv: reads=... writes=..." followed by one line per StatsLine and a
+  // derived-value line; the canonical body of DebugString().
   std::string ToString() const;
 };
+
+// Every member is in the list: the counters plus the health word, padded
+// to 8 bytes, are the whole struct.
+static_assert(sizeof(KvStoreStats) ==
+              (KvStoreStats::kCounters + 1) * sizeof(uint64_t));
 
 // The library's public key-value abstraction. Implemented by
 // CachingStore (Bw-tree over LLAMA over the simulated SSD — the paper's

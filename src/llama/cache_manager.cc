@@ -31,8 +31,6 @@ std::string EvictionPolicyName(EvictionPolicy p) {
   switch (p) {
     case EvictionPolicy::kLru:
       return "lru";
-    case EvictionPolicy::kSecondChance:
-      return "second-chance";
     case EvictionPolicy::kCostBased:
       return "cost-based";
   }
@@ -41,8 +39,7 @@ std::string EvictionPolicyName(EvictionPolicy p) {
 
 CacheManager::CacheManager(CacheOptions options)
     : options_(options),
-      clock_(options.clock ? options.clock : RealClock::Global()),
-      budget_(options.memory_budget_bytes) {
+      clock_(options.clock ? options.clock : RealClock::Global()) {
   const size_t n =
       RoundUpPow2(options_.shards ? options_.shards : kDefaultShards);
   shard_mask_ = n - 1;
@@ -95,8 +92,6 @@ void CacheManager::GrowTable(Shard& shard) {
                    std::memory_order_relaxed);
     dst.seq.store(src.seq.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
-    dst.referenced.store(src.referenced.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
     dst.tier.store(src.tier.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
     dst.reheats.store(src.reheats.load(std::memory_order_relaxed),
@@ -176,13 +171,11 @@ void CacheManager::Insert(mapping::PageId pid, uint64_t bytes) {
     s->bytes.store(bytes, std::memory_order_relaxed);
     s->tick.store(now, std::memory_order_relaxed);
     s->seq.store(seq, std::memory_order_relaxed);
-    s->referenced.store(1, std::memory_order_relaxed);
     return;
   }
   s->bytes.store(bytes, std::memory_order_relaxed);
   s->tick.store(now, std::memory_order_relaxed);
   s->seq.store(seq, std::memory_order_relaxed);
-  s->referenced.store(1, std::memory_order_relaxed);
   s->tier.store(static_cast<uint32_t>(CacheTier::kDram),
                 std::memory_order_relaxed);
   s->reheats.store(0, std::memory_order_relaxed);
@@ -212,9 +205,9 @@ void CacheManager::Touch(mapping::PageId pid) {
   BumpCell(cell.touches);
   if (options_.touch_sample > 1) {
     // Sampled fast path: 1-in-N touches do the full probe + recency
-    // update; the rest return after counting. CLOCK tolerates the
-    // thinner reference-bit stream — a hot page is touched often enough
-    // that some sampled touch sets its bit before the hand comes round.
+    // update; the rest return after counting. A hot page is touched
+    // often enough that some full touch refreshes its tick before it
+    // ages into the victim set.
     thread_local uint32_t tls_touch_round = 0;
     if (++tls_touch_round < options_.touch_sample) {
       BumpCell(cell.sampled);
@@ -228,7 +221,6 @@ void CacheManager::Touch(mapping::PageId pid) {
   const uint64_t now = clock_->NowNanos();
   const uint64_t prev = s->tick.load(std::memory_order_relaxed);
   s->tick.store(now, std::memory_order_relaxed);
-  s->referenced.store(1, std::memory_order_relaxed);
   // Accumulate the inter-reference gap into this thread's cell, binned
   // by tier: the per-tier mean gap is the measured access interval the
   // five-minute-rule breakeven gets compared against. Racing touches
@@ -298,7 +290,7 @@ uint64_t CacheManager::resident_bytes() const {
 }
 
 bool CacheManager::OverBudget() const {
-  return resident_bytes() > budget_.load(std::memory_order_relaxed);
+  return resident_bytes() > options_.memory_budget_bytes;
 }
 
 double CacheManager::IdleSeconds(mapping::PageId pid) const {
@@ -323,7 +315,6 @@ bool CacheManager::SetTier(mapping::PageId pid, CacheTier tier,
     shard.resident_bytes.fetch_sub(old, std::memory_order_relaxed);
     shard.css_bytes.fetch_add(bytes, std::memory_order_relaxed);
     shard.css_pages.fetch_add(1, std::memory_order_relaxed);
-    shard.demotions.fetch_add(1, std::memory_order_relaxed);
   } else {
     shard.css_bytes.fetch_sub(old, std::memory_order_relaxed);
     shard.css_pages.fetch_sub(1, std::memory_order_relaxed);
@@ -356,14 +347,6 @@ uint64_t CacheManager::css_resident_bytes() const {
   return total;
 }
 
-void CacheManager::set_css_budget(uint64_t bytes) {
-  css_budget_.store(bytes, std::memory_order_relaxed);
-}
-
-bool CacheManager::CssOverBudget() const {
-  return css_resident_bytes() > css_budget_.load(std::memory_order_relaxed);
-}
-
 std::vector<CacheManager::VictimCandidate>
 CacheManager::SnapshotByRecency(CacheTier tier) {
   std::vector<VictimCandidate> all;
@@ -380,7 +363,7 @@ CacheManager::SnapshotByRecency(CacheTier tier) {
       }
       all.push_back({pid, s.bytes.load(std::memory_order_relaxed),
                      s.tick.load(std::memory_order_relaxed),
-                     s.seq.load(std::memory_order_relaxed), &s.referenced});
+                     s.seq.load(std::memory_order_relaxed)});
     }
   }
   // (tick, seq) ascending = exact LRU order, coldest first: every Insert
@@ -416,30 +399,6 @@ std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes,
            ++i) {
         victims.push_back(order[i].pid);
         picked += order[i].bytes;
-      }
-      break;
-    }
-    case EvictionPolicy::kSecondChance: {
-      // CLOCK sweep in recency order: clear reference bits in place (the
-      // pointers reach the live slots); a page is victimized only when
-      // found unreferenced. Two full sweeps bound the scan.
-      const size_t n = order.size();
-      if (n == 0) break;
-      std::vector<char> taken(n, 0);
-      const size_t max_scan = 2 * n;
-      size_t scanned = 0;
-      for (size_t i = 0; picked < want_bytes && scanned < max_scan &&
-                         victims.size() < max_pages;
-           i = (i + 1) % n, ++scanned) {
-        if (taken[i]) continue;
-        VictimCandidate& c = order[i];
-        if (c.ref->load(std::memory_order_relaxed) != 0) {
-          c.ref->store(0, std::memory_order_relaxed);  // second chance
-        } else {
-          victims.push_back(c.pid);
-          picked += c.bytes;
-          taken[i] = 1;
-        }
       }
       break;
     }
@@ -563,7 +522,6 @@ CacheStats CacheManager::stats() const {
     s.evictions += shard->evictions.load(std::memory_order_relaxed);
     s.resident_bytes += shard->resident_bytes.load(std::memory_order_relaxed);
     s.css_bytes += shard->css_bytes.load(std::memory_order_relaxed);
-    s.demotions += shard->demotions.load(std::memory_order_relaxed);
     s.promotions += shard->promotions.load(std::memory_order_relaxed);
     const uint64_t css_pages =
         shard->css_pages.load(std::memory_order_relaxed);
@@ -584,11 +542,6 @@ CacheStats CacheManager::stats() const {
         cell.css_interval_samples.load(std::memory_order_relaxed);
   }
   return s;
-}
-
-void CacheManager::set_memory_budget(uint64_t bytes) {
-  budget_.store(bytes, std::memory_order_relaxed);
-  options_.memory_budget_bytes = bytes;
 }
 
 }  // namespace costperf::llama

@@ -19,8 +19,7 @@ namespace costperf::llama {
 
 // How the cache chooses eviction victims.
 enum class EvictionPolicy {
-  kLru,           // classic least-recently-used
-  kSecondChance,  // clock with one reference bit
+  kLru,  // classic least-recently-used
   // The paper's §4.2 policy: evict pages whose idle time exceeds the
   // breakeven interval T_i from Eq. (6) — their continued DRAM rental
   // costs more than paying for an SS operation on next access. Falls back
@@ -50,8 +49,8 @@ struct CacheOptions {
   // Touch sampling: with touch_sample == 1 every Touch refreshes the
   // last-access tick; with N > 1 only every Nth touch (per thread) does
   // the table probe and recency update, the rest just bump a counter and
-  // return. Recency then has 1-in-N granularity, which CLOCK-style
-  // eviction tolerates; keep 1 when exact LRU order matters.
+  // return. Recency then has 1-in-N granularity; keep 1 when exact LRU
+  // order matters.
   uint32_t touch_sample = 1;
   // Shard count; rounded up to a power of two. 0 = default (16).
   uint32_t shards = 0;
@@ -70,7 +69,6 @@ struct CacheStats {
   // Compressed-secondary-storage tier occupancy and traffic.
   uint64_t css_pages = 0;
   uint64_t css_bytes = 0;    // compressed (stored) footprint
-  uint64_t demotions = 0;    // DRAM -> CSS transitions
   uint64_t promotions = 0;   // CSS -> DRAM transitions (reheats)
   // Per-tier access-interval accumulators: sum of (touch - previous
   // touch) gaps in nanoseconds, and how many gaps were sampled. The
@@ -100,20 +98,20 @@ struct CacheStats {
 // the mapping table; this class decides *which* logical pages should be
 // resident, which is the knob the paper's whole cost analysis is about.
 //
-// Concurrency: sharded CLOCK design. Pages hash to one of S shards, each
-// an open-addressing table of fixed slots. The hot-path operations —
+// Concurrency: sharded design. Pages hash to one of S shards, each an
+// open-addressing table of fixed slots. The hot-path operations —
 // Touch, Contains, IdleSeconds — are lock-free: they probe the slot
 // table through an acquire-load of the published pid and then read or
-// write the per-entry atomics (reference bit, last-touch tick) with
-// relaxed ordering. Structural mutations (Insert/Erase/Resize/growth)
-// take a short per-shard mutex; victim selection snapshots each shard
-// under that same mutex, so eviction never blocks the read path.
+// write the per-entry atomics (last-touch tick) with relaxed ordering.
+// Structural mutations (Insert/Erase/Resize/growth) take a short
+// per-shard mutex; victim selection snapshots each shard under that same
+// mutex, so eviction never blocks the read path.
 //
 // Memory-ordering contract: a slot's payload fields (bytes, tick, seq,
-// reference bit) are written before its pid is store-released; readers
-// acquire-load the pid and may then read the payload relaxed. Ticks and
-// reference bits are advisory recency metadata — concurrent updates race
-// benignly (a lost Touch can only make a page look slightly colder).
+// tier, reheats) are written before its pid is store-released; readers
+// acquire-load the pid and may then read the payload relaxed. Ticks are
+// advisory recency metadata — concurrent updates race benignly (a lost
+// Touch can only make a page look slightly colder).
 // Outgrown tables are retired to the owning shard, not freed, so a
 // lock-free reader can keep probing a stale table safely; retired memory
 // is bounded by the live table's size (geometric growth).
@@ -121,8 +119,7 @@ struct CacheStats {
 // Epoch note: unlike the Bw-tree's delta chains, the cache manager needs
 // no EpochManager and its readers carry no REQUIRES_EPOCH contracts —
 // reclamation is designed out instead. Retired tables live until the
-// manager dies (`tables` above), and VictimCandidate::ref pointers stay
-// valid for the same reason. That is the deliberate trade: a bounded
+// manager dies (Shard::tables). That is the deliberate trade: a bounded
 // amount of un-reclaimed table memory buys a guard-free Touch/Contains
 // probe on every operation.
 class CacheManager {
@@ -138,8 +135,7 @@ class CacheManager {
   // reheat counter bumps — so the tree's ordinary load-and-install flow
   // promotes compressed pages without any tier-specific calls.
   void Insert(mapping::PageId pid, uint64_t bytes);
-  // Page was accessed (sets reference bit / refreshes last-touch tick).
-  // Lock-free.
+  // Page was accessed (refreshes its last-touch tick). Lock-free.
   COSTPERF_HOT void Touch(mapping::PageId pid);
   // Page footprint changed (delta prepend, consolidation).
   void Resize(mapping::PageId pid, uint64_t new_bytes);
@@ -184,11 +180,6 @@ class CacheManager {
   uint32_t ReheatCount(mapping::PageId pid) const;
 
   uint64_t css_resident_bytes() const;
-  void set_css_budget(uint64_t bytes);
-  uint64_t css_budget() const {
-    return css_budget_.load(std::memory_order_relaxed);
-  }
-  bool CssOverBudget() const;
 
   // Coldest-first DRAM-tier pages idle for at least min_idle_seconds:
   // the demotion work list. Does not change any state — the caller runs
@@ -211,7 +202,6 @@ class CacheManager {
 
   CacheStats stats() const;
   const CacheOptions& options() const { return options_; }
-  void set_memory_budget(uint64_t bytes);
 
   // Snapshot of (pid, bytes) for every page the cache believes resident
   // in DRAM. For invariant auditing: the analysis layer cross-checks
@@ -238,7 +228,6 @@ class CacheManager {
     // Global insertion/re-insertion sequence; breaks recency ties among
     // pages whose ticks are equal, reproducing exact LRU order.
     std::atomic<uint64_t> seq{0};
-    std::atomic<uint32_t> referenced{0};  // second-chance bit
     // CacheTier the entry occupies (raw uint32 so lock-free readers can
     // load it relaxed like the other payload fields).
     std::atomic<uint32_t> tier{0};
@@ -277,7 +266,6 @@ class CacheManager {
     std::atomic<uint64_t> css_pages{0};
     std::atomic<uint64_t> insertions{0};
     std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> demotions{0};
     std::atomic<uint64_t> promotions{0};
   };
 
@@ -301,15 +289,12 @@ class CacheManager {
   static constexpr int kTouchCells = 64;
   static int TouchCellIndex();
 
-  // A consistent per-page snapshot used for victim selection. ref points
-  // into a slot (valid for the manager's lifetime — tables are retired,
-  // never freed) so the CLOCK sweep can clear live reference bits.
+  // A consistent per-page snapshot used for victim selection.
   struct VictimCandidate {
     mapping::PageId pid;
     uint64_t bytes;
     uint64_t tick;
     uint64_t seq;
-    std::atomic<uint32_t>* ref;
   };
 
   Shard& ShardFor(mapping::PageId pid) const;
@@ -325,14 +310,8 @@ class CacheManager {
   // (tick, seq) — i.e. exact LRU order, coldest first.
   std::vector<VictimCandidate> SnapshotByRecency(CacheTier tier);
 
-  // memory_budget_bytes is mirrored in budget_ so OverBudget stays
-  // lock-free; the remaining options fields are immutable after
-  // construction.
-  CacheOptions options_;
+  const CacheOptions options_;
   Clock* clock_;
-  std::atomic<uint64_t> budget_;
-  // Stored-byte ceiling for the CSS tier; 0 = tier disabled.
-  std::atomic<uint64_t> css_budget_{0};
   // Monotonic recency tiebreak, bumped on insert/re-insert.
   std::atomic<uint64_t> lru_seq_{0};
   size_t shard_mask_ = 0;

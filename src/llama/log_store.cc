@@ -53,9 +53,8 @@ void LogStructuredStore::EncodeRecordTo(PageId pid, const Slice& stored,
 }
 
 Status LogStructuredStore::DecodeRecord(const char* data, uint64_t len,
-                                        bool verify, PageId* pid,
-                                        Slice* payload, uint8_t* flags,
-                                        uint32_t* raw_len) {
+                                        PageId* pid, Slice* payload,
+                                        uint8_t* flags, uint32_t* raw_len) {
   if (len < kHeaderBytes) return Status::Corruption("record too short");
   if (DecodeFixed32(data) != kRecordMagic) {
     return Status::Corruption("bad record magic");
@@ -68,8 +67,7 @@ Status LogStructuredStore::DecodeRecord(const char* data, uint64_t len,
   if (kHeaderBytes + payload_len > len) {
     return Status::Corruption("record payload truncated");
   }
-  if (verify &&
-      Crc32c(data + kHeaderBytes, payload_len) != stored_crc) {
+  if (Crc32c(data + kHeaderBytes, payload_len) != stored_crc) {
     return Status::Corruption("record checksum mismatch");
   }
   if ((record_flags & ~kRecordFlagCompressed) != 0) {
@@ -261,8 +259,8 @@ Status LogStructuredStore::Read(FlashAddress addr, std::string* image,
   Slice payload;
   uint8_t flags = 0;
   uint32_t raw_len = 0;
-  Status s = DecodeRecord(raw.data(), raw.size(), options_.verify_checksums,
-                          &pid, &payload, &flags, &raw_len);
+  Status s =
+      DecodeRecord(raw.data(), raw.size(), &pid, &payload, &flags, &raw_len);
   if (!s.ok()) return s;
   if (pid_out != nullptr) *pid_out = pid;
   if (was_compressed != nullptr) {
@@ -327,9 +325,8 @@ Result<GcStats> LogStructuredStore::CollectSegment(uint64_t segment_id,
     const uint64_t framed_len =
         kHeaderBytes + DecodeFixed32(raw.data() + pos + 12);
     if (pos + framed_len > scan_end) break;  // runs off the adopted range
-    s = DecodeRecord(raw.data() + pos, raw.size() - pos,
-                     options_.verify_checksums, &pid, &payload, &flags,
-                     &raw_len);
+    s = DecodeRecord(raw.data() + pos, raw.size() - pos, &pid, &payload,
+                     &flags, &raw_len);
     if (!s.ok()) {
       // Checksum-failed record (skipped and marked dead by Recover):
       // nothing live to relocate; step over it.
@@ -526,8 +523,7 @@ Status LogStructuredStore::Recover(
       Rec rec;
       rec.pos = pos;
       rec.len = kHeaderBytes + payload_len;
-      Status ds = DecodeRecord(raw.data() + pos, raw.size() - pos,
-                               options_.verify_checksums, &rec.pid,
+      Status ds = DecodeRecord(raw.data() + pos, raw.size() - pos, &rec.pid,
                                &rec.payload, &rec.flags, &rec.raw_len);
       rec.valid = ds.ok();
       if (rec.valid && (rec.flags & kRecordFlagCompressed) != 0) {

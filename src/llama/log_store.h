@@ -27,7 +27,6 @@ struct LogStoreOptions {
   // Segment == write buffer == GC unit. Aligned with the device's 1 MiB
   // trim granularity so collected segments actually free media.
   uint64_t segment_bytes = 1 << 20;
-  bool verify_checksums = true;
 };
 
 struct LogStoreStats {
@@ -251,10 +250,11 @@ class LogStructuredStore {
                              uint32_t raw_len, char* dst);
   // Accounts a completed append group of `size` records.
   void RecordGroupLocked(uint64_t size) REQUIRES(mu_);
-  // Parses the record at `data`; returns the *stored* payload view (still
-  // compressed for CSS records) plus the form fields, or error.
-  static Status DecodeRecord(const char* data, uint64_t len, bool verify,
-                             PageId* pid, Slice* payload, uint8_t* flags,
+  // Parses and checksums the record at `data`; returns the *stored*
+  // payload view (still compressed for CSS records) plus the form
+  // fields, or error.
+  static Status DecodeRecord(const char* data, uint64_t len, PageId* pid,
+                             Slice* payload, uint8_t* flags,
                              uint32_t* raw_len);
 
   storage::SsdDevice* device_;

@@ -21,13 +21,10 @@ std::vector<TenantSnapshot> TenantRegistry::Snapshot() const {
   for (const auto& [id, c] : tenants_) {
     TenantSnapshot s;
     s.tenant_id = id;
-    s.requests = c.requests.load(std::memory_order_relaxed);
-    s.read_keys = c.read_keys.load(std::memory_order_relaxed);
-    s.write_keys = c.write_keys.load(std::memory_order_relaxed);
-    s.rejected = c.rejected.load(std::memory_order_relaxed);
-    s.errors = c.errors.load(std::memory_order_relaxed);
-    s.bytes_in = c.bytes_in.load(std::memory_order_relaxed);
-    s.bytes_out = c.bytes_out.load(std::memory_order_relaxed);
+#define COSTPERF_TENANT_COUNTER_LOAD(name) \
+  s.name = c.name.load(std::memory_order_relaxed);
+    COSTPERF_TENANT_COUNTERS(COSTPERF_TENANT_COUNTER_LOAD)
+#undef COSTPERF_TENANT_COUNTER_LOAD
     out.push_back(s);
   }
   return out;

@@ -19,28 +19,32 @@ namespace costperf::server {
 // (a genuine tenant using this id merges with it — documented, harmless).
 inline constexpr uint32_t kOverflowTenantId = 0xFFFFFFFFu;
 
+// Every per-tenant counter, one line each: X(name). All are counts (they
+// only grow). TenantCounters, TenantSnapshot, TenantRegistry::Snapshot()
+// and the STATS `tenant.<id>.<name>` keys are generated from this list.
+#define COSTPERF_TENANT_COUNTERS(X)                      \
+  X(requests)                                            \
+  X(read_keys)                                           \
+  X(write_keys)                                          \
+  X(rejected) /* refused: pushback, shed, degraded */    \
+  X(errors)   /* malformed / failed requests */          \
+  X(bytes_in)                                            \
+  X(bytes_out)
+
 // Per-tenant request accounting. Tenants are named by the u32 tenant_id on
 // every wire frame; counters are plain atomics so the I/O threads update
 // them without coordination.
 struct TenantCounters {
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> read_keys{0};
-  std::atomic<uint64_t> write_keys{0};
-  std::atomic<uint64_t> rejected{0};   // admission pushback refusals
-  std::atomic<uint64_t> errors{0};     // malformed / failed requests
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
+#define COSTPERF_TENANT_COUNTER_CELL(name) std::atomic<uint64_t> name{0};
+  COSTPERF_TENANT_COUNTERS(COSTPERF_TENANT_COUNTER_CELL)
+#undef COSTPERF_TENANT_COUNTER_CELL
 };
 
 struct TenantSnapshot {
   uint32_t tenant_id = 0;
-  uint64_t requests = 0;
-  uint64_t read_keys = 0;
-  uint64_t write_keys = 0;
-  uint64_t rejected = 0;
-  uint64_t errors = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
+#define COSTPERF_TENANT_COUNTER_MEMBER(name) uint64_t name = 0;
+  COSTPERF_TENANT_COUNTERS(COSTPERF_TENANT_COUNTER_MEMBER)
+#undef COSTPERF_TENANT_COUNTER_MEMBER
 };
 
 class TenantRegistry {

@@ -139,15 +139,6 @@ int main(int argc, char** argv) {
   g_shutdown.acquire();
 
   server.Stop();
-  const auto counters = server.counters();
-  printf("served frames_in=%llu frames_out=%llu windows=%llu "
-         "read_runs=%llu write_runs=%llu protocol_errors=%llu\n",
-         (unsigned long long)counters.frames_in,
-         (unsigned long long)counters.frames_out,
-         (unsigned long long)counters.windows,
-         (unsigned long long)counters.read_runs,
-         (unsigned long long)counters.write_runs,
-         (unsigned long long)counters.protocol_errors);
   printf("%s", server.StatsText().c_str());
   fflush(stdout);
   return 0;

@@ -1090,24 +1090,10 @@ void Server::MaybePollStoreStats() {
 ServerCounters Server::counters() const {
   ServerCounters out;
   for (const auto& tc : thread_counters_) {
-    out.connections_accepted +=
-        tc->connections_accepted.load(std::memory_order_relaxed);
-    out.connections_closed +=
-        tc->connections_closed.load(std::memory_order_relaxed);
-    out.frames_in += tc->frames_in.load(std::memory_order_relaxed);
-    out.frames_out += tc->frames_out.load(std::memory_order_relaxed);
-    out.protocol_errors += tc->protocol_errors.load(std::memory_order_relaxed);
-    out.bytes_in += tc->bytes_in.load(std::memory_order_relaxed);
-    out.bytes_out += tc->bytes_out.load(std::memory_order_relaxed);
-    out.windows += tc->windows.load(std::memory_order_relaxed);
-    out.read_runs += tc->read_runs.load(std::memory_order_relaxed);
-    out.write_runs += tc->write_runs.load(std::memory_order_relaxed);
-    out.shed_frames += tc->shed_frames.load(std::memory_order_relaxed);
-    out.deadline_expired +=
-        tc->deadline_expired.load(std::memory_order_relaxed);
-    out.watchdog_kills += tc->watchdog_kills.load(std::memory_order_relaxed);
-    out.degraded_write_rejects +=
-        tc->degraded_write_rejects.load(std::memory_order_relaxed);
+#define COSTPERF_SERVER_COUNTER_SUM(name) \
+  out.name += tc->name.load(std::memory_order_relaxed);
+    COSTPERF_SERVER_COUNTERS(COSTPERF_SERVER_COUNTER_SUM)
+#undef COSTPERF_SERVER_COUNTER_SUM
   }
   return out;
 }
@@ -1120,49 +1106,24 @@ std::string Server::StatsText() const {
     s.append(std::to_string(v));
     s.push_back('\n');
   };
+  const core::KvStoreStats st = store_->Stats();
+  add("store.health_degraded", st.health == core::HealthStatus::kDegraded);
+#define COSTPERF_STORE_KEY(name, kind, line) add("store." #name, st.name);
+  COSTPERF_KV_STORE_STATS(COSTPERF_STORE_KEY)
+#undef COSTPERF_STORE_KEY
+
   const ServerCounters c = counters();
-  add("server.connections_accepted", c.connections_accepted);
-  add("server.connections_closed", c.connections_closed);
-  add("server.frames_in", c.frames_in);
-  add("server.frames_out", c.frames_out);
-  add("server.protocol_errors", c.protocol_errors);
-  add("server.bytes_in", c.bytes_in);
-  add("server.bytes_out", c.bytes_out);
-  add("server.windows", c.windows);
-  add("server.read_runs", c.read_runs);
-  add("server.write_runs", c.write_runs);
-  add("server.shed_frames", c.shed_frames);
-  add("server.deadline_expired", c.deadline_expired);
-  add("server.watchdog_kills", c.watchdog_kills);
-  add("server.degraded_write_rejects", c.degraded_write_rejects);
+#define COSTPERF_SERVER_KEY(name) add("server." #name, c.name);
+  COSTPERF_SERVER_COUNTERS(COSTPERF_SERVER_KEY)
+#undef COSTPERF_SERVER_KEY
   add("admission.pushback_windows", admission_.pushback_windows());
   add("admission.rejected", admission_.rejected());
 
-  const core::KvStoreStats st = store_->Stats();
-  add("store.health_degraded", st.health == core::HealthStatus::kDegraded);
-  add("store.reads", st.reads);
-  add("store.writes", st.writes);
-  add("store.hits", st.hits);
-  add("store.misses", st.misses);
-  add("store.multiget_batches", st.multiget_batches);
-  add("store.multiget_keys", st.multiget_keys);
-  add("store.multiget_shard_groups", st.multiget_shard_groups);
-  add("store.writebatch_batches", st.writebatch_batches);
-  add("store.writebatch_entries", st.writebatch_entries);
-  add("store.writebatch_shard_groups", st.writebatch_shard_groups);
-  add("store.log_append_groups", st.log_append_groups);
-  add("store.write_stalls", st.write_stalls);
-  add("store.stall_micros_total", st.stall_micros_total);
-
   for (const TenantSnapshot& ts : tenants_.Snapshot()) {
-    const std::string prefix = "tenant." + std::to_string(ts.tenant_id);
-    add(prefix + ".requests", ts.requests);
-    add(prefix + ".read_keys", ts.read_keys);
-    add(prefix + ".write_keys", ts.write_keys);
-    add(prefix + ".rejected", ts.rejected);
-    add(prefix + ".errors", ts.errors);
-    add(prefix + ".bytes_in", ts.bytes_in);
-    add(prefix + ".bytes_out", ts.bytes_out);
+    const std::string prefix = "tenant." + std::to_string(ts.tenant_id) + ".";
+#define COSTPERF_TENANT_KEY(name) add(prefix + #name, ts.name);
+    COSTPERF_TENANT_COUNTERS(COSTPERF_TENANT_KEY)
+#undef COSTPERF_TENANT_KEY
   }
   return s;
 }

@@ -71,22 +71,31 @@ struct ServerOptions {
   fault::NetFaultInjector* net_fault = nullptr;
 };
 
-// Global wire/server counters (monotonic; snapshot via Server::counters()).
+// Every global wire/server counter, one line each: X(name). All are
+// counts (they only grow). ServerCounters, the per-I/O-thread cells,
+// Server::counters() and the STATS `server.<name>` keys are generated
+// from this list.
+#define COSTPERF_SERVER_COUNTERS(X)                                   \
+  X(connections_accepted)                                             \
+  X(connections_closed)                                               \
+  X(frames_in)                                                        \
+  X(frames_out)                                                       \
+  X(protocol_errors)        /* frames refused before execution */     \
+  X(bytes_in)                                                         \
+  X(bytes_out)                                                        \
+  X(windows)                /* event-loop passes that ran frames */   \
+  X(read_runs)              /* MultiGet calls for read runs */        \
+  X(write_runs)             /* WriteBatch calls for write runs */     \
+  X(shed_frames)            /* frames shed with kUnavailable */       \
+  X(deadline_expired)       /* frames answered kDeadlineExceeded */   \
+  X(watchdog_kills)         /* connections closed for write stalls */ \
+  X(degraded_write_rejects) /* writes bounced off a degraded shard */
+
+// Snapshot of the server counters (via Server::counters()).
 struct ServerCounters {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_closed = 0;
-  uint64_t frames_in = 0;
-  uint64_t frames_out = 0;
-  uint64_t protocol_errors = 0;  // frames refused before execution
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t windows = 0;          // event-loop passes that executed frames
-  uint64_t read_runs = 0;        // MultiGet calls issued for read windows
-  uint64_t write_runs = 0;       // WriteBatch calls issued for write windows
-  uint64_t shed_frames = 0;      // frames answered kUnavailable by load shed
-  uint64_t deadline_expired = 0; // frames answered kDeadlineExceeded
-  uint64_t watchdog_kills = 0;   // connections closed for write stalls
-  uint64_t degraded_write_rejects = 0;  // writes bounced off a degraded shard
+#define COSTPERF_SERVER_COUNTER_MEMBER(name) uint64_t name = 0;
+  COSTPERF_SERVER_COUNTERS(COSTPERF_SERVER_COUNTER_MEMBER)
+#undef COSTPERF_SERVER_COUNTER_MEMBER
 };
 
 // Epoll-based pipelined binary server over a KvStore.
@@ -122,7 +131,10 @@ class Server {
   ServerCounters counters() const;
   TenantRegistry& tenants() { return tenants_; }
   AdmissionController& admission() { return admission_; }
-  // The same `key=value` line rendering the STATS opcode returns.
+  // The same `key=value` line rendering the STATS opcode returns:
+  // `store.<name>` for every KvStoreStats counter plus
+  // store.health_degraded, then `server.<name>`, `admission.*` and
+  // `tenant.<id>.<name>` (DESIGN.md §3.5).
   std::string StatsText() const;
 
  private:
@@ -182,20 +194,9 @@ class Server {
   // slot, with relaxed atomics so counters() can read concurrently);
   // counters() sums them.
   struct alignas(64) ThreadCounters {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_closed{0};
-    std::atomic<uint64_t> frames_in{0};
-    std::atomic<uint64_t> frames_out{0};
-    std::atomic<uint64_t> protocol_errors{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-    std::atomic<uint64_t> windows{0};
-    std::atomic<uint64_t> read_runs{0};
-    std::atomic<uint64_t> write_runs{0};
-    std::atomic<uint64_t> shed_frames{0};
-    std::atomic<uint64_t> deadline_expired{0};
-    std::atomic<uint64_t> watchdog_kills{0};
-    std::atomic<uint64_t> degraded_write_rejects{0};
+#define COSTPERF_SERVER_COUNTER_CELL(name) std::atomic<uint64_t> name{0};
+    COSTPERF_SERVER_COUNTERS(COSTPERF_SERVER_COUNTER_CELL)
+#undef COSTPERF_SERVER_COUNTER_CELL
   };
   std::vector<std::unique_ptr<ThreadCounters>> thread_counters_;
 };

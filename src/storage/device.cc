@@ -1,9 +1,7 @@
 #include "storage/device.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 namespace costperf::storage {
@@ -20,13 +18,11 @@ Status SsdDevice::ChargeIo(bool is_read, char* transfer, size_t bytes) {
   // 1. CPU execution cost of the I/O path (the paper's key SS-op cost).
   path_units_.fetch_add(path_.Execute(options_.io_path, transfer, bytes),
                         std::memory_order_relaxed);
-  // 2. IOPS admission.
+  // 2. IOPS admission. The wait is accounted, never slept: the paper's
+  // "core execution time" measure excludes I/O waiting.
   uint64_t wait = limiter_.Acquire();
   if (wait > 0) {
     throttle_wait_nanos_.fetch_add(wait, std::memory_order_relaxed);
-    if (options_.sleep_on_throttle) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(wait));
-    }
   }
   // 3. Media service time (latency only, never CPU).
   service_nanos_.fetch_add(

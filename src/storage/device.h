@@ -36,11 +36,6 @@ struct SsdOptions {
   // Which CPU execution path each I/O charges (§7.1.1).
   IoPathKind io_path = IoPathKind::kUserLevel;
   IoPathOptions path_options;
-  // When the throttle rejects-by-delay, optionally sleep the calling
-  // thread for latency-faithful runs. CPU-cost benches leave this false:
-  // the wait is accounted in stats but not slept, matching the paper's
-  // "core execution time" measure which excludes I/O waiting.
-  bool sleep_on_throttle = false;
   // Time source; defaults to RealClock::Global().
   Clock* clock = nullptr;
 };

@@ -283,19 +283,6 @@ RunReport MergeResults(int threads, std::vector<ThreadResult>& results) {
   return report;
 }
 
-// Folds the run-interval store counters (stalls, maintenance
-// attribution) into the report as before/after deltas.
-void AddStatsDeltas(const core::KvStoreStats& before,
-                    const core::KvStoreStats& after, RunReport* report) {
-  report->foreground_maintenance_ops =
-      after.foreground_maintenance_ops - before.foreground_maintenance_ops;
-  report->background_maintenance_steps =
-      after.background_maintenance_steps - before.background_maintenance_steps;
-  report->write_stalls = after.write_stalls - before.write_stalls;
-  report->stall_micros_total =
-      after.stall_micros_total - before.stall_micros_total;
-}
-
 }  // namespace
 
 std::string RunReport::ToString() const {
@@ -322,15 +309,15 @@ std::string RunReport::ToString() const {
              ss_p50_micros, ss_p99_micros);
     out += buf;
   }
-  if (foreground_maintenance_ops > 0 || background_maintenance_steps > 0 ||
-      write_stalls > 0) {
+  if (store.foreground_maintenance_ops > 0 ||
+      store.background_maintenance_steps > 0 || store.write_stalls > 0) {
     snprintf(buf, sizeof(buf),
              "\nmaintenance: foreground_ops=%llu background_steps=%llu "
              "write_stalls=%llu stall_micros=%llu",
-             (unsigned long long)foreground_maintenance_ops,
-             (unsigned long long)background_maintenance_steps,
-             (unsigned long long)write_stalls,
-             (unsigned long long)stall_micros_total);
+             (unsigned long long)store.foreground_maintenance_ops,
+             (unsigned long long)store.background_maintenance_steps,
+             (unsigned long long)store.write_stalls,
+             (unsigned long long)store.stall_micros_total);
     out += buf;
   }
   return out;
@@ -378,7 +365,7 @@ RunReport Runner::Run() {
   }
   for (auto& w : workers) w.join();
   RunReport report = MergeResults(threads, results);
-  AddStatsDeltas(before, store_->Stats(), &report);
+  report.store = store_->Stats() - before;
   return report;
 }
 
@@ -417,7 +404,7 @@ RunReport Runner::LoadAndRun() {
   }
   for (auto& w : workers) w.join();
   RunReport report = MergeResults(threads, results);
-  AddStatsDeltas(before, store_->Stats(), &report);
+  report.store = store_->Stats() - before;
   return report;
 }
 

@@ -289,9 +289,13 @@ TEST_F(BwTreeTest, RecordCacheEvictionKeepsDeltas) {
   // Dirty the page with fresh deltas, then evict keeping deltas.
   ASSERT_TRUE(tree_->FlushAll().ok());
   ASSERT_TRUE(tree_->Put(Key(3), "hot-update").ok());
+  const uint64_t appended_before = log_->stats().records_appended;
   ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kKeepDeltas).ok());
   EXPECT_GT(tree_->stats().record_cache_evictions, 0u);
   EXPECT_FALSE(tree_->IsLeafResident(pids[0]));
+  // The flushed base is unchanged by the delta: the eviction points at
+  // its flash copy instead of appending it again.
+  EXPECT_EQ(log_->stats().records_appended, appended_before);
 
   uint64_t flash_reads_before = tree_->stats().flash_record_reads;
   auto r = tree_->Get(Key(3));
@@ -300,6 +304,8 @@ TEST_F(BwTreeTest, RecordCacheEvictionKeepsDeltas) {
   EXPECT_EQ(tree_->stats().flash_record_reads, flash_reads_before)
       << "record-cache hit must not touch flash";
   EXPECT_GT(tree_->stats().record_cache_hits, 0u);
+  EXPECT_TRUE(analysis::BwTreeValidator(tree_.get()).Check().empty());
+  EXPECT_TRUE(analysis::LogStoreAuditor(log_.get()).Check().empty());
 }
 
 TEST_F(BwTreeTest, DeltaOnlyFlushWritesFewerBytes) {

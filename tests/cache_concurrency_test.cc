@@ -1,5 +1,5 @@
 // Multithreaded stress for the lock-free hot paths added with the
-// sharded CLOCK cache: concurrent Touch/Insert/Erase/Contains against
+// sharded cache: concurrent Touch/Insert/Erase/Contains against
 // one CacheManager, touches racing table growth, eviction sweeps racing
 // readers, and an epoch retire/reclaim hammer. These tests assert
 // end-state consistency; their real value is running clean under
@@ -102,7 +102,7 @@ TEST(CacheConcurrencyTest, TouchRacesTableGrowth) {
 TEST(CacheConcurrencyTest, EvictionSweepRacesReaders) {
   CacheOptions opts;
   opts.memory_budget_bytes = 64 * 100;  // room for ~100 of 400 pages
-  opts.policy = EvictionPolicy::kSecondChance;
+  opts.policy = EvictionPolicy::kLru;
   CacheManager cm(opts);
 
   constexpr uint64_t kPids = 400;

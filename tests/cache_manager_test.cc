@@ -85,21 +85,6 @@ TEST(CacheManagerTest, LruPicksEnoughBytes) {
   EXPECT_EQ(victims[4], 4u);
 }
 
-TEST(CacheManagerTest, SecondChanceSparesReferencedPages) {
-  VirtualClock clock;
-  CacheManager cm(WithClock(&clock, EvictionPolicy::kSecondChance));
-  cm.Insert(1, 100);
-  cm.Insert(2, 100);
-  cm.Insert(3, 100);
-  // All pages start referenced (inserted). One sweep clears bits, then
-  // the first unreferenced page is victimized; re-touch page 1 so it
-  // survives longer than 2.
-  auto first = cm.PickVictims(100);
-  ASSERT_EQ(first.size(), 1u);
-  // After one clearing sweep, the first victim is the LRU page 1.
-  EXPECT_EQ(first[0], 1u);
-}
-
 TEST(CacheManagerTest, CostBasedEvictsOnlyPastBreakeven) {
   VirtualClock clock;
   CacheManager cm(WithClock(&clock, EvictionPolicy::kCostBased));
@@ -197,8 +182,6 @@ TEST(CacheManagerTest, ReinsertActsAsResizeTouch) {
 
 TEST(CacheManagerTest, PolicyNames) {
   EXPECT_EQ(EvictionPolicyName(EvictionPolicy::kLru), "lru");
-  EXPECT_EQ(EvictionPolicyName(EvictionPolicy::kSecondChance),
-            "second-chance");
   EXPECT_EQ(EvictionPolicyName(EvictionPolicy::kCostBased), "cost-based");
 }
 

@@ -156,6 +156,48 @@ TEST(CachingStoreTest, MaintenanceMergesUnderfullLeaves) {
   }
 }
 
+TEST(KvStoreStatsTest, ListGeneratesSumDeltaAndText) {
+  // Distinct four-digit values, so no printed value is a prefix of
+  // another.
+  KvStoreStats a, b;
+  uint64_t next = 1000;
+#define COSTPERF_FILL(name, kind, line) \
+  a.name = next++;                      \
+  b.name = next++;
+  COSTPERF_KV_STORE_STATS(COSTPERF_FILL)
+#undef COSTPERF_FILL
+  b.health = HealthStatus::kDegraded;
+
+  KvStoreStats sum = a;
+  sum += b;
+  const KvStoreStats delta = sum - b;
+#define COSTPERF_CHECK(name, kind, line)                          \
+  EXPECT_EQ(sum.name, a.name + b.name) << #name;                 \
+  EXPECT_EQ(delta.name,                                          \
+            StatKind::kind == StatKind::kCount ? a.name : sum.name) \
+      << #name;
+  COSTPERF_KV_STORE_STATS(COSTPERF_CHECK)
+#undef COSTPERF_CHECK
+
+  // A sum is degraded when either side is; a delta keeps the later
+  // snapshot's health.
+  EXPECT_EQ(sum.health, HealthStatus::kDegraded);
+  KvStoreStats reversed = b;
+  reversed += a;
+  EXPECT_EQ(reversed.health, HealthStatus::kDegraded);
+  EXPECT_EQ(delta.health, HealthStatus::kDegraded);
+  KvStoreStats healed = sum;
+  healed.health = HealthStatus::kHealthy;
+  EXPECT_EQ((healed - b).health, HealthStatus::kHealthy);
+
+  const std::string text = a.ToString();
+#define COSTPERF_PRINTED(name, kind, line)                          \
+  EXPECT_NE(text.find(" " #name "=" + std::to_string(a.name)),     \
+            std::string::npos) << #name;
+  COSTPERF_KV_STORE_STATS(COSTPERF_PRINTED)
+#undef COSTPERF_PRINTED
+}
+
 TEST(MemoryStoreTest, BasicCrudAndScan) {
   MemoryStore store;
   ASSERT_TRUE(store.Put("a", "1").ok());

@@ -353,7 +353,7 @@ TEST(BackgroundMaintenanceTest, ShardedStoreOwnsOneSharedScheduler) {
   workload::Runner runner(store.get(), spec, ropts);
   auto report = runner.LoadAndRun();
   EXPECT_EQ(report.failed_ops, 0u);
-  EXPECT_EQ(report.foreground_maintenance_ops, 0u);
+  EXPECT_EQ(report.store.foreground_maintenance_ops, 0u);
   store->maintenance_scheduler()->Quiesce();
   EXPECT_EQ(store->Stats().foreground_maintenance_ops, 0u);
 }

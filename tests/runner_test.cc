@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/memory_store.h"
 #include "core/sharded_store.h"
 #include "workload/runner.h"
 
@@ -117,6 +118,21 @@ TEST(RunnerTest, SeparateLoadThenRunPhases) {
   EXPECT_EQ(report.ops, 2'000u);
   EXPECT_EQ(report.failed_ops, 0u);
   EXPECT_EQ(report.op_counts[static_cast<int>(OpType::kRead)], 2'000u);
+}
+
+TEST(RunnerTest, ReportCarriesTheStoreDeltaOverTheRun) {
+  core::MemoryStore store;
+  WorkloadSpec spec = WorkloadSpec::YcsbC(2'000);
+  RunnerOptions opts;
+  opts.threads = 1;
+  opts.ops_per_thread = 3'000;
+  Runner runner(&store, spec, opts);
+  RunReport report = runner.LoadAndRun();
+
+  EXPECT_EQ(report.failed_ops, 0u);
+  EXPECT_EQ(report.store.reads, report.ops);
+  // LoadAndRun's delta includes the load phase.
+  EXPECT_EQ(report.store.writes, spec.record_count);
 }
 
 TEST(RunnerTest, ConcurrentMaintainRunsSingly) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -193,6 +194,56 @@ TEST_F(ServerE2eTest, StatsReportsPerTenantTraffic) {
   EXPECT_EQ((*stats)["tenant.202.read_keys"], 3u);
   EXPECT_GE((*stats)["server.frames_in"], 11u);
   EXPECT_GE((*stats)["store.writes"], 10u);
+}
+
+TEST_F(ServerE2eTest, StatsSendsEveryListedCounter) {
+  StartServer(1);
+  SyncClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", server_->port()).ok());
+  c.set_tenant(7);
+  ASSERT_TRUE(c.Put("k", "v").ok());
+  ASSERT_TRUE(c.Get("k").ok());
+
+  auto stats = c.StatsMap();
+  ASSERT_TRUE(stats.ok());
+  const std::map<std::string, uint64_t>& m = *stats;
+  auto has = [&m](const std::string& key) { return m.count(key) == 1; };
+
+  // The store is quiescent: its counters must read as STATS sent them.
+  const core::KvStoreStats st = store_->Stats();
+#define COSTPERF_STORE_KEY(name, kind, line)   \
+  ASSERT_TRUE(has("store." #name)) << #name; \
+  EXPECT_EQ(m.at("store." #name), st.name) << #name;
+  COSTPERF_KV_STORE_STATS(COSTPERF_STORE_KEY)
+#undef COSTPERF_STORE_KEY
+#define COSTPERF_SERVER_KEY(name) EXPECT_TRUE(has("server." #name)) << #name;
+  COSTPERF_SERVER_COUNTERS(COSTPERF_SERVER_KEY)
+#undef COSTPERF_SERVER_KEY
+#define COSTPERF_TENANT_KEY(name) EXPECT_TRUE(has("tenant.7." #name)) << #name;
+  COSTPERF_TENANT_COUNTERS(COSTPERF_TENANT_KEY)
+#undef COSTPERF_TENANT_KEY
+
+  // Every key STATS sent before the lists generated it keeps its name.
+  for (const char* key : {
+           "server.connections_accepted", "server.connections_closed",
+           "server.frames_in", "server.frames_out", "server.protocol_errors",
+           "server.bytes_in", "server.bytes_out", "server.windows",
+           "server.read_runs", "server.write_runs", "server.shed_frames",
+           "server.deadline_expired", "server.watchdog_kills",
+           "server.degraded_write_rejects", "admission.pushback_windows",
+           "admission.rejected", "store.health_degraded", "store.reads",
+           "store.writes", "store.hits", "store.misses",
+           "store.multiget_batches", "store.multiget_keys",
+           "store.multiget_shard_groups", "store.writebatch_batches",
+           "store.writebatch_entries", "store.writebatch_shard_groups",
+           "store.log_append_groups", "store.write_stalls",
+           "store.stall_micros_total", "tenant.7.requests",
+           "tenant.7.read_keys", "tenant.7.write_keys", "tenant.7.rejected",
+           "tenant.7.errors", "tenant.7.bytes_in", "tenant.7.bytes_out"}) {
+    EXPECT_TRUE(has(key)) << key;
+  }
+  EXPECT_EQ(m.at("store.health_degraded"), 0u);
+  EXPECT_EQ(m.at("tenant.7.write_keys"), 1u);
 }
 
 TEST_F(ServerE2eTest, ConcurrentClientsOverMultipleIoThreads) {
