@@ -47,6 +47,16 @@
 #   The opt-in `bench` lane (never run by default: wall-clock sensitive)
 #   runs scripts/bench_smoke.sh and leaves its BENCH_smoke.json at the
 #   repo root.
+#   The opt-in `perf` lane (never run by default: it takes about
+#   2 x PERF_PAIRS x 50 s per workload) compares the working tree with a
+#   base commit on the repo benchmark. It exports PERF_BASE (default
+#   HEAD~1) with `git archive` into a temp dir, then runs PERF_PAIRS
+#   (default 10) pairs of `benchmark/run.sh --workload W --seed S --out`
+#   per workload in PERF_WORKLOADS (default: both), base and working tree
+#   taking turns to go first, with seeds PERF_SEED (default 1) upward.
+#   It prints both .jsonl files' paths and fails when
+#   `benchmark/compare.py base.jsonl new.jsonl` exits nonzero (a
+#   regression, a wrong result or a larger failed share).
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -65,6 +75,7 @@ chaos    TSan network fault-injection suite (seeded plans, sheds, watchdog)
 tidy     clang-tidy over all first-party sources (+ costperf-* plugin)
 benchmark repo benchmark quick run: Release build, checker self-test, 1 s per workload
 bench    (opt-in) wall-clock bench smoke; writes BENCH_smoke.json
+perf     (opt-in) repo benchmark, PERF_BASE vs working tree, PERF_PAIRS alternating pairs + compare.py
 EOF
   exit 0
 fi
@@ -258,8 +269,51 @@ for lane in "${LANES[@]}"; do
         failures+=("bench (smoke)")
       fi
       ;;
+    perf)
+      echo
+      echo "=== lane: perf ==="
+      perf_base="${PERF_BASE:-HEAD~1}"
+      perf_pairs="${PERF_PAIRS:-10}"
+      perf_seed="${PERF_SEED:-1}"
+      perf_dir="$(mktemp -d "${TMPDIR:-/tmp}/costperf-perf.XXXXXX")"
+      base_tree="$perf_dir/base"
+      base_out="$perf_dir/base.jsonl"
+      new_out="$perf_dir/new.jsonl"
+      mkdir -p "$base_tree"
+      if ! git -C "$ROOT" archive "$perf_base" | tar -x -C "$base_tree"; then
+        failures+=("perf (export $perf_base)")
+        continue
+      fi
+      echo "base $perf_base exported to $base_tree"
+      perf_ok=1
+      for w in ${PERF_WORKLOADS:-lib_incache_point lib_css_tiered}; do
+        for ((i = 0; i < perf_pairs; i++)); do
+          seed=$((perf_seed + i))
+          sides=("$base_tree:$base_out" "$ROOT:$new_out")
+          # Alternate which side runs first, so a drift in host load
+          # lands on both.
+          if ((i % 2 == 1)); then sides=("${sides[1]}" "${sides[0]}"); fi
+          for side in "${sides[@]}"; do
+            tree="${side%%:*}"
+            echo "perf: $w seed $seed on $tree"
+            if ! "$tree/benchmark/run.sh" --workload "$w" --seed "$seed" \
+                 --out "${side#*:}" > "$perf_dir/last_run.log" 2>&1; then
+              tail -20 "$perf_dir/last_run.log"
+              perf_ok=0
+            fi
+          done
+        done
+      done
+      echo "perf: base runs $base_out"
+      echo "perf: new runs  $new_out"
+      if ! python3 "$ROOT/benchmark/compare.py" "$base_out" "$new_out" \
+           --benchmark "$ROOT/BENCHMARK.json"; then
+        perf_ok=0
+      fi
+      if ((perf_ok == 0)); then failures+=("perf"); fi
+      ;;
     *)
-      echo "unknown lane '$lane' (want: plain analyze asan tsan ubsan simd stress serve chaos tidy benchmark bench)" >&2
+      echo "unknown lane '$lane' (want: plain analyze asan tsan ubsan simd stress serve chaos tidy benchmark bench perf)" >&2
       exit 2
       ;;
   esac

@@ -229,6 +229,20 @@ bool ChainHasSmoDeltas(const Node* head) {
   return false;
 }
 
+// True when `head` is a leaf chain that GC can move as it is: record
+// deltas, if any, over a resident LeafBase, with no SMO delta and no
+// FlashPointer tail.
+bool RelocatableLeafChain(const Node* head) {
+  const Node* n = head;
+  for (; n->next != nullptr; n = n->next) {
+    if (n->type == NodeType::kMergeDelta ||
+        n->type == NodeType::kRemoveNode) {
+      return false;
+    }
+  }
+  return n->type == NodeType::kLeafBase;
+}
+
 }  // namespace
 
 void BwTree::RetireChain(Node* head) {
@@ -270,6 +284,7 @@ void BwTree::MetaSetChain(PageId pid, std::vector<uint64_t> chain,
   auto& m = meta_[pid];
   m.flash_chain = std::move(chain);
   m.base_dirty = dirty;
+  m.newest_compressed = false;
 }
 
 void BwTree::MetaMarkDirty(PageId pid) {
@@ -1302,6 +1317,7 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
       new_fp->right_sibling = fp->right_sibling;
       if (CasWithMeta(pid, w, EncodePointer(new_fp), [&](PageMeta& m) {
             m.flash_chain.insert(m.flash_chain.begin(), addr->packed());
+            m.newest_compressed = false;
           })) {
         s_delta_flushes_.fetch_add(1, std::memory_order_relaxed);
         s_bytes_flushed_.fetch_add(image.size(), std::memory_order_relaxed);
@@ -1363,6 +1379,7 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
   if (CasWithMeta(pid, w, EncodePointer(fresh), [&](PageMeta& m) {
         m.flash_chain = {addr->packed()};
         m.base_dirty = false;
+        m.newest_compressed = false;
       })) {
     s_full_flushes_.fetch_add(1, std::memory_order_relaxed);
     s_bytes_flushed_.fetch_add(fresh->image().size(),
@@ -1380,10 +1397,13 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
   return Status::Aborted("page changed during flush");
 }
 
-Status BwTree::EvictPage(PageId pid, EvictMode mode) {
+Status BwTree::EvictPage(PageId pid, EvictMode mode, bool* wrote) {
   if (options_.log_store == nullptr) {
     return Status::FailedPrecondition("no log store configured");
   }
+  bool local_wrote = false;
+  if (wrote == nullptr) wrote = &local_wrote;
+  *wrote = false;
   EpochGuard guard(&epochs_);
   for (int attempt = 0; attempt < 100; ++attempt) {
     uint64_t w = table_.Get(pid);
@@ -1412,6 +1432,7 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode) {
         if (!ss.ok()) return ss;
         auto addr = RetryAppend(pid, base->image());
         if (!addr.ok()) return addr.status();
+        *wrote = true;
         s_bytes_flushed_.fetch_add(base->image().size(),
                                    std::memory_order_relaxed);
         base_addr = *addr;
@@ -1450,6 +1471,7 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode) {
             if (!write_base) return;
             m.flash_chain = {base_addr.packed()};
             m.base_dirty = false;
+            m.newest_compressed = false;
           })) {
         s_rc_evictions_.fetch_add(1, std::memory_order_relaxed);
         RetireChain(head);
@@ -1465,28 +1487,36 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode) {
     }
 
     // Full eviction: flush dirty state, then swing the entry to flash.
-    if (IsDirty(pid)) {
+    // Clean but never flushed can only be an empty fresh page; flush it
+    // too.
+    PageMeta meta = MetaGet(pid);
+    if (IsDirty(pid) || meta.flash_chain.empty()) {
       Status s = FlushPage(pid, FlushMode::kFullPage);
       if (!s.ok() && !s.IsAborted()) return s;
+      *wrote |= s.ok();
       continue;  // re-read the (now clean) entry
     }
-    PageMeta meta = MetaGet(pid);
-    if (meta.flash_chain.empty()) {
-      // Clean but never flushed can only be an empty fresh page; flush it.
-      Status s = FlushPage(pid, FlushMode::kFullPage);
-      if (!s.ok() && !s.IsAborted()) return s;
-      continue;
-    }
-    FlashAddress newest = FlashAddress::FromPacked(meta.flash_chain.front());
-    if (table_.Cas(pid, w, EncodeFlash(newest))) {
+    if (SwingToFlash(pid, w, head,
+                     FlashAddress::FromPacked(meta.flash_chain.front()))) {
       s_full_evictions_.fetch_add(1, std::memory_order_relaxed);
-      RetireChain(head);
       if (options_.cache != nullptr) options_.cache->Erase(pid);
       return Status::Ok();
     }
-    s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::Aborted("EvictPage kept racing writers");
+}
+
+bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
+                          FlashAddress newest) {
+  // The word holds a clean base, so the metadata read with it still
+  // describes it: any change to flash_chain or base_dirty moves the word
+  // (DESIGN.md §3.4 rule 4), and this CAS then fails.
+  if (!table_.Cas(pid, expected, EncodeFlash(newest))) {
+    s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  RetireChain(head);
+  return true;
 }
 
 Status BwTree::DemotePage(PageId pid, const CssPolicy& policy,
@@ -1524,6 +1554,32 @@ Status BwTree::DemotePage(PageId pid, const CssPolicy& policy,
     return Status::FailedPrecondition("page reheats too often for CSS");
   }
 
+  // A clean bare base on one compressed record is that record, inflated:
+  // demote it by a swing back onto the record, which compresses and
+  // writes nothing and leaves no dead bytes. Only a dirty page or a page
+  // on a plain record (or on a delta chain) pays for compression below.
+  PageMeta meta = MetaGet(pid);
+  if (head == tail && !meta.base_dirty && meta.flash_chain.size() == 1 &&
+      meta.newest_compressed) {
+    const FlashAddress record = FlashAddress::FromPacked(meta.flash_chain[0]);
+    const uint64_t raw = static_cast<const LeafBase*>(tail)->image().size();
+    const uint64_t stored =
+        record.len() - llama::LogStructuredStore::kHeaderBytes;
+    if (!SwingToFlash(pid, w, head, record)) {
+      return Status::Aborted("page changed during demotion");
+    }
+    s_css_demotions_.fetch_add(1, std::memory_order_relaxed);
+    s_css_clean_demotions_.fetch_add(1, std::memory_order_relaxed);
+    s_css_raw_demoted_.fetch_add(raw, std::memory_order_relaxed);
+    s_css_stored_demoted_.fetch_add(stored, std::memory_order_relaxed);
+    if (options_.cache != nullptr) {
+      options_.cache->SetTier(pid, llama::CacheTier::kCss, stored);
+    }
+    *res = DemoteResult{.demoted = true, .swung = true, .raw_bytes = raw,
+                        .stored_bytes = stored};
+    return Status::Ok();
+  }
+
   // A bare base is compressed as it is; deltas are folded into a fresh
   // base first, which is never installed (only its image reaches the log).
   LeafBase* fresh = nullptr;
@@ -1557,12 +1613,13 @@ Status BwTree::DemotePage(PageId pid, const CssPolicy& policy,
                                     static_cast<uint32_t>(info.raw_size));
   if (!addr.ok()) return addr.status();
 
-  PageMeta meta = MetaGet(pid);
   // Flush and eviction in one step: swing the mapping word straight to
-  // the new record's flash address.
+  // the new record's flash address. The metadata read above still
+  // describes the word if the CAS lands (DESIGN.md §3.4 rule 4).
   if (CasWithMeta(pid, w, EncodeFlash(*addr), [&](PageMeta& m) {
         m.flash_chain = {addr->packed()};
         m.base_dirty = false;
+        m.newest_compressed = true;
       })) {
     s_css_demotions_.fetch_add(1, std::memory_order_relaxed);
     s_css_raw_demoted_.fetch_add(info.raw_size, std::memory_order_relaxed);
@@ -2450,31 +2507,76 @@ bool BwTree::GcIsLive(PageId pid, FlashAddress addr) const {
 
 bool BwTree::GcInstall(PageId pid, FlashAddress old_addr,
                        FlashAddress new_addr) {
-  // Only simply-relocatable state: a fully evicted page whose single
-  // flash record is old_addr. PrepareSegmentForGc guarantees this; a
-  // page loaded since then no longer holds the flash word, and the CAS
-  // fails. The check, the CAS and the chain update share one meta_mu_
-  // hold, as in CasWithMeta.
-  MutexLock lk(&meta_mu_);
-  auto it = meta_.find(pid);
-  if (it == meta_.end() || it->second.flash_chain.size() != 1 ||
-      it->second.flash_chain[0] != old_addr.packed()) {
-    return false;
+  // The page's flash chain must be exactly old_addr (PrepareSegmentForGc
+  // rewrote every other page). An evicted page's flash word moves to the
+  // new address. A resident chain is replaced by its consolidated base —
+  // a bare base by one copy of itself — so the mapping word moves with
+  // the metadata (DESIGN.md §3.4 rule 4) and a flush, eviction or
+  // demotion that read the old word fails its CAS. The replacement is
+  // built outside meta_mu_; the chain check, the CAS and the chain update
+  // share one hold, as in CasWithMeta. Retries while writers move the
+  // word, so a busy page does not keep its victim segment from a trim.
+  EpochGuard guard(&epochs_);
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    const uint64_t w = table_.Get(pid);
+    if (w == 0) return false;
+    Node* head = nullptr;
+    LeafBase* fresh = nullptr;
+    uint64_t desired = EncodeFlash(new_addr);
+    if (IsFlashWord(w)) {
+      if (w != EncodeFlash(old_addr)) return false;
+    } else {
+      head = DecodePointer(w);
+      if (!RelocatableLeafChain(head)) return false;
+      fresh = ConsolidateChain(head);
+      if (fresh == nullptr) return false;
+      desired = EncodePointer(fresh);
+    }
+    bool chain_is_old = false;
+    bool installed = false;
+    {
+      MutexLock lk(&meta_mu_);
+      auto it = meta_.find(pid);
+      chain_is_old = it != meta_.end() &&
+                     it->second.flash_chain.size() == 1 &&
+                     it->second.flash_chain[0] == old_addr.packed();
+      if (chain_is_old && table_.Cas(pid, w, desired)) {
+        it->second.flash_chain[0] = new_addr.packed();
+        // Folded deltas make the new base newer than the record.
+        if (head != nullptr && head->next != nullptr) {
+          it->second.base_dirty = true;
+        }
+        installed = true;
+      }
+    }
+    if (installed) {
+      if (head != nullptr) {
+        RetireChain(head);
+        if (options_.cache != nullptr) {
+          options_.cache->Resize(pid, ChainBytes(fresh));
+        }
+      }
+      return true;
+    }
+    delete fresh;
+    if (!chain_is_old) return false;
+    s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!table_.Cas(pid, EncodeFlash(old_addr), EncodeFlash(new_addr))) {
-    return false;
-  }
-  it->second.flash_chain[0] = new_addr.packed();
-  return true;
+  return false;
 }
 
 Status BwTree::PrepareSegmentForGc(uint64_t segment_id,
                                    uint64_t segment_bytes) {
-  // Every page with (a) a multi-record flash chain touching the segment,
-  // or (b) resident state whose single record lives there, gets loaded
-  // and re-flushed elsewhere, leaving only simply-relocatable records.
+  // A page whose flash chain touches the segment is left to GcInstall
+  // when that chain is one record and the page is evicted or a resident
+  // leaf chain without SMO deltas: GC moves its record as it is, in the
+  // form it has. Every other such page — a multi-record chain (delta
+  // pages), a FlashPointer tail (record-cache form) or an SMO chain —
+  // gets loaded and re-flushed elsewhere.
   std::vector<PageId> to_rewrite;
   {
+    // The guard lets the scan look at resident chain heads.
+    EpochGuard guard(&epochs_);
     MutexLock lk(&meta_mu_);
     for (const auto& [pid, meta] : meta_) {
       bool touches = false;
@@ -2486,10 +2588,11 @@ Status BwTree::PrepareSegmentForGc(uint64_t segment_id,
         }
       }
       if (!touches) continue;
-      uint64_t w = table_.Get(pid);
-      bool evicted_simple =
-          IsFlashWord(w) && meta.flash_chain.size() == 1;
-      if (!evicted_simple) to_rewrite.push_back(pid);
+      const uint64_t w = table_.Get(pid);
+      const bool relocatable =
+          meta.flash_chain.size() == 1 && w != 0 &&
+          (IsFlashWord(w) || RelocatableLeafChain(DecodePointer(w)));
+      if (!relocatable) to_rewrite.push_back(pid);
     }
   }
   for (PageId pid : to_rewrite) {
@@ -2543,6 +2646,8 @@ BwTreeStats BwTree::stats() const {
   s.salvage_recoveries = s_salvage_.load(std::memory_order_relaxed);
   s.css_hits = s_css_hits_.load(std::memory_order_relaxed);
   s.css_demotions = s_css_demotions_.load(std::memory_order_relaxed);
+  s.css_clean_demotions =
+      s_css_clean_demotions_.load(std::memory_order_relaxed);
   s.css_demotion_refusals = s_css_refusals_.load(std::memory_order_relaxed);
   s.css_raw_bytes_demoted =
       s_css_raw_demoted_.load(std::memory_order_relaxed);

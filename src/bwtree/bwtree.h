@@ -83,8 +83,11 @@ struct CssPolicy {
 // accounting and the measured-ratio feed to the cost model.
 struct DemoteResult {
   bool demoted = false;
+  // A clean page already on a compressed record: the mapping word swung
+  // onto that record, and nothing was compressed or written.
+  bool swung = false;
   uint64_t raw_bytes = 0;     // consolidated image size
-  uint64_t stored_bytes = 0;  // compressed bytes that reached the log
+  uint64_t stored_bytes = 0;  // compressed bytes the page's record holds
 };
 
 struct BwTreeStats {
@@ -113,6 +116,7 @@ struct BwTreeStats {
   // Tier hierarchy (§7.2 / Fig. 8).
   uint64_t css_hits = 0;  // page loads satisfied by a compressed record
   uint64_t css_demotions = 0;          // DemotePage successes
+  uint64_t css_clean_demotions = 0;    // of those, swings (nothing appended)
   uint64_t css_demotion_refusals = 0;  // policy said CSS would be a loss
   uint64_t css_raw_bytes_demoted = 0;     // pre-compression image bytes
   uint64_t css_stored_bytes_demoted = 0;  // bytes that reached the log
@@ -192,16 +196,21 @@ class BwTree {
   // --- paging operations (driven by the caching store / cache manager) ---
 
   Status FlushPage(PageId pid, FlushMode mode);
-  Status EvictPage(PageId pid, EvictMode mode);
-  // Demotes a resident leaf to the compressed tier: consolidates the
-  // chain, compresses the image once (the same call that measures the
-  // ratio), appends it as a compressed log record, and swings the
-  // mapping entry to the flash address — flush and eviction in one CAS.
-  // The cache manager keeps tracking the page in the CSS tier (recency,
-  // compressed footprint, reheats); the next access promotes it back
-  // through the ordinary load path. Refuses with FailedPrecondition when
-  // `policy` says CSS would be a loss for this page (poor ratio or too
-  // many reheats) or when the base is not resident; Aborted on races.
+  // *wrote (when non-null) reports whether the eviction appended to the
+  // log: a clean page is evicted without writing anything.
+  Status EvictPage(PageId pid, EvictMode mode, bool* wrote = nullptr);
+  // Demotes a resident leaf to the compressed tier. A clean bare base
+  // whose one flash record is already compressed (a promoted page nobody
+  // wrote since) is demoted by swinging the mapping entry back onto that
+  // record: nothing is compressed or written. Any other page is
+  // consolidated, compressed once (the same call that measures the
+  // ratio) and appended as a compressed log record, and the entry swings
+  // to its flash address — flush and eviction in one CAS. The cache
+  // manager keeps tracking the page in the CSS tier (recency, compressed
+  // footprint, reheats); the next access promotes it back through the
+  // ordinary load path. Refuses with FailedPrecondition when `policy`
+  // says CSS would be a loss for this page (poor ratio or too many
+  // reheats) or when the base is not resident; Aborted on races.
   Status DemotePage(PageId pid, const CssPolicy& policy,
                     DemoteResult* out = nullptr);
   // Makes the page resident (SS work happens here).
@@ -268,9 +277,15 @@ class BwTree {
   // --- GC integration (see LogStructuredStore::Collect*) ---
 
   bool GcIsLive(PageId pid, FlashAddress addr) const;
+  // Moves a page whose flash chain is exactly `old_addr` onto the
+  // relocated copy `new_addr`. An evicted page's flash word moves to
+  // the new address; a resident leaf chain without SMO deltas is
+  // replaced by its consolidated base, so the mapping word moves with
+  // the metadata. False when the page is neither (or moved meanwhile).
   bool GcInstall(PageId pid, FlashAddress old_addr, FlashAddress new_addr);
-  // Rewrites every page that has multi-record or resident state in the
-  // segment so only simply-relocatable records remain live there.
+  // Rewrites every page in the segment that GcInstall cannot move — a
+  // multi-record flash chain, a FlashPointer tail or an SMO chain — so
+  // only relocatable records remain live there.
   Status PrepareSegmentForGc(uint64_t segment_id, uint64_t segment_bytes);
 
   // --- introspection ---
@@ -308,6 +323,11 @@ class BwTree {
     std::vector<uint64_t> flash_chain;
     // True when the resident base's content is newer than flash_chain.
     bool base_dirty = false;
+    // True when flash_chain's newest record is stored compressed. Set
+    // with the chain: a demotion's append sets it, every plain write
+    // (flush, record-cache eviction, recovery, merge) clears it, and a
+    // load or a GC relocation leaves it, as the record keeps its form.
+    bool newest_compressed = false;
   };
 
   // Per-operation bookkeeping for MM/SS classification.
@@ -376,6 +396,15 @@ class BwTree {
 
   // Builds a consolidated LeafBase from a fully resident chain.
   LeafBase* ConsolidateChain(Node* head) const REQUIRES_EPOCH(epochs_);
+
+  // Moves a clean resident page onto its newest flash record `newest`
+  // (flash_chain[0]) with one CAS of the mapping word from `expected`,
+  // whose chain starts at `head`, and retires that chain. Writes
+  // nothing and changes no metadata. Full eviction and a clean demotion
+  // share it; the caller then erases the cache entry or moves it to
+  // the CSS tier. False (a CAS failure, counted) when the word moved.
+  bool SwingToFlash(PageId pid, uint64_t expected, Node* head,
+                    FlashAddress newest) REQUIRES_EPOCH(epochs_);
 
   // Split durability ordering: if `sib` (a page's right sibling) has never
   // reached flash, flush it first. The log is sequential, so "sibling
@@ -528,7 +557,8 @@ class BwTree {
   mutable std::atomic<uint64_t> s_io_retries_{0}, s_io_give_ups_{0},
       s_salvage_{0};
   mutable std::atomic<uint64_t> s_css_hits_{0}, s_css_demotions_{0},
-      s_css_refusals_{0}, s_css_raw_demoted_{0}, s_css_stored_demoted_{0};
+      s_css_clean_demotions_{0}, s_css_refusals_{0}, s_css_raw_demoted_{0},
+      s_css_stored_demoted_{0};
   // Decorrelates concurrent retry jitter streams (see RetryTransient).
   std::atomic<uint64_t> retry_salt_{0};
 };

@@ -122,7 +122,7 @@ Status CachingStore::CheckWritable() {
 void CachingStore::NoteWriteOutcome(const Status& s, bool reset_on_ok) {
   if (options_.degrade_after_write_failures == 0) return;
   if (s.ok()) {
-    // A flush-path success means the device took a write; the streak of
+    // A success that wrote means the device took a write; the streak of
     // consecutive failures is over. Once degraded, only an explicit
     // ResetHealth() heals — a late success must not silently un-degrade.
     if (reset_on_ok && !degraded_.load(std::memory_order_relaxed)) {
@@ -130,9 +130,12 @@ void CachingStore::NoteWriteOutcome(const Status& s, bool reset_on_ok) {
     }
     return;
   }
-  // Only media write errors count. Aborted (contention), Corruption
-  // (surfaced to the caller, a different failure class), etc. do not.
-  if (!s.IsIoError()) return;
+  // Only media write errors count: an IoError, or OutOfRange from a full
+  // device (segment offsets only grow, so once the log reaches the end
+  // of the device every append that needs a new segment fails). Aborted
+  // (contention), Corruption (surfaced to the caller, a different
+  // failure class), etc. do not.
+  if (!s.IsIoError() && s.code() != StatusCode::kOutOfRange) return;
   uint32_t streak =
       write_failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (streak >= options_.degrade_after_write_failures &&
@@ -334,8 +337,10 @@ bool CachingStore::EvictStep(const maintenance::MaintenanceQuota& quota) {
       if (degraded_.load(std::memory_order_acquire)) return false;
       continue;
     }
-    Status s = tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction);
-    NoteWriteOutcome(s, /*reset_on_ok=*/true);
+    bool wrote = false;
+    Status s =
+        tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction, &wrote);
+    NoteWriteOutcome(s, /*reset_on_ok=*/wrote);
     if (s.ok()) {
       progressed = true;
       bg_pages_evicted_.fetch_add(1, std::memory_order_relaxed);
@@ -363,7 +368,8 @@ bool CachingStore::TryDemote(mapping::PageId pid) {
   policy.max_reheats = tier.max_reheats;
   bwtree::DemoteResult res;
   Status s = tree_->DemotePage(pid, policy, &res);
-  NoteWriteOutcome(s, /*reset_on_ok=*/res.demoted);
+  // A swing onto the page's compressed record wrote nothing.
+  NoteWriteOutcome(s, /*reset_on_ok=*/res.demoted && !res.swung);
   // Refused (FailedPrecondition), raced (Aborted), or failed: the caller
   // falls back to plain eviction for this victim.
   return s.ok() && res.demoted;
@@ -425,7 +431,7 @@ bool CachingStore::GcStep(const maintenance::MaintenanceQuota& quota) {
     // NotFound: dead space is spread across segments above the victim
     // threshold — nothing eligible, stop rather than respin.
     if (!s.ok()) {
-      if (s.IsIoError()) NoteWriteOutcome(s, /*reset_on_ok=*/false);
+      NoteWriteOutcome(s, /*reset_on_ok=*/false);
       return false;
     }
     bg_gc_segments_.fetch_add(1, std::memory_order_relaxed);
@@ -506,9 +512,9 @@ Status CachingStore::RunGc(double live_threshold) {
 
 Status CachingStore::CollectOneSegment(double victim_threshold) {
   // Find the victim the same way CollectColdest does, but prepare the
-  // segment first: pages with multi-record chains or memory-only current
-  // images get rewritten elsewhere, so every record GcIsLive calls dead
-  // has a durable replacement before the trim.
+  // segment first: pages GC cannot move as they are (multi-record chains,
+  // FlashPointer tails, SMO chains) get rewritten elsewhere, so every
+  // record GcIsLive calls dead has a durable replacement before the trim.
   uint64_t victim = UINT64_MAX;
   double victim_live = 2.0;
   for (const auto& seg : log_->segments()) {
@@ -590,6 +596,7 @@ KvStoreStats CachingStore::Stats() const {
   s.tier_css_bytes = c.css_bytes;
   s.tier_css_hits = t.css_hits;
   s.tier_demotions = t.css_demotions;
+  s.tier_clean_demotions = t.css_clean_demotions;
   s.tier_promotions = c.promotions;
   s.tier_demotion_refusals = t.css_demotion_refusals;
   s.tier_css_fallthroughs =

@@ -60,8 +60,10 @@ struct CachingStoreOptions {
   // Merge adjacent leaves whose combined payload is below this fraction
   // of max_page_bytes during maintenance. 0 disables merging.
   double merge_fill_target = 0.0;
-  // Degrade to read-only after this many consecutive write-path IoErrors
-  // (put/delete/flush/evict/checkpoint). 0 disables health tracking.
+  // Degrade to read-only after this many consecutive write-path
+  // failures — IoErrors, or OutOfRange from a full device — on the
+  // put/delete/flush/evict/demote/GC/checkpoint paths. 0 disables
+  // health tracking.
   uint32_t degrade_after_write_failures = 3;
 
   // Background maintenance. Inactive by default: with scheduler == nullptr
@@ -149,9 +151,10 @@ class CachingStore : public KvStore,
   Status RunGc(double live_threshold);
 
   // Health: kDegraded after degrade_after_write_failures consecutive
-  // write-path IoErrors. While degraded, reads serve resident and
-  // previously flushed data as usual; Put/Delete/WriteBatch/Checkpoint
-  // fail fast with the IoError that caused degradation, and maintenance
+  // write-path failures (IoError, or OutOfRange once the device is
+  // full). While degraded, reads serve resident and previously flushed
+  // data as usual; Put/Delete/WriteBatch/Checkpoint fail fast with the
+  // error that caused degradation, and maintenance
   // stops issuing flash writes. Clearing the underlying fault does NOT
   // auto-heal — call ResetHealth() once the media is confirmed usable.
   HealthStatus health() const;
@@ -219,8 +222,8 @@ class CachingStore : public KvStore,
   bool GcStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // One prepare-then-collect GC round: picks the coldest sealed segment at
-  // or below victim_threshold, rewrites every page that is not simply
-  // relocatable (PrepareSegmentForGc), then collects it. NotFound when no
+  // or below victim_threshold, rewrites every page GC cannot move as it is
+  // (PrepareSegmentForGc), then collects it. NotFound when no
   // segment is eligible. Collecting without the prepare step is unsafe:
   // a record can look dead to GcIsLive merely because the page's current
   // image is memory-only, and trimming it would destroy the only durable
@@ -231,13 +234,14 @@ class CachingStore : public KvStore,
   // Clears the stall flag and wakes stalled writers once resident bytes
   // are back under the stall budget.
   void ReleaseStallWaiters();
-  // Ok when writable; the degradation-causing IoError once degraded.
+  // Ok when writable; the degradation-causing error once degraded.
   Status CheckWritable();
-  // Health bookkeeping for a write-path status. An IoError grows the
-  // failure streak (degrading at the threshold); `reset_on_ok` says
-  // whether an OK from this call site is evidence of working media
-  // (flush paths) or a possibly memory-only success (Put/Delete, which
-  // must not mask concurrent flush failures).
+  // Health bookkeeping for a write-path status. An IoError or a full
+  // device's OutOfRange grows the failure streak (degrading at the
+  // threshold); `reset_on_ok` says whether an OK from this call wrote to
+  // the log, which is evidence of working media, or wrote nothing (a
+  // Put/Delete, a clean eviction, a demotion by swing), which must not
+  // mask concurrent flush failures.
   void NoteWriteOutcome(const Status& s, bool reset_on_ok);
 
   CachingStoreOptions options_;

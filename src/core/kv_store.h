@@ -106,6 +106,7 @@ inline constexpr int kStatsLines = static_cast<int>(StatsLine::kTier) + 1;
   X(tier_css_bytes, kLevel, kTier)         /* compressed footprint */      \
   X(tier_css_hits, kCount, kTier)          /* loads served by CSS */       \
   X(tier_demotions, kCount, kTier)         /* DRAM -> CSS */               \
+  X(tier_clean_demotions, kCount, kTier)   /* of which swings, no write */ \
   X(tier_promotions, kCount, kTier)        /* CSS -> DRAM */               \
   X(tier_demotion_refusals, kCount, kTier) /* CSS would be a loss */       \
   X(tier_css_fallthroughs, kCount, kTier)  /* CSS -> SS on overflow */     \

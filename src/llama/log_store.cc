@@ -28,6 +28,7 @@ LogStructuredStore::LogStructuredStore(storage::SsdDevice* device,
 
 void LogStructuredStore::OpenSegmentLocked(uint64_t id) {
   open_segment_id_ = id;
+  synced_bytes_ = 0;
   open_buffer_.clear();
   open_buffer_.reserve(options_.segment_bytes);
   PutFixed32(&open_buffer_, kSegmentMagic);
@@ -178,19 +179,34 @@ Status LogStructuredStore::FlushLocked() {
   // (usually empty) and the size check below turns this into a no-op.
   while (sealing_) cv_.wait(mu_);
   if (open_buffer_.size() <= kSegmentHeaderBytes) return Status::Ok();
-  // Block new reservations and wait out in-flight encodes so the segment
-  // image written below is complete.
-  sealing_ = true;
-  while (pending_fills_ > 0) cv_.wait(mu_);
-  const uint64_t device_offset = open_segment_id_ * options_.segment_bytes;
-  Status s = device_->Write(device_offset, Slice(open_buffer_));
-  sealing_ = false;
-  cv_.notify_all();
+  // Nothing can take sealing_ between the check above and SyncLocked:
+  // mu_ is held throughout.
+  Status s = SyncLocked();
   if (!s.ok()) return s;
   directory_[open_segment_id_].sealed = true;
   stats_.segments_written++;
   OpenSegmentLocked(next_segment_id_++);
   return Status::Ok();
+}
+
+Status LogStructuredStore::SyncLocked() {
+  while (sealing_) cv_.wait(mu_);
+  if (open_buffer_.size() <= std::max(synced_bytes_, kSegmentHeaderBytes)) {
+    return Status::Ok();
+  }
+  // Block new reservations and wait out in-flight encodes so the tail
+  // written below is complete.
+  sealing_ = true;
+  while (pending_fills_ > 0) cv_.wait(mu_);
+  const uint64_t device_offset =
+      open_segment_id_ * options_.segment_bytes + synced_bytes_;
+  Status s = device_->Write(
+      device_offset, Slice(open_buffer_.data() + synced_bytes_,
+                           open_buffer_.size() - synced_bytes_));
+  sealing_ = false;
+  cv_.notify_all();
+  if (s.ok()) synced_bytes_ = open_buffer_.size();
+  return s;
 }
 
 Status LogStructuredStore::Flush() {
@@ -362,9 +378,14 @@ Result<GcStats> LogStructuredStore::CollectSegment(uint64_t segment_id,
   // relocated (sitting in the open segment's in-memory buffer) or dead —
   // superseded by a newer image that may ALSO still be buffered. Either
   // way the replacement must reach media before the victim's durable
-  // copy is destroyed, or a crash here loses the page entirely. Seal the
-  // open segment first, then trim.
-  s = Flush();
+  // copy is destroyed, or a crash here loses the page entirely. Write
+  // the open segment's tail first, then trim. Sealing it instead would
+  // spend a device slot per round on a part-filled segment, and slots
+  // are never reused, so a busy GC would fill the device.
+  {
+    MutexLock lk(&mu_);
+    s = SyncLocked();
+  }
   if (!s.ok()) return s;
 
   if (gc.failed_installs > 0) {

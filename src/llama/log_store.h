@@ -115,9 +115,11 @@ struct RecoveryReport {
 // Deuteronomy-LLAMA-style log-structured store (paper §6.1, Fig. 4/5):
 // variable-size page images accumulate in a large in-memory write buffer
 // and reach the device in one large write per segment, shrinking both the
-// number of writes and (with variable sizes) the bytes written. Every
-// append relocates the page, so callers track positions via FlashAddress
-// and the mapping table.
+// number of writes and (with variable sizes) the bytes written. (A GC
+// round writes the open segment's tail early, so its relocations are
+// durable before the victim is trimmed.) Every append relocates the
+// page, so callers track positions via FlashAddress and the mapping
+// table.
 //
 // Thread-safe. Appends are group-batched: each append takes the latch
 // only to reserve its byte range in the open buffer, then encodes the
@@ -239,6 +241,10 @@ class LogStructuredStore {
   void OpenSegmentLocked(uint64_t id) REQUIRES(mu_);
   // Writes and seals the open segment.
   Status FlushLocked() REQUIRES(mu_);
+  // Writes the open segment's unwritten tail to its device slot and
+  // keeps the segment open: every record appended so far is durable,
+  // and no device slot is spent on a part-filled segment.
+  Status SyncLocked() REQUIRES(mu_);
   // Shared append path: `stored` is what goes on media verbatim. Both
   // public Append forms and GC relocation (which must preserve the
   // record's form) funnel through here.
@@ -279,6 +285,8 @@ class LogStructuredStore {
   // Contents of the open segment so far. Capacity is reserved at
   // segment_bytes, so in-place fills never move the data.
   std::string open_buffer_ GUARDED_BY(mu_);
+  // Leading bytes of open_buffer_ already on the device (SyncLocked).
+  uint64_t synced_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t open_segment_id_ GUARDED_BY(mu_) = 0;
   uint64_t next_segment_id_ GUARDED_BY(mu_) = 0;
   std::map<uint64_t, SegmentInfo> directory_ GUARDED_BY(mu_);

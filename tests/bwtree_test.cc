@@ -25,12 +25,16 @@ std::string Val(uint64_t i) { return "value-" + std::to_string(i); }
 
 class BwTreeTest : public ::testing::Test {
  protected:
-  void SetUpStore(uint64_t max_page_bytes = 1024) {
+  void SetUpStore(uint64_t max_page_bytes = 1024,
+                  uint64_t segment_bytes = llama::LogStoreOptions().segment_bytes) {
     storage::SsdOptions dev;
     dev.capacity_bytes = 256ull << 20;
     dev.max_iops = 0;
     device_ = std::make_unique<storage::SsdDevice>(dev);
-    log_ = std::make_unique<llama::LogStructuredStore>(device_.get());
+    llama::LogStoreOptions log_options;
+    log_options.segment_bytes = segment_bytes;
+    log_ = std::make_unique<llama::LogStructuredStore>(device_.get(),
+                                                       log_options);
     BwTreeOptions opts;
     opts.max_page_bytes = max_page_bytes;
     opts.consolidate_threshold = 4;
@@ -797,6 +801,133 @@ TEST_F(BwTreeTest, RacingFlushAndEvictionKeepTheFlashChainExact) {
   }
   EXPECT_TRUE(analysis::LogStoreAuditor(log_.get()).Check().empty());
   EXPECT_TRUE(analysis::BwTreeValidator(tree_.get()).Check().empty());
+}
+
+TEST_F(BwTreeTest, RacingSwingGcAndWritersKeepTheFlashChainExact) {
+  // Three threads share a few leaves. One promotes and demotes them, so a
+  // clean page swings back onto its compressed record and a dirty one
+  // compresses. One seals the log and collects its segments, so GC moves
+  // the records of evicted and resident pages alike. One posts deltas.
+  // Every path that moves a page's record moves its mapping word in the
+  // same metadata hold, so no swing or demotion may land on a record GC
+  // already replaced, and no record may be dropped or marked dead twice.
+  // Each seal spends a device slot, so the segments are small and the
+  // collector seals at most once per writer round.
+  constexpr uint64_t kSegmentBytes = 4 << 10;
+  SetUpStore(512, kSegmentBytes);
+  constexpr int kKeys = 40;
+  // The writer goes on past kMinRounds until the other two have swung
+  // pages and moved records, up to kMaxRounds.
+  constexpr int kMinRounds = 1000;
+  constexpr int kMaxRounds = 5000;
+  // Fixed-length compressible values: pages neither split nor refuse
+  // demotion.
+  auto value = [](int round, int k) {
+    char buf[64];
+    snprintf(buf, sizeof(buf), "%s-%06d", std::string(24, 'a' + k % 26).c_str(),
+             round);
+    return std::string(buf);
+  };
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(tree_->Put(Key(k), value(0, k)).ok());
+  }
+  ASSERT_TRUE(tree_->FlushAll().ok());
+  const std::vector<PageId> leaves = tree_->LeafPageIds();
+  ASSERT_GT(leaves.size(), 1u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds_done{0};
+  std::atomic<uint64_t> errors{0};
+  auto note = [&](const Status& s) {
+    if (!s.ok() && !s.IsAborted() &&
+        s.code() != StatusCode::kFailedPrecondition) {
+      errors.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread tierer([&] {
+    CssPolicy policy;
+    policy.max_reheats = UINT32_MAX;
+    while (!stop.load(std::memory_order_acquire)) {
+      for (PageId pid : leaves) {
+        note(tree_->LoadPage(pid));
+        note(tree_->DemotePage(pid, policy));
+      }
+    }
+  });
+  std::thread collector([&] {
+    auto is_live = [&](PageId p, FlashAddress a) {
+      return tree_->GcIsLive(p, a);
+    };
+    auto install = [&](PageId p, FlashAddress o, FlashAddress n) {
+      return tree_->GcInstall(p, o, n);
+    };
+    int sealed_after = -1;
+    while (!stop.load(std::memory_order_acquire)) {
+      const int done = rounds_done.load(std::memory_order_acquire);
+      if (done != sealed_after) {
+        note(log_->Flush());
+        sealed_after = done;
+      }
+      bool collected = false;
+      for (const auto& seg : log_->segments()) {
+        if (!seg.sealed) continue;
+        note(tree_->PrepareSegmentForGc(seg.id, kSegmentBytes));
+        note(log_->CollectSegment(seg.id, is_live, install).status());
+        collected = true;
+      }
+      tree_->ReclaimMemory();
+      if (!collected) std::this_thread::yield();
+    }
+  });
+  int round = 0;
+  while (round < kMinRounds ||
+         (round < kMaxRounds &&
+          (tree_->stats().css_clean_demotions < 20 ||
+           log_->stats().gc_relocated_records < 20))) {
+    ++round;
+    for (int k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(tree_->Put(Key(k), value(round, k)).ok());
+    }
+    rounds_done.store(round, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop.store(true, std::memory_order_release);
+  tierer.join();
+  collector.join();
+  EXPECT_EQ(errors.load(), 0u);
+  // The race happened: pages swung, and GC moved records.
+  EXPECT_GT(tree_->stats().css_clean_demotions, 0u);
+  EXPECT_GT(log_->stats().gc_relocated_records, 0u);
+
+  // Every evicted word is its page's newest record, and the log's live
+  // bytes are exactly the records the pages reference.
+  int64_t referenced = 0;
+  for (PageId pid : leaves) {
+    const BwTree::PageDebugInfo info = tree_->DebugPageInfo(pid);
+    ASSERT_FALSE(info.flash_chain.empty());
+    const uint64_t w = tree_->mapping_table()->Get(pid);
+    if (IsFlashWord(w)) {
+      EXPECT_EQ(DecodeFlash(w).packed(), info.flash_chain[0]);
+    }
+    for (uint64_t packed : info.flash_chain) {
+      referenced += FlashAddress::FromPacked(packed).len();
+    }
+  }
+  int64_t live = 0;
+  for (const auto& seg : log_->segments()) {
+    live += static_cast<int64_t>(
+                seg.used_bytes -
+                llama::LogStructuredStore::kSegmentHeaderBytes) -
+            static_cast<int64_t>(seg.dead_bytes);
+  }
+  EXPECT_EQ(live, referenced);
+  EXPECT_TRUE(analysis::LogStoreAuditor(log_.get()).Check().empty());
+  EXPECT_TRUE(analysis::BwTreeValidator(tree_.get()).Check().empty());
+  for (int k = 0; k < kKeys; ++k) {
+    auto r = tree_->Get(Key(k));
+    ASSERT_TRUE(r.ok()) << Key(k) << " " << r.status().ToString();
+    EXPECT_EQ(*r, value(round, k));
+  }
 }
 
 TEST_F(BwTreeTest, PurelyInMemoryTreeRejectsPaging) {

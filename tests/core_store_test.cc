@@ -87,6 +87,32 @@ TEST(CachingStoreTest, GcReclaimsDeadSegments) {
   }
 }
 
+TEST(CachingStoreTest, FullDeviceDegradesTheStore) {
+  // Segment offsets only grow, so a small device fills, and from then on
+  // every append that needs a new segment fails with OutOfRange. The
+  // store must count that as a write failure and degrade, not keep
+  // acknowledging Puts it can no longer persist.
+  CachingStoreOptions o = SmallStoreOptions();
+  o.device.capacity_bytes = 4ull << 20;
+  o.memory_budget_bytes = 256 << 10;
+  CachingStore store(o);
+  const std::string value(400, 'v');
+  int failed_puts = 0;
+  Status last_failure;
+  for (int i = 0; i < 40'000; ++i) {
+    Status s = store.Put("key" + std::to_string(i % 8000), value);
+    if (!s.ok()) {
+      ++failed_puts;
+      last_failure = s;
+    }
+  }
+  EXPECT_EQ(store.health(), HealthStatus::kDegraded);
+  EXPECT_GT(failed_puts, 0);
+  EXPECT_EQ(last_failure.code(), StatusCode::kOutOfRange)
+      << last_failure.ToString();
+  EXPECT_EQ(store.Stats().health, HealthStatus::kDegraded);
+}
+
 TEST(CachingStoreTest, CostBasedPolicyEvictsIdlePages) {
   VirtualClock clock(1'000'000'000);
   auto opts = SmallStoreOptions(&clock);

@@ -129,6 +129,204 @@ TEST_F(CssTreeTest, RecoveryOfCompressedPages) {
   }
 }
 
+// A store with the CSS tier on whose maintenance never runs by itself:
+// each test below drives its demotions and GC rounds directly. One leaf
+// holds every key.
+core::CachingStoreOptions ManualTierOptions() {
+  core::CachingStoreOptions opts;
+  opts.device.capacity_bytes = 256ull << 20;
+  opts.device.max_iops = 0;
+  opts.memory_budget_bytes = 0;
+  opts.maintenance_interval_ops = 0;
+  opts.tier.css_budget_bytes = 64ull << 20;
+  opts.tree.max_page_bytes = 64 << 10;
+  return opts;
+}
+
+constexpr int kLeafKeys = 100;
+
+PageId FillOneLeaf(core::CachingStore* store) {
+  for (int i = 0; i < kLeafKeys; ++i) {
+    EXPECT_TRUE(
+        store->Put("key" + std::to_string(i), StructuredValue(i)).ok());
+  }
+  auto pids = store->tree()->LeafPageIds();
+  EXPECT_EQ(pids.size(), 1u);
+  return pids[0];
+}
+
+// Reads every key; `updated` names one key written since the fill.
+void ExpectReads(core::CachingStore* store, int updated = -1) {
+  for (int i = 0; i < kLeafKeys; ++i) {
+    auto r = store->Get("key" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << i;
+    EXPECT_EQ(*r, i == updated ? "updated" : StructuredValue(i)) << i;
+  }
+}
+
+TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
+  core::CachingStore store(ManualTierOptions());
+  BwTree* tree = store.tree();
+  llama::LogStructuredStore* log = store.log_store();
+  const PageId pid = FillOneLeaf(&store);
+
+  DemoteResult first;
+  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &first).ok());
+  ASSERT_TRUE(first.demoted);
+  EXPECT_FALSE(first.swung);
+  const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
+  ASSERT_EQ(chain.size(), 1u);
+
+  // A Get promotes the page; nobody writes it.
+  ExpectReads(&store);
+  ASSERT_TRUE(tree->IsLeafResident(pid));
+  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kDram);
+
+  // Demoting it again swings the word back onto its compressed record.
+  const llama::LogStoreStats before = log->stats();
+  DemoteResult swing;
+  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &swing).ok());
+  EXPECT_TRUE(swing.demoted);
+  EXPECT_TRUE(swing.swung);
+  EXPECT_EQ(swing.raw_bytes, first.raw_bytes);
+  EXPECT_EQ(swing.stored_bytes, first.stored_bytes);
+  EXPECT_EQ(log->stats().records_appended, before.records_appended);
+  EXPECT_EQ(log->stats().dead_bytes_marked, before.dead_bytes_marked);
+  EXPECT_EQ(tree->DebugPageInfo(pid).flash_chain, chain);
+  EXPECT_EQ(tree->mapping_table()->Get(pid),
+            EncodeFlash(FlashAddress::FromPacked(chain[0])));
+  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kCss);
+  const core::KvStoreStats stats = store.Stats();
+  EXPECT_EQ(stats.tier_demotions, 2u);
+  EXPECT_EQ(stats.tier_clean_demotions, 1u);
+  // A swing counts its bytes as a compressing demotion does, so the
+  // measured ratio and page size keep their meaning.
+  EXPECT_EQ(stats.css_raw_bytes, 2 * first.raw_bytes);
+  EXPECT_EQ(stats.css_stored_bytes, 2 * first.stored_bytes);
+  ExpectReads(&store);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+
+  // A write after the promotion makes the next demotion compress: a new
+  // compressed record, and the old one dead.
+  ASSERT_TRUE(store.Put("key3", "updated").ok());
+  const llama::LogStoreStats dirty_before = log->stats();
+  DemoteResult compressed;
+  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &compressed).ok());
+  EXPECT_TRUE(compressed.demoted);
+  EXPECT_FALSE(compressed.swung);
+  EXPECT_EQ(log->stats().css_records_appended,
+            dirty_before.css_records_appended + 1);
+  EXPECT_EQ(log->stats().dead_bytes_marked,
+            dirty_before.dead_bytes_marked +
+                FlashAddress::FromPacked(chain[0]).len());
+  EXPECT_NE(tree->DebugPageInfo(pid).flash_chain, chain);
+  EXPECT_EQ(store.Stats().tier_clean_demotions, 1u);
+  ExpectReads(&store, 3);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+// Demotes the one leaf, seals its compressed record's segment, promotes
+// the page again and returns that record.
+uint64_t DemoteSealAndPromote(core::CachingStore* store, PageId pid) {
+  DemoteResult res;
+  EXPECT_TRUE(store->tree()->DemotePage(pid, CssPolicy{}, &res).ok());
+  EXPECT_TRUE(res.demoted);
+  EXPECT_TRUE(store->log_store()->Flush().ok());
+  ExpectReads(store);
+  EXPECT_TRUE(store->tree()->IsLeafResident(pid));
+  return store->tree()->DebugPageInfo(pid).flash_chain.at(0);
+}
+
+uint64_t SegmentOf(core::CachingStore* store, uint64_t packed) {
+  return FlashAddress::FromPacked(packed).offset() /
+         store->log_store()->options().segment_bytes;
+}
+
+TEST(CssStoreTest, GcMovesAPromotedPagesCompressedRecordAsItIs) {
+  core::CachingStore store(ManualTierOptions());
+  BwTree* tree = store.tree();
+  llama::LogStructuredStore* log = store.log_store();
+  const PageId pid = FillOneLeaf(&store);
+  const uint64_t record = DemoteSealAndPromote(&store, pid);
+
+  const llama::LogStoreStats log_before = log->stats();
+  const BwTreeStats tree_before = tree->stats();
+  const uint64_t word_before = tree->mapping_table()->Get(pid);
+  ASSERT_TRUE(store.RunGc(1.0).ok());
+  for (const llama::SegmentInfo& seg : log->segments()) {
+    EXPECT_NE(seg.id, SegmentOf(&store, record)) << "victim not collected";
+  }
+
+  // The page stays resident and clean, on a copy of the same compressed
+  // record: relocated, not rewritten as a plain image. The install put a
+  // copy of the base in the word, so a demotion or eviction that read
+  // the old word cannot swing onto the collected record.
+  EXPECT_TRUE(tree->IsLeafResident(pid));
+  EXPECT_NE(tree->mapping_table()->Get(pid), word_before);
+  const BwTree::PageDebugInfo info = tree->DebugPageInfo(pid);
+  ASSERT_EQ(info.flash_chain.size(), 1u);
+  const uint64_t moved = info.flash_chain[0];
+  EXPECT_NE(moved, record);
+  EXPECT_EQ(FlashAddress::FromPacked(moved).len(),
+            FlashAddress::FromPacked(record).len());
+  EXPECT_FALSE(info.base_dirty);
+  EXPECT_EQ(log->stats().css_records_appended,
+            log_before.css_records_appended + 1);
+  EXPECT_EQ(tree->stats().full_flushes, tree_before.full_flushes);
+  ExpectReads(&store);
+
+  // A later demotion swings onto the moved record.
+  DemoteResult swing;
+  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &swing).ok());
+  EXPECT_TRUE(swing.swung);
+  EXPECT_EQ(tree->mapping_table()->Get(pid),
+            EncodeFlash(FlashAddress::FromPacked(moved)));
+  ExpectReads(&store);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+TEST(CssStoreTest, GcMovesTheRecordUnderAResidentPageWithDeltas) {
+  core::CachingStoreOptions opts = ManualTierOptions();
+  core::CachingStore store(opts);
+  BwTree* tree = store.tree();
+  llama::LogStructuredStore* log = store.log_store();
+  const PageId pid = FillOneLeaf(&store);
+  const uint64_t record = DemoteSealAndPromote(&store, pid);
+  ASSERT_TRUE(store.Put("key3", "updated").ok());
+
+  const llama::LogStoreStats log_before = log->stats();
+  const BwTreeStats tree_before = tree->stats();
+  ASSERT_TRUE(store.RunGc(1.0).ok());
+  for (const llama::SegmentInfo& seg : log->segments()) {
+    EXPECT_NE(seg.id, SegmentOf(&store, record)) << "victim not collected";
+  }
+
+  // The install folds the delta into a fresh base, which is newer than
+  // the moved record and so dirty.
+  const uint64_t word = tree->mapping_table()->Get(pid);
+  ASSERT_FALSE(IsFlashWord(word));
+  EXPECT_EQ(DecodePointer(word)->type, NodeType::kLeafBase);
+  const BwTree::PageDebugInfo info = tree->DebugPageInfo(pid);
+  ASSERT_EQ(info.flash_chain.size(), 1u);
+  EXPECT_NE(info.flash_chain[0], record);
+  EXPECT_TRUE(info.base_dirty);
+  EXPECT_EQ(log->stats().css_records_appended,
+            log_before.css_records_appended + 1);
+  EXPECT_EQ(tree->stats().full_flushes, tree_before.full_flushes);
+  ExpectReads(&store, 3);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+
+  // The dirty base reaches flash with the next checkpoint and survives a
+  // restart.
+  ASSERT_TRUE(store.Checkpoint().ok());
+  EXPECT_EQ(tree->stats().full_flushes, tree_before.full_flushes + 1);
+  opts.external_device = store.device();
+  core::CachingStore reopened(opts);
+  ASSERT_TRUE(reopened.Recover().ok());
+  ExpectReads(&reopened, 3);
+  EXPECT_TRUE(reopened.CheckInvariants().empty());
+}
+
 TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   VirtualClock clock(1);
   core::CachingStoreOptions opts;
