@@ -56,7 +56,11 @@
 #   taking turns to go first, with seeds PERF_SEED (default 1) upward.
 #   It prints both .jsonl files' paths and fails when
 #   `benchmark/compare.py base.jsonl new.jsonl` exits nonzero (a
-#   regression, a wrong result or a larger failed share).
+#   regression, a wrong result or a larger failed share). With
+#   PERF_TRACE=1 it then runs one `--trace 1` pair per workload, on the
+#   seed after the untraced ones, and prints every per-layer metric's
+#   base and working-tree values side by side (scripts/layer_diff.py),
+#   so a change's per-layer predictions are checked in the same lane.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -76,6 +80,7 @@ tidy     clang-tidy over all first-party sources (+ costperf-* plugin)
 benchmark repo benchmark quick run: Release build, checker self-test, 1 s per workload
 bench    (opt-in) wall-clock bench smoke; writes BENCH_smoke.json
 perf     (opt-in) repo benchmark, PERF_BASE vs working tree, PERF_PAIRS alternating pairs + compare.py
+         (PERF_TRACE=1 adds one traced pair per workload and a per-layer table)
 EOF
   exit 0
 fi
@@ -286,22 +291,28 @@ for lane in "${LANES[@]}"; do
       fi
       echo "base $perf_base exported to $base_tree"
       perf_ok=1
-      for w in ${PERF_WORKLOADS:-lib_incache_point lib_css_tiered}; do
+      perf_workloads="${PERF_WORKLOADS:-lib_incache_point lib_css_tiered}"
+      # perf_run TREE WORKLOAD SEED OUT [run.sh args...]
+      perf_run() {
+        echo "perf: $2 seed $3 on $1 ${*:5}"
+        if ! "$1/benchmark/run.sh" --workload "$2" --seed "$3" --out "$4" \
+             "${@:5}" > "$perf_dir/last_run.log" 2>&1; then
+          tail -20 "$perf_dir/last_run.log"
+          perf_ok=0
+        fi
+      }
+      for w in $perf_workloads; do
         for ((i = 0; i < perf_pairs; i++)); do
           seed=$((perf_seed + i))
-          sides=("$base_tree:$base_out" "$ROOT:$new_out")
           # Alternate which side runs first, so a drift in host load
           # lands on both.
-          if ((i % 2 == 1)); then sides=("${sides[1]}" "${sides[0]}"); fi
-          for side in "${sides[@]}"; do
-            tree="${side%%:*}"
-            echo "perf: $w seed $seed on $tree"
-            if ! "$tree/benchmark/run.sh" --workload "$w" --seed "$seed" \
-                 --out "${side#*:}" > "$perf_dir/last_run.log" 2>&1; then
-              tail -20 "$perf_dir/last_run.log"
-              perf_ok=0
-            fi
-          done
+          if ((i % 2 == 0)); then
+            perf_run "$base_tree" "$w" "$seed" "$base_out"
+            perf_run "$ROOT" "$w" "$seed" "$new_out"
+          else
+            perf_run "$ROOT" "$w" "$seed" "$new_out"
+            perf_run "$base_tree" "$w" "$seed" "$base_out"
+          fi
         done
       done
       echo "perf: base runs $base_out"
@@ -309,6 +320,22 @@ for lane in "${LANES[@]}"; do
       if ! python3 "$ROOT/benchmark/compare.py" "$base_out" "$new_out" \
            --benchmark "$ROOT/BENCHMARK.json"; then
         perf_ok=0
+      fi
+      if [[ "${PERF_TRACE:-0}" == 1 ]]; then
+        seed=$((perf_seed + perf_pairs))
+        for w in $perf_workloads; do
+          perf_run "$base_tree" "$w" "$seed" "$perf_dir/base-traced.jsonl" \
+            --trace 1
+          perf_run "$ROOT" "$w" "$seed" "$perf_dir/new-traced.jsonl" \
+            --trace 1
+        done
+        echo "perf: traced runs $perf_dir/base-traced.jsonl" \
+          "$perf_dir/new-traced.jsonl"
+        if ! python3 "$ROOT/scripts/layer_diff.py" \
+             "$perf_dir/base-traced.jsonl" "$perf_dir/new-traced.jsonl" \
+             --benchmark "$ROOT/BENCHMARK.json"; then
+          perf_ok=0
+        fi
       fi
       if ((perf_ok == 0)); then failures+=("perf"); fi
       ;;

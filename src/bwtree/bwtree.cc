@@ -243,6 +243,11 @@ bool RelocatableLeafChain(const Node* head) {
   return n->type == NodeType::kLeafBase;
 }
 
+// Whether a page's flash chain lists `addr`.
+bool ChainHolds(const std::vector<uint64_t>& chain, FlashAddress addr) {
+  return std::find(chain.begin(), chain.end(), addr.packed()) != chain.end();
+}
+
 }  // namespace
 
 void BwTree::RetireChain(Node* head) {
@@ -1778,11 +1783,11 @@ bool BwTree::IsDirty(PageId pid) const {
   const Node* head = DecodePointer(w);
   const Node* tail = ChainTail(head);
   if (head != tail) return true;  // deltas present
-  PageMeta meta = MetaGet(pid);
-  if (tail->type == NodeType::kLeafBase) {
-    return meta.base_dirty || meta.flash_chain.empty();
-  }
-  return false;
+  if (tail->type != NodeType::kLeafBase) return false;
+  MutexLock lk(&meta_mu_);
+  auto it = meta_.find(pid);
+  return it == meta_.end() || it->second.base_dirty ||
+         it->second.flash_chain.empty();
 }
 
 // ---------------------------------------------------------------------
@@ -2498,15 +2503,13 @@ Status BwTree::SalvageRebuild(
 // ---------------------------------------------------------------------
 
 bool BwTree::GcIsLive(PageId pid, FlashAddress addr) const {
-  PageMeta meta = MetaGet(pid);
-  for (uint64_t packed : meta.flash_chain) {
-    if (packed == addr.packed()) return true;
-  }
-  return false;
+  MutexLock lk(&meta_mu_);
+  auto it = meta_.find(pid);
+  return it != meta_.end() && ChainHolds(it->second.flash_chain, addr);
 }
 
-bool BwTree::GcInstall(PageId pid, FlashAddress old_addr,
-                       FlashAddress new_addr) {
+llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
+                                        FlashAddress new_addr) {
   // The page's flash chain must be exactly old_addr (PrepareSegmentForGc
   // rewrote every other page). An evicted page's flash word moves to the
   // new address. A resident chain is replaced by its consolidated base —
@@ -2514,55 +2517,60 @@ bool BwTree::GcInstall(PageId pid, FlashAddress old_addr,
   // the metadata (DESIGN.md §3.4 rule 4) and a flush, eviction or
   // demotion that read the old word fails its CAS. The replacement is
   // built outside meta_mu_; the chain check, the CAS and the chain update
-  // share one hold, as in CasWithMeta. Retries while writers move the
-  // word, so a busy page does not keep its victim segment from a trim.
+  // share one hold, as in CasWithMeta, and so does the answer when the
+  // page cannot be moved: superseded when the chain no longer holds
+  // old_addr, still referenced when it does. Retries while writers move
+  // the word, so a busy page does not keep its victim segment from a
+  // trim.
+  using llama::InstallOutcome;
   EpochGuard guard(&epochs_);
   for (int attempt = 0; attempt < 100; ++attempt) {
     const uint64_t w = table_.Get(pid);
-    if (w == 0) return false;
     Node* head = nullptr;
     LeafBase* fresh = nullptr;
-    uint64_t desired = EncodeFlash(new_addr);
+    // 0 when the page's current form is not one GcInstall moves.
+    uint64_t desired = 0;
     if (IsFlashWord(w)) {
-      if (w != EncodeFlash(old_addr)) return false;
-    } else {
+      if (w == EncodeFlash(old_addr)) desired = EncodeFlash(new_addr);
+    } else if (w != 0) {
       head = DecodePointer(w);
-      if (!RelocatableLeafChain(head)) return false;
-      fresh = ConsolidateChain(head);
-      if (fresh == nullptr) return false;
-      desired = EncodePointer(fresh);
+      if (RelocatableLeafChain(head)) fresh = ConsolidateChain(head);
+      if (fresh != nullptr) desired = EncodePointer(fresh);
     }
-    bool chain_is_old = false;
-    bool installed = false;
+    InstallOutcome outcome = InstallOutcome::kStillReferenced;
+    bool raced = false;
     {
       MutexLock lk(&meta_mu_);
       auto it = meta_.find(pid);
-      chain_is_old = it != meta_.end() &&
-                     it->second.flash_chain.size() == 1 &&
-                     it->second.flash_chain[0] == old_addr.packed();
-      if (chain_is_old && table_.Cas(pid, w, desired)) {
-        it->second.flash_chain[0] = new_addr.packed();
-        // Folded deltas make the new base newer than the record.
-        if (head != nullptr && head->next != nullptr) {
-          it->second.base_dirty = true;
+      if (it == meta_.end() || !ChainHolds(it->second.flash_chain, old_addr)) {
+        outcome = InstallOutcome::kSuperseded;
+      } else if (desired != 0 && it->second.flash_chain.size() == 1) {
+        if (table_.Cas(pid, w, desired)) {
+          it->second.flash_chain[0] = new_addr.packed();
+          // Folded deltas make the new base newer than the record.
+          if (head != nullptr && head->next != nullptr) {
+            it->second.base_dirty = true;
+          }
+          outcome = InstallOutcome::kInstalled;
+        } else {
+          raced = true;
         }
-        installed = true;
       }
     }
-    if (installed) {
+    if (outcome == InstallOutcome::kInstalled) {
       if (head != nullptr) {
         RetireChain(head);
         if (options_.cache != nullptr) {
           options_.cache->Resize(pid, ChainBytes(fresh));
         }
       }
-      return true;
+      return outcome;
     }
     delete fresh;
-    if (!chain_is_old) return false;
+    if (!raced) return outcome;
     s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
   }
-  return false;
+  return llama::InstallOutcome::kStillReferenced;
 }
 
 Status BwTree::PrepareSegmentForGc(uint64_t segment_id,

@@ -281,8 +281,11 @@ class BwTree {
   // relocated copy `new_addr`. An evicted page's flash word moves to
   // the new address; a resident leaf chain without SMO deltas is
   // replaced by its consolidated base, so the mapping word moves with
-  // the metadata. False when the page is neither (or moved meanwhile).
-  bool GcInstall(PageId pid, FlashAddress old_addr, FlashAddress new_addr);
+  // the metadata. Otherwise answers kSuperseded when the page's chain no
+  // longer holds old_addr (a flush, demotion or free replaced it) and
+  // kStillReferenced when it does.
+  llama::InstallOutcome GcInstall(PageId pid, FlashAddress old_addr,
+                                  FlashAddress new_addr);
   // Rewrites every page in the segment that GcInstall cannot move — a
   // multi-record flash chain, a FlashPointer tail or an SMO chain — so
   // only relocatable records remain live there.

@@ -326,13 +326,14 @@ bool CachingStore::EvictStep(const maintenance::MaintenanceQuota& quota) {
   if (want == 0 && !cost_based) return false;
   auto victims = cache_->PickVictims(want, quota.evict_pages);
   bool progressed = false;
-  uint32_t demoted = 0;
   for (auto pid : victims) {
-    // Demote-before-evict: a cold victim goes to the compressed tier
-    // when the policy says it pays; demotion IS its eviction (one CAS
-    // moved the page out of DRAM), so plain eviction is skipped.
-    if (demoted < quota.compress_pages && TryDemote(pid)) {
-      ++demoted;
+    // Demote-before-evict: a victim goes to the compressed tier when the
+    // policy says it pays; demotion IS its eviction (one CAS moved the
+    // page out of DRAM), so plain eviction is skipped and evict_pages
+    // bounds both. Over budget the page must leave DRAM now whatever its
+    // idle time, and leaving compressed is what keeps its flash bytes
+    // small.
+    if (TryDemote(pid, /*over_budget=*/want > 0)) {
       progressed = true;
       if (degraded_.load(std::memory_order_acquire)) return false;
       continue;
@@ -356,12 +357,13 @@ bool CachingStore::EvictStep(const maintenance::MaintenanceQuota& quota) {
                         (cost_based && victims.size() >= quota.evict_pages));
 }
 
-bool CachingStore::TryDemote(mapping::PageId pid) {
+bool CachingStore::TryDemote(mapping::PageId pid, bool over_budget) {
   const auto& tier = options_.tier;
   if (tier.css_budget_bytes == 0) return false;
   if (cache_->GetTier(pid) != llama::CacheTier::kDram) return false;
-  const double idle = cache_->IdleSeconds(pid);
-  if (idle < tier.demote_idle_seconds) return false;
+  if (!over_budget && cache_->IdleSeconds(pid) < tier.demote_idle_seconds) {
+    return false;
+  }
   if (cache_->css_resident_bytes() >= tier.css_budget_bytes) return false;
   bwtree::CssPolicy policy;
   policy.min_ratio = tier.min_ratio;
@@ -385,7 +387,7 @@ bool CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
   for (auto pid : cache_->PickDemotionCandidates(quota.compress_pages,
                                                  tier.demote_idle_seconds)) {
     if (cache_->css_resident_bytes() >= tier.css_budget_bytes) break;
-    TryDemote(pid);
+    TryDemote(pid, /*over_budget=*/false);
     if (degraded_.load(std::memory_order_acquire)) return false;
   }
 
@@ -397,8 +399,9 @@ bool CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
   if (css > tier.css_budget_bytes) {
     for (auto pid : cache_->PickCssVictims(css - tier.css_budget_bytes,
                                            quota.evict_pages)) {
-      cache_->Erase(pid);
-      bg_css_fallthroughs_.fetch_add(1, std::memory_order_relaxed);
+      if (cache_->EraseCss(pid)) {
+        bg_css_fallthroughs_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     more = cache_->css_resident_bytes() > tier.css_budget_bytes;
   }

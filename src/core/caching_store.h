@@ -36,7 +36,10 @@ struct CachingStoreOptions {
   struct TierOptions {
     // Stored-byte budget for CSS-tier pages. 0 disables the tier.
     uint64_t css_budget_bytes = 0;
-    // Only pages idle at least this long are demotion candidates.
+    // Proactive demotion (and a cost-based eviction victim under the
+    // memory budget) takes only pages idle at least this long. A victim
+    // evicted while the store is over its memory budget tries demotion
+    // whatever its idle time.
     double demote_idle_seconds = 30.0;
     // Refuse demotion when compressed/raw exceeds this.
     double min_ratio = 0.85;
@@ -211,14 +214,20 @@ class CachingStore : public KvStore,
   static constexpr double kPromoteFillFloor = 0.7;
   bool EvictStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
-  // CSS tier maintenance: demotes cold DRAM pages (quota.compress_pages),
-  // drops CSS overflow to plain SS, and promotes hot CSS pages back while
-  // DRAM has headroom (quota.promote_pages). No-op when the tier is off.
+  // CSS tier maintenance: demotes DRAM pages idle past the floor
+  // (quota.compress_pages), drops CSS overflow to plain SS, and promotes
+  // hot CSS pages back while DRAM has headroom (quota.promote_pages).
+  // No-op when the tier is off.
   bool TierStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
-  // Demote-before-evict decision for one victim: true when the page went
-  // to the CSS tier (so plain eviction must be skipped).
-  bool TryDemote(mapping::PageId pid) REQUIRES(maintenance_mu_);
+  // Tries to demote one page to the CSS tier: true when it went there
+  // (so an eviction victim must not also be evicted). A page below
+  // demote_idle_seconds is refused unless `over_budget`: a victim picked
+  // while resident bytes exceed the budget leaves DRAM either way, and
+  // leaving compressed keeps its flash bytes small. The CSS budget and
+  // the CssPolicy refusals apply in both cases.
+  bool TryDemote(mapping::PageId pid, bool over_budget)
+      REQUIRES(maintenance_mu_);
   bool GcStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // One prepare-then-collect GC round: picks the coldest sealed segment at

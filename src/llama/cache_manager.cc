@@ -261,7 +261,23 @@ void CacheManager::Erase(mapping::PageId pid) {
   Shard& shard = ShardFor(pid);
   MutexLock lk(&shard.mu);
   Slot* s = FindSlot(shard, pid);
-  if (s == nullptr) return;
+  if (s != nullptr) EraseSlot(shard, s);
+}
+
+bool CacheManager::EraseCss(mapping::PageId pid) {
+  Shard& shard = ShardFor(pid);
+  MutexLock lk(&shard.mu);
+  Slot* s = FindSlot(shard, pid);
+  if (s == nullptr ||
+      static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed)) !=
+          CacheTier::kCss) {
+    return false;
+  }
+  EraseSlot(shard, s);
+  return true;
+}
+
+void CacheManager::EraseSlot(Shard& shard, Slot* s) {
   const uint64_t bytes = s->bytes.load(std::memory_order_relaxed);
   const CacheTier tier =
       static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed));
@@ -347,33 +363,73 @@ uint64_t CacheManager::css_resident_bytes() const {
   return total;
 }
 
-std::vector<CacheManager::VictimCandidate>
-CacheManager::SnapshotByRecency(CacheTier tier) {
-  std::vector<VictimCandidate> all;
-  for (const auto& shard : shards_) {
-    MutexLock lk(&shard->mu);
-    Table* t = shard->table.load(std::memory_order_relaxed);
-    for (size_t i = 0; i <= t->mask; ++i) {
-      Slot& s = t->slots[i];
-      const uint64_t pid = s.pid.load(std::memory_order_relaxed);
+std::vector<CacheManager::VictimCandidate> CacheManager::Sweep(
+    CacheTier tier, size_t limit) {
+  std::vector<VictimCandidate> out;
+  if (limit == 0) return out;
+  out.reserve(std::min<size_t>(limit, 1024));
+  constexpr uint64_t kSlotMask = (uint64_t{1} << kHandSlotBits) - 1;
+  const uint64_t hand = hand_.load(std::memory_order_relaxed);
+  const size_t first_shard = (hand >> kHandSlotBits) & shard_mask_;
+  const size_t first_slot = hand & kSlotMask;
+  // The hand's shard from the hand on, every other shard whole, then the
+  // hand's shard again up to the hand: each slot at most once. Tables
+  // only grow, so a slot index the hand kept stays in range; a table
+  // retired mid-sweep is still readable, and its entries are re-checked
+  // by the caller like any other pick.
+  const size_t n = shards_.size();
+  for (size_t step = 0; step <= n; ++step) {
+    const size_t si = (first_shard + step) & shard_mask_;
+    const Table* t = shards_[si]->table.load(std::memory_order_acquire);
+    const size_t end =
+        step == n ? std::min(first_slot, t->capacity()) : t->capacity();
+    for (size_t i = step == 0 ? first_slot : 0; i < end; ++i) {
+      const Slot& s = t->slots[i];
+      const uint64_t pid = s.pid.load(std::memory_order_acquire);
       if (pid == kEmptyPid || pid == kTombstonePid) continue;
-      if (static_cast<CacheTier>(s.tier.load(std::memory_order_relaxed)) !=
-          tier) {
+      if (s.tier.load(std::memory_order_relaxed) !=
+          static_cast<uint32_t>(tier)) {
         continue;
       }
-      all.push_back({pid, s.bytes.load(std::memory_order_relaxed),
-                     s.tick.load(std::memory_order_relaxed),
-                     s.seq.load(std::memory_order_relaxed)});
+      const VictimCandidate c{pid, s.bytes.load(std::memory_order_relaxed),
+                              s.tick.load(std::memory_order_relaxed),
+                              s.seq.load(std::memory_order_relaxed)};
+      // The payload reads stay before the re-load: a slot erased or
+      // re-claimed meanwhile is dropped rather than reported with a
+      // mixed payload.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (s.pid.load(std::memory_order_relaxed) != pid) continue;
+      out.push_back(c);
+      if (out.size() == limit) {
+        hand_.store((static_cast<uint64_t>(si) << kHandSlotBits) | (i + 1),
+                    std::memory_order_relaxed);
+        return out;
+      }
     }
   }
-  // (tick, seq) ascending = exact LRU order, coldest first: every Insert
-  // and full Touch refreshes tick; seq breaks same-tick ties by
-  // insertion order.
-  std::sort(all.begin(), all.end(),
-            [](const VictimCandidate& a, const VictimCandidate& b) {
-              return a.tick != b.tick ? a.tick < b.tick : a.seq < b.seq;
-            });
-  return all;
+  return out;
+}
+
+std::vector<CacheManager::VictimCandidate> CacheManager::Sample(
+    CacheTier tier, size_t k, bool hottest_first) {
+  // Saturating: the unbounded PickVictims sweeps the whole tier.
+  const size_t limit = k > std::numeric_limits<size_t>::max() / kSampleFactor
+                           ? std::numeric_limits<size_t>::max()
+                           : k * kSampleFactor;
+  std::vector<VictimCandidate> sample = Sweep(tier, limit);
+  const size_t keep = std::min(k, sample.size());
+  // (tick, seq) ascending is exact LRU order, coldest first: every Insert
+  // and full Touch refreshes tick; seq breaks same-tick ties by insertion
+  // order.
+  auto colder = [](const VictimCandidate& a, const VictimCandidate& b) {
+    return a.tick != b.tick ? a.tick < b.tick : a.seq < b.seq;
+  };
+  std::partial_sort(sample.begin(), sample.begin() + keep, sample.end(),
+                    [&](const VictimCandidate& a, const VictimCandidate& b) {
+                      return hottest_first ? colder(b, a) : colder(a, b);
+                    });
+  sample.resize(keep);
+  return sample;
 }
 
 std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes) {
@@ -382,50 +438,32 @@ std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes) {
 
 std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes,
                                                        size_t max_pages) {
-  std::vector<mapping::PageId> victims;
-  if (max_pages == 0) return victims;
-  uint64_t picked = 0;
+  // Victim selection is a DRAM-tier concern: CSS entries hold no memory
+  // worth reclaiming here (PickCssVictims handles CSS overflow). The
+  // sample holds at most max_pages entries.
+  const std::vector<VictimCandidate> order =
+      Sample(CacheTier::kDram, max_pages);
+  // Read after the sweep, so no tick it saw is newer than `now`.
   const uint64_t now = clock_->NowNanos();
   const uint64_t breakeven_nanos =
       static_cast<uint64_t>(options_.breakeven_interval_seconds * 1e9);
-  // Victim selection is a DRAM-tier concern: CSS entries hold no memory
-  // worth reclaiming here (PickCssVictims handles CSS overflow).
-  std::vector<VictimCandidate> order = SnapshotByRecency(CacheTier::kDram);
-
-  switch (options_.policy) {
-    case EvictionPolicy::kLru: {
-      for (size_t i = 0; i < order.size() && picked < want_bytes &&
-                         victims.size() < max_pages;
-           ++i) {
-        victims.push_back(order[i].pid);
-        picked += order[i].bytes;
-      }
-      break;
+  std::vector<mapping::PageId> victims;
+  uint64_t picked = 0;
+  size_t i = 0;
+  // First pass, cost-based only: every page idle past breakeven is worth
+  // evicting regardless of budget — its DRAM rental now exceeds the cost
+  // of an SS operation on its next access (paper §4.2). The sample is
+  // recency-ordered, so stop at the first page younger than breakeven.
+  if (options_.policy == EvictionPolicy::kCostBased) {
+    for (; i < order.size() && now - order[i].tick > breakeven_nanos; ++i) {
+      victims.push_back(order[i].pid);
+      picked += order[i].bytes;
     }
-    case EvictionPolicy::kCostBased: {
-      // First pass: every page idle past breakeven is worth evicting
-      // regardless of budget — its DRAM rental now exceeds the cost of an
-      // SS operation on its next access (paper §4.2). The snapshot is
-      // recency-ordered, so stop at the first page younger than
-      // breakeven.
-      size_t split = 0;
-      for (; split < order.size() && victims.size() < max_pages; ++split) {
-        if (now - order[split].tick > breakeven_nanos) {
-          victims.push_back(order[split].pid);
-          picked += order[split].bytes;
-        } else {
-          break;
-        }
-      }
-      // Second pass: budget is a hard constraint; top up from LRU.
-      for (size_t i = split; i < order.size() && picked < want_bytes &&
-                             victims.size() < max_pages;
-           ++i) {
-        victims.push_back(order[i].pid);
-        picked += order[i].bytes;
-      }
-      break;
-    }
+  }
+  // The budget is a hard constraint: take LRU order until it is covered.
+  for (; i < order.size() && picked < want_bytes; ++i) {
+    victims.push_back(order[i].pid);
+    picked += order[i].bytes;
   }
   return victims;
 }
@@ -433,16 +471,16 @@ std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes,
 std::vector<mapping::PageId> CacheManager::PickDemotionCandidates(
     size_t max_pages, double min_idle_seconds) {
   std::vector<mapping::PageId> out;
-  if (max_pages == 0) return out;
+  const std::vector<VictimCandidate> order =
+      Sample(CacheTier::kDram, max_pages);
   const uint64_t now = clock_->NowNanos();
   const uint64_t min_idle_nanos =
       static_cast<uint64_t>(min_idle_seconds * 1e9);
   // Coldest-first; stop at the first page younger than the idle floor —
-  // everything after it in recency order is younger still.
-  for (const VictimCandidate& c : SnapshotByRecency(CacheTier::kDram)) {
+  // everything after it in the sample is younger still.
+  for (const VictimCandidate& c : order) {
     if (now - c.tick < min_idle_nanos) break;
     out.push_back(c.pid);
-    if (out.size() >= max_pages) break;
   }
   return out;
 }
@@ -450,10 +488,9 @@ std::vector<mapping::PageId> CacheManager::PickDemotionCandidates(
 std::vector<mapping::PageId> CacheManager::PickCssVictims(
     uint64_t want_bytes, size_t max_pages) {
   std::vector<mapping::PageId> out;
-  if (max_pages == 0) return out;
   uint64_t picked = 0;
-  for (const VictimCandidate& c : SnapshotByRecency(CacheTier::kCss)) {
-    if (picked >= want_bytes || out.size() >= max_pages) break;
+  for (const VictimCandidate& c : Sample(CacheTier::kCss, max_pages)) {
+    if (picked >= want_bytes) break;
     out.push_back(c.pid);
     picked += c.bytes;
   }
@@ -463,12 +500,9 @@ std::vector<mapping::PageId> CacheManager::PickCssVictims(
 std::vector<mapping::PageId> CacheManager::PickPromotionCandidates(
     size_t max_pages) {
   std::vector<mapping::PageId> out;
-  if (max_pages == 0) return out;
-  std::vector<VictimCandidate> order = SnapshotByRecency(CacheTier::kCss);
-  // Hottest first: walk the coldest-first snapshot backwards.
-  for (auto it = order.rbegin(); it != order.rend() && out.size() < max_pages;
-       ++it) {
-    out.push_back(it->pid);
+  for (const VictimCandidate& c :
+       Sample(CacheTier::kCss, max_pages, /*hottest_first=*/true)) {
+    out.push_back(c.pid);
   }
   return out;
 }

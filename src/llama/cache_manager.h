@@ -104,8 +104,15 @@ struct CacheStats {
 // table through an acquire-load of the published pid and then read or
 // write the per-entry atomics (last-touch tick) with relaxed ordering.
 // Structural mutations (Insert/Erase/Resize/growth) take a short
-// per-shard mutex; victim selection snapshots each shard under that same
-// mutex, so eviction never blocks the read path.
+// per-shard mutex. Victim selection takes none: a pick sweeps the slot
+// tables lock-free from a per-manager hand, shard after shard, until it
+// has seen kSampleFactor entries of the wanted tier per page it needs
+// (or every slot once), and returns the coldest of that sample (the
+// hottest, for promotion). A tier that fits in one sample is picked in
+// exact LRU order; a larger one in approximate (CLOCK-like) order, and
+// successive picks sweep on from where the last one stopped, so every
+// page is seen within ceil(n / sample) picks. Picks are advisory:
+// callers re-check each page before acting on it.
 //
 // Memory-ordering contract: a slot's payload fields (bytes, tick, seq,
 // tier, reheats) are written before its pid is store-released; readers
@@ -147,15 +154,21 @@ class CacheManager {
   uint64_t resident_bytes() const;
   bool OverBudget() const;
 
+  // A bounded pick for k pages samples kSampleFactor * k entries of its
+  // tier and orders only that sample.
+  static constexpr size_t kSampleFactor = 8;
+
   // Picks victims whose combined size is >= want_bytes (or until the
   // cache would be empty), in policy order. Does NOT erase them — the
   // caller evicts each page (flushing if dirty) and then calls Erase.
   // For kCostBased with want_bytes == 0, returns every page whose idle
-  // time exceeds breakeven (proactive cost-driven eviction).
+  // time exceeds breakeven (proactive cost-driven eviction). Unbounded:
+  // sweeps and orders the whole DRAM tier.
   std::vector<mapping::PageId> PickVictims(uint64_t want_bytes);
   // Quota-bounded variant for incremental background eviction: stops
   // after max_pages victims even if want_bytes is not yet covered (the
-  // caller re-runs on its next maintenance step).
+  // caller re-runs on its next maintenance step), and picks them from a
+  // sample of kSampleFactor * max_pages DRAM-tier entries.
   std::vector<mapping::PageId> PickVictims(uint64_t want_bytes,
                                            size_t max_pages);
 
@@ -181,19 +194,26 @@ class CacheManager {
 
   uint64_t css_resident_bytes() const;
 
+  // The three tier picks below choose from a sample of kSampleFactor *
+  // max_pages entries, like the bounded PickVictims, and change no state
+  // but the sweep's hand.
+
   // Coldest-first DRAM-tier pages idle for at least min_idle_seconds:
-  // the demotion work list. Does not change any state — the caller runs
-  // DemotePage (which may refuse) and the tier flips via SetTier.
+  // the demotion work list. The caller runs DemotePage (which may
+  // refuse) and the tier flips via SetTier.
   std::vector<mapping::PageId> PickDemotionCandidates(
       size_t max_pages, double min_idle_seconds);
   // Coldest-first CSS-tier pages covering want_bytes: when the CSS tier
   // itself is over budget these fall through to plain SS (their durable
-  // record already exists — the caller just Erases them here).
+  // record already exists — the caller just drops them with EraseCss).
   std::vector<mapping::PageId> PickCssVictims(uint64_t want_bytes,
                                               size_t max_pages);
   // Hottest-first CSS-tier pages: promotion candidates for when DRAM has
   // headroom and background work can pay decompression ahead of demand.
   std::vector<mapping::PageId> PickPromotionCandidates(size_t max_pages);
+  // Drops pid only while it is a CSS-tier entry, so a page a reader
+  // promoted after it was picked stays tracked. Returns whether it did.
+  bool EraseCss(mapping::PageId pid);
 
   // Snapshot of (pid, stored bytes) for every CSS-tier page, for
   // invariant auditing against the log store's compressed-record
@@ -289,7 +309,8 @@ class CacheManager {
   static constexpr int kTouchCells = 64;
   static int TouchCellIndex();
 
-  // A consistent per-page snapshot used for victim selection.
+  // One entry a sweep saw: a slot's payload, read lock-free between two
+  // loads of the same pid.
   struct VictimCandidate {
     mapping::PageId pid;
     uint64_t bytes;
@@ -306,14 +327,27 @@ class CacheManager {
   Slot* FindOrClaimSlot(Shard& shard, mapping::PageId pid,
                         bool* claimed_tombstone) REQUIRES(shard.mu);
   void GrowTable(Shard& shard) REQUIRES(shard.mu);
-  // Snapshot of every page in `tier` across all shards, sorted by
-  // (tick, seq) — i.e. exact LRU order, coldest first.
-  std::vector<VictimCandidate> SnapshotByRecency(CacheTier tier);
+  // Visits slots from hand_, shard after shard, without a shard mutex,
+  // and collects up to `limit` entries of `tier`, visiting each slot at
+  // most once. Leaves the hand just past the last entry collected.
+  std::vector<VictimCandidate> Sweep(CacheTier tier, size_t limit);
+  // The k coldest entries (the k hottest with hottest_first) of a sweep
+  // of kSampleFactor * k entries of `tier`, in (tick, seq) order: exact
+  // LRU order within the sample.
+  std::vector<VictimCandidate> Sample(CacheTier tier, size_t k,
+                                      bool hottest_first = false);
+  // Tombstones a found slot and releases its tier's accounting.
+  void EraseSlot(Shard& shard, Slot* s) REQUIRES(shard.mu);
 
   const CacheOptions options_;
   Clock* clock_;
   // Monotonic recency tiebreak, bumped on insert/re-insert.
   std::atomic<uint64_t> lru_seq_{0};
+  // The sweep's next slot: shard index above kHandSlotBits, slot index
+  // below. The only state a pick writes; racing picks may sweep the same
+  // slots, which only repeats a sample.
+  static constexpr int kHandSlotBits = 48;
+  std::atomic<uint64_t> hand_{0};
   size_t shard_mask_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable TouchCell touch_cells_[kTouchCells];

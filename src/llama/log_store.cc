@@ -359,16 +359,18 @@ Result<GcStats> LogStructuredStore::CollectSegment(uint64_t segment_id,
       Result<FlashAddress> appended = AppendRecord(pid, payload, flags,
                                                    raw_len);
       if (!appended.ok()) return appended.status();
-      if (install(pid, old_addr, *appended)) {
+      const InstallOutcome outcome = install(pid, old_addr, *appended);
+      if (outcome == InstallOutcome::kInstalled) {
         gc.relocated_records++;
         gc.relocated_bytes += record_len;
         relocated_old.push_back(old_addr);
       } else {
-        // Page moved concurrently (e.g. a foreground read loaded it
-        // between liveness check and install); the copy we just wrote is
-        // garbage, and the page still references old_addr.
+        // The copy we just wrote is garbage. A page that was rewritten
+        // since the liveness check no longer needs old_addr, and its
+        // replacement is synced below with the relocations; one that
+        // still references old_addr keeps the victim from its trim.
         MarkDead(*appended);
-        gc.failed_installs++;
+        if (outcome == InstallOutcome::kStillReferenced) gc.failed_installs++;
       }
     }
     pos += record_len;

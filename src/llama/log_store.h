@@ -87,14 +87,26 @@ struct SegmentInfo {
   }
 };
 
+// What GC's install callback found for one relocated record.
+enum class InstallOutcome {
+  // The page now references the relocated copy.
+  kInstalled,
+  // The page no longer references the old record: a flush, demotion,
+  // eviction or free replaced it after the liveness check.
+  kSuperseded,
+  // The page still references the old record and could not be moved.
+  kStillReferenced,
+};
+
 struct GcStats {
   uint64_t segment_id = 0;
   uint64_t relocated_records = 0;
   uint64_t relocated_bytes = 0;
   uint64_t reclaimed_bytes = 0;
-  // Live records whose relocation could not be installed (the page moved
-  // concurrently). When nonzero the victim was NOT trimmed: its durable
-  // copies are still referenced, so reclaiming the media would lose them.
+  // Live records whose relocation could not be installed while their page
+  // still referenced them. When nonzero the victim was NOT trimmed: its
+  // durable copies are still referenced, so reclaiming the media would
+  // lose them. A superseded record does not count: nothing needs it.
   uint64_t failed_installs = 0;
 };
 
@@ -172,10 +184,11 @@ class LogStructuredStore {
   // Asks whether pid's current location is still `addr` (i.e. the record
   // is live).
   using LivenessFn = std::function<bool(PageId, FlashAddress)>;
-  // Atomically re-points pid from old to new location; false if the page
-  // moved concurrently (the relocated copy is then marked dead).
-  using InstallFn =
-      std::function<bool(PageId, FlashAddress old_addr, FlashAddress new_addr)>;
+  // Atomically re-points pid from old to new location. Unless it answers
+  // kInstalled the relocated copy is marked dead, and only
+  // kStillReferenced keeps the victim from its trim.
+  using InstallFn = std::function<InstallOutcome(
+      PageId, FlashAddress old_addr, FlashAddress new_addr)>;
 
   // Relocates live records out of a sealed segment, then trims it.
   Result<GcStats> CollectSegment(uint64_t segment_id, const LivenessFn& live,

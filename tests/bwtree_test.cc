@@ -550,6 +550,52 @@ TEST_F(BwTreeTest, GcPreservesEvictedPages) {
   }
 }
 
+TEST_F(BwTreeTest, GcTrimsAVictimWhoseRecordWasReplacedDuringTheRound) {
+  SetUpStore();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
+  const std::vector<PageId> leaves = tree_->LeafPageIds();
+  ASSERT_EQ(leaves.size(), 1u);
+  const PageId leaf = leaves[0];
+  ASSERT_TRUE(tree_->FlushPage(leaf, FlushMode::kFullPage).ok());
+  ASSERT_TRUE(log_->Flush().ok());
+  const uint64_t segment_bytes = log_->options().segment_bytes;
+  const uint64_t victim =
+      FlashAddress::FromPacked(tree_->DebugPageInfo(leaf).flash_chain.at(0))
+          .offset() /
+      segment_bytes;
+
+  // Between GC's liveness check and its install, a write and a flush
+  // replace the leaf's record in the victim. Nothing references the old
+  // record any more, so the victim must still be trimmed.
+  bool rewritten = false;
+  auto live = [&](PageId p, FlashAddress a) { return tree_->GcIsLive(p, a); };
+  auto install = [&](PageId p, FlashAddress o, FlashAddress n) {
+    if (p == leaf && !rewritten) {
+      rewritten = true;
+      EXPECT_TRUE(tree_->Put(Key(2), "rewritten").ok());
+      EXPECT_TRUE(tree_->FlushPage(leaf, FlushMode::kFullPage).ok());
+    }
+    return tree_->GcInstall(p, o, n);
+  };
+  ASSERT_TRUE(tree_->PrepareSegmentForGc(victim, segment_bytes).ok());
+  auto gc = log_->CollectSegment(victim, live, install);
+  ASSERT_TRUE(gc.ok()) << gc.status().ToString();
+  EXPECT_TRUE(rewritten);
+  EXPECT_EQ(gc->failed_installs, 0u);
+  EXPECT_EQ(gc->reclaimed_bytes, segment_bytes);
+  for (const auto& seg : log_->segments()) EXPECT_NE(seg.id, victim);
+  EXPECT_TRUE(analysis::LogStoreAuditor(log_.get()).Check().empty());
+  EXPECT_TRUE(analysis::BwTreeValidator(tree_.get()).Check().empty());
+
+  // The replacement is what a reload reads.
+  ASSERT_TRUE(tree_->EvictPage(leaf, EvictMode::kFullEviction).ok());
+  for (int i = 0; i < 5; ++i) {
+    auto r = tree_->Get(Key(i));
+    ASSERT_TRUE(r.ok()) << Key(i) << " " << r.status().ToString();
+    EXPECT_EQ(*r, i == 2 ? "rewritten" : Val(i));
+  }
+}
+
 TEST_F(BwTreeTest, MemoryFootprintShrinksOnEviction) {
   SetUpStore(512);
   for (int i = 0; i < 500; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());

@@ -120,7 +120,7 @@ TEST(CacheConcurrencyTest, EvictionSweepRacesReaders) {
     });
   }
   // The evictor loop mirrors the maintenance eviction step: pick victims
-  // under the shard latches, erase them while readers keep touching the
+  // with a lock-free sweep, erase them while readers keep touching the
   // same pids.
   int sweeps = 0;
   while (cm.OverBudget() && sweeps < 64) {
@@ -137,6 +137,72 @@ TEST(CacheConcurrencyTest, EvictionSweepRacesReaders) {
   for (const auto& [pid, sz] : cm.ResidentEntries()) bytes += sz;
   EXPECT_EQ(bytes, cm.resident_bytes());
   EXPECT_EQ(cm.stats().resident_bytes, cm.resident_bytes());
+}
+
+TEST(CacheConcurrencyTest, BoundedPicksRaceInsertEraseTouchAndGrowth) {
+  CacheOptions opts;
+  opts.memory_budget_bytes = ~0ull;
+  opts.shards = 2;  // few shards: the inserts below grow every table
+  CacheManager cm(opts);
+  constexpr uint64_t kPids = 4096;
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> picked{0};
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> threads;
+  // The picker sweeps lock-free while slots are claimed, tombstoned,
+  // flipped between tiers and copied into grown tables. A pick may name a
+  // page that has just left, never one that was never inserted.
+  threads.emplace_back([&] {
+    auto check = [&](const std::vector<mapping::PageId>& pids) {
+      picked.fetch_add(pids.size(), std::memory_order_relaxed);
+      for (mapping::PageId pid : pids) {
+        if (pid >= kPids) bad.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    while (!stop.load(std::memory_order_relaxed)) {
+      check(cm.PickVictims(~0ull, 8));
+      check(cm.PickDemotionCandidates(4, 0.0));
+      check(cm.PickCssVictims(~0ull, 8));
+      check(cm.PickPromotionCandidates(4));
+    }
+  });
+  threads.emplace_back([&] {
+    uint64_t pid = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      cm.Touch(pid);
+      pid = (pid + 7) % kPids;
+    }
+  });
+  // Writer: grows the tables, then churns the odd pids through the CSS
+  // tier and out, and back in, until the picker has picked something.
+  for (uint64_t pid = 0; pid < kPids; ++pid) cm.Insert(pid, 64);
+  for (int round = 0;
+       round < 4 || (picked.load(std::memory_order_relaxed) == 0 &&
+                     round < 1000);
+       ++round) {
+    for (uint64_t pid = 1; pid < kPids; pid += 2) {
+      cm.SetTier(pid, CacheTier::kCss, 16);
+      if (round % 2 == 0) {
+        cm.Erase(pid);
+      } else {
+        cm.EraseCss(pid);
+      }
+      cm.Insert(pid, 64);
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(picked.load(), 0u);
+  for (uint64_t pid = 0; pid < kPids; ++pid) {
+    ASSERT_TRUE(cm.Contains(pid)) << pid;
+  }
+  auto s = cm.stats();
+  EXPECT_EQ(s.resident_pages, kPids);
+  EXPECT_EQ(s.resident_bytes, kPids * 64);
+  EXPECT_EQ(s.css_pages, 0u);
 }
 
 TEST(CacheConcurrencyTest, SampledTouchesCountAndStaySafe) {

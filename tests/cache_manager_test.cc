@@ -180,6 +180,142 @@ TEST(CacheManagerTest, ReinsertActsAsResizeTouch) {
   EXPECT_EQ(victims[0], 2u);
 }
 
+// Inserts pids [0, n), each one second after the last: pid order is LRU
+// order, coldest first.
+void InsertAscending(CacheManager* cm, VirtualClock* clock, uint64_t n,
+                     uint64_t bytes = 100) {
+  for (mapping::PageId p = 0; p < n; ++p) {
+    cm->Insert(p, bytes);
+    clock->AdvanceSeconds(1.0);
+  }
+}
+
+TEST(CacheManagerTest, TierPicksAreExactLruWhenTheTierFitsOneSample) {
+  VirtualClock clock;
+  CacheManager cm(WithClock(&clock, EvictionPolicy::kLru));
+  // Ten pages, touched out of insertion order: recency order is
+  // 2, 5, 7, 9, 0, 1, 3, 4, 6, 8 (coldest first).
+  InsertAscending(&cm, &clock, 10);
+  for (mapping::PageId p : {0, 1, 3, 4, 6, 8}) {
+    cm.Touch(p);
+    clock.AdvanceSeconds(1.0);
+  }
+  // Four pages need a sample of 32 entries: the whole tier.
+  ASSERT_GE(CacheManager::kSampleFactor * 4, 10u);
+  using Pids = std::vector<mapping::PageId>;
+  EXPECT_EQ(cm.PickVictims(~0ull, 4), (Pids{2, 5, 7, 9}));
+  // The idle floor, at t = 16 s: 5.5 s admits pages last touched by
+  // t = 10 s, and the pick stops at the first younger one.
+  EXPECT_EQ(cm.PickDemotionCandidates(4, 3.0), (Pids{2, 5, 7, 9}));
+  EXPECT_EQ(cm.PickDemotionCandidates(10, 5.5), (Pids{2, 5, 7, 9, 0}));
+  EXPECT_EQ(cm.PickDemotionCandidates(2, 0.0), (Pids{2, 5}));
+
+  // Six pages demote to CSS; the other four stay in DRAM and must not
+  // appear in a CSS pick, nor CSS pages in a DRAM pick.
+  for (mapping::PageId p : {9, 2, 4, 0, 8, 6}) {
+    ASSERT_TRUE(cm.SetTier(p, CacheTier::kCss, 10 + p));
+  }
+  EXPECT_EQ(cm.PickCssVictims(~0ull, 3), (Pids{2, 9, 0}));
+  // Stored bytes 12 + 19 cover 25: two pages.
+  EXPECT_EQ(cm.PickCssVictims(25, 6), (Pids{2, 9}));
+  EXPECT_EQ(cm.PickPromotionCandidates(3), (Pids{8, 6, 4}));
+  EXPECT_EQ(cm.PickPromotionCandidates(6), (Pids{8, 6, 4, 0, 9, 2}));
+  EXPECT_EQ(cm.PickVictims(~0ull, 4), (Pids{5, 7, 1, 3}));
+  EXPECT_EQ(cm.PickDemotionCandidates(4, 0.0), (Pids{5, 7, 1, 3}));
+}
+
+TEST(CacheManagerTest, UnboundedPickOrdersTheWholeTier) {
+  VirtualClock clock;
+  CacheManager cm(WithClock(&clock, EvictionPolicy::kLru));
+  InsertAscending(&cm, &clock, 3000);
+  // 3000 pages are far more than any sample a small pick takes; the
+  // unbounded overload still returns exact LRU order.
+  const std::vector<mapping::PageId> victims = cm.PickVictims(100 * 500);
+  ASSERT_EQ(victims.size(), 500u);
+  for (size_t i = 0; i < victims.size(); ++i) EXPECT_EQ(victims[i], i);
+}
+
+TEST(CacheManagerTest, SuccessiveBoundedPicksSeeEveryPage) {
+  VirtualClock clock;
+  CacheManager cm(WithClock(&clock, EvictionPolicy::kLru));
+  constexpr uint64_t kPages = 600;
+  constexpr size_t kPick = 2;
+  constexpr size_t kSample = CacheManager::kSampleFactor * kPick;
+  constexpr size_t kRound = (kPages + kSample - 1) / kSample;
+  InsertAscending(&cm, &clock, kPages);
+  // One page at a time is the only one idle past the floor, so a pick
+  // returns it exactly when its sample contained it. Each round starts
+  // where the last one left the hand; a round's last sample may wrap
+  // onto the pages its first one saw.
+  for (mapping::PageId target = 0; target < kPages; ++target) {
+    clock.AdvanceSeconds(10.0);
+    for (mapping::PageId p = 0; p < kPages; ++p) {
+      if (p != target) cm.Touch(p);
+    }
+    size_t found = 0;
+    for (size_t call = 0; call < kRound; ++call) {
+      for (mapping::PageId p : cm.PickDemotionCandidates(kPick, 5.0)) {
+        EXPECT_EQ(p, target);
+        ++found;
+      }
+    }
+    ASSERT_GE(found, 1u) << "page " << target << " missed by " << kRound
+                         << " picks of " << kSample;
+    ASSERT_LE(found, 2u);
+  }
+}
+
+TEST(CacheManagerTest, EachBoundedPickReturnsTheColdestItSaw) {
+  VirtualClock clock;
+  CacheManager cm(WithClock(&clock, EvictionPolicy::kLru));
+  constexpr uint64_t kPages = 2000;
+  constexpr size_t kPick = 4;
+  constexpr size_t kSample = CacheManager::kSampleFactor * kPick;
+  constexpr size_t kRound = (kPages + kSample - 1) / kSample;
+  InsertAscending(&cm, &clock, kPages);
+  // Three cold pages; every other page is touched later, one second
+  // apart, so recency is a strict order.
+  const std::vector<mapping::PageId> cold = {17, 999, 1500};
+  for (mapping::PageId p = 0; p < kPages; ++p) {
+    if (std::find(cold.begin(), cold.end(), p) != cold.end()) continue;
+    cm.Touch(p);
+    clock.AdvanceSeconds(1.0);
+  }
+  std::vector<mapping::PageId> seen;
+  for (size_t call = 0; call < kRound; ++call) {
+    const std::vector<mapping::PageId> picked = cm.PickVictims(~0ull, kPick);
+    ASSERT_EQ(picked.size(), kPick);
+    // Coldest first, and a cold page the sample held comes before any
+    // page touched since.
+    for (size_t i = 1; i < picked.size(); ++i) {
+      EXPECT_GE(cm.IdleSeconds(picked[i - 1]), cm.IdleSeconds(picked[i]));
+    }
+    seen.insert(seen.end(), picked.begin(), picked.end());
+  }
+  // One round's samples cover every page, and a cold page is among the
+  // coldest kPick of whichever sample held it.
+  for (mapping::PageId p : cold) {
+    EXPECT_GE(std::count(seen.begin(), seen.end(), p), 1) << p;
+  }
+}
+
+TEST(CacheManagerTest, EraseCssKeepsAPromotedPage) {
+  VirtualClock clock;
+  CacheManager cm(WithClock(&clock, EvictionPolicy::kLru));
+  cm.Insert(1, 100);
+  cm.Insert(2, 100);
+  ASSERT_TRUE(cm.SetTier(1, CacheTier::kCss, 40));
+  ASSERT_TRUE(cm.SetTier(2, CacheTier::kCss, 40));
+  // Page 2 is promoted back after a CSS pick chose it.
+  cm.Insert(2, 100);
+  EXPECT_TRUE(cm.EraseCss(1));
+  EXPECT_FALSE(cm.EraseCss(2));
+  EXPECT_FALSE(cm.Contains(1));
+  EXPECT_TRUE(cm.Contains(2));
+  EXPECT_EQ(cm.resident_bytes(), 100u);
+  EXPECT_EQ(cm.css_resident_bytes(), 0u);
+}
+
 TEST(CacheManagerTest, PolicyNames) {
   EXPECT_EQ(EvictionPolicyName(EvictionPolicy::kLru), "lru");
   EXPECT_EQ(EvictionPolicyName(EvictionPolicy::kCostBased), "cost-based");

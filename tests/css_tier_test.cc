@@ -387,6 +387,39 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   EXPECT_LT(after_reads.tier_css_pages, after_demote.tier_css_pages);
 }
 
+TEST(CssStoreTest, VictimsOverTheMemoryBudgetDemoteWhateverTheirIdleTime) {
+  VirtualClock clock(1);
+  core::CachingStoreOptions opts;
+  opts.clock = &clock;
+  opts.device.capacity_bytes = 256ull << 20;
+  opts.device.max_iops = 0;
+  opts.memory_budget_bytes = 64 << 10;
+  opts.maintenance_interval_ops = 0;
+  opts.tier.css_budget_bytes = 64ull << 20;
+  // The clock never moves, so every page is far younger than the floor.
+  opts.tier.demote_idle_seconds = 1000.0;
+  core::CachingStore store(opts);
+
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(
+        store.Put("k" + std::to_string(i), StructuredValue(i)).ok());
+  }
+  ASSERT_GT(store.cache()->resident_bytes(), opts.memory_budget_bytes);
+  store.Maintain();
+  const auto s = store.Stats();
+  EXPECT_LE(store.cache()->resident_bytes(), opts.memory_budget_bytes);
+  EXPECT_GT(s.tier_demotions, 0u)
+      << "victims over the budget must leave compressed";
+  EXPECT_GT(s.tier_css_pages, 0u);
+  for (int i = 0; i < 3000; i += 37) {
+    auto r = store.Get("k" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << i;
+    EXPECT_EQ(*r, StructuredValue(i));
+  }
+  EXPECT_GT(store.Stats().tier_css_hits, 0u);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
 TEST(CssStoreTest, ReheatLimitRefusesThrashingPages) {
   VirtualClock clock(1);
   core::CachingStoreOptions opts;

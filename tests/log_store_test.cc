@@ -126,9 +126,9 @@ TEST_F(LogStoreTest, GcRelocatesLiveAndDropsDead) {
         return it != table.end() && it->second == addr;
       },
       [&](PageId pid, FlashAddress old_addr, FlashAddress new_addr) {
-        if (table[pid] != old_addr) return false;
+        if (table[pid] != old_addr) return InstallOutcome::kSuperseded;
         table[pid] = new_addr;
-        return true;
+        return InstallOutcome::kInstalled;
       });
   ASSERT_TRUE(gc.ok()) << gc.status().ToString();
   EXPECT_EQ(gc->relocated_records, 2u);
@@ -149,7 +149,9 @@ TEST_F(LogStoreTest, GcRefusesOpenSegment) {
   auto gc = store_->CollectSegment(
       store_->open_segment_id(),
       [](PageId, FlashAddress) { return true; },
-      [](PageId, FlashAddress, FlashAddress) { return true; });
+      [](PageId, FlashAddress, FlashAddress) {
+        return InstallOutcome::kInstalled;
+      });
   EXPECT_FALSE(gc.ok());
   EXPECT_EQ(gc.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -178,7 +180,7 @@ TEST_F(LogStoreTest, CollectColdestPicksMostlyDeadSegment) {
       },
       [&](PageId pid, FlashAddress, FlashAddress neu) {
         table[pid] = neu;
-        return true;
+        return InstallOutcome::kInstalled;
       },
       /*live_threshold=*/0.5);
   ASSERT_TRUE(gc.ok()) << gc.status().ToString();
@@ -190,7 +192,9 @@ TEST_F(LogStoreTest, CollectColdestNotFoundWhenAllLive) {
   ASSERT_TRUE(store_->Flush().ok());
   auto gc = store_->CollectColdest(
       [](PageId, FlashAddress) { return true; },
-      [](PageId, FlashAddress, FlashAddress) { return true; },
+      [](PageId, FlashAddress, FlashAddress) {
+        return InstallOutcome::kInstalled;
+      },
       /*live_threshold=*/0.5);
   EXPECT_FALSE(gc.ok());
   EXPECT_TRUE(gc.status().IsNotFound());
