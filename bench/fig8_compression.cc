@@ -126,40 +126,39 @@ int Run() {
   // Same dataset flushed uncompressed vs demoted to the compressed tier:
   // compare media bytes and the CPU of reading a page back from each.
   printf("\n--- CSS tier in the storage stack ---\n");
-  // The probe below demotes the same pages again and again; a policy
-  // that never refuses keeps every one of them on the compressed tier.
-  bwtree::CssPolicy always_demote;
-  always_demote.min_ratio = std::numeric_limits<double>::infinity();
-  always_demote.max_reheats = std::numeric_limits<uint32_t>::max();
-  auto opts = bench::FigureStoreOptions();
-  core::CachingStore store(opts);
+  // Two stores over the same records: one without the tier, whose
+  // flushes write plain images, and one whose flushes compress every
+  // image whatever its ratio, so every page the probe below demotes
+  // stays on the compressed tier.
+  const auto plain_opts = bench::FigureStoreOptions();
+  auto css_opts = plain_opts;
+  css_opts.tier.css_budget_bytes = 1ull << 30;
+  css_opts.tier.min_ratio = std::numeric_limits<double>::infinity();
+  core::CachingStore plain_store(plain_opts);
+  core::CachingStore css_store(css_opts);
   constexpr int kStoreRecords = 20'000;
   for (int i = 0; i < kStoreRecords; ++i) {
     char key[32], val[96];
     snprintf(key, sizeof(key), "rec%010d", i);
     snprintf(val, sizeof(val), "name=customer_%04d|city=city_%03d|tier=%d|",
              i % 1000, i % 250, i % 3);
-    if (!store.Put(Slice(key), Slice(val)).ok()) return 1;
+    if (!plain_store.Put(Slice(key), Slice(val)).ok()) return 1;
+    if (!css_store.Put(Slice(key), Slice(val)).ok()) return 1;
   }
-  auto pids = store.tree()->LeafPageIds();
-  uint64_t before = store.log_store()->stats().payload_bytes_appended;
-  for (auto pid : pids) {
-    (void)store.tree()->FlushPage(pid, bwtree::FlushMode::kFullPage);
+  uint64_t before = plain_store.log_store()->stats().payload_bytes_appended;
+  for (auto pid : plain_store.tree()->LeafPageIds()) {
+    (void)plain_store.tree()->FlushPage(pid, bwtree::FlushMode::kFullPage);
   }
-  uint64_t raw_media = store.log_store()->stats().payload_bytes_appended -
-                       before;
-  // Dirty everything and demote it to the compressed tier.
-  for (int i = 0; i < kStoreRecords; i += 50) {
-    char key[32];
-    snprintf(key, sizeof(key), "rec%010d", i);
-    (void)store.Put(Slice(key), "touch");
+  uint64_t raw_media =
+      plain_store.log_store()->stats().payload_bytes_appended - before;
+  // Every page is dirty: its demotion flushes it compressed and swings
+  // onto the record.
+  before = css_store.log_store()->stats().payload_bytes_appended;
+  for (auto pid : css_store.tree()->LeafPageIds()) {
+    (void)css_store.tree()->DemotePage(pid);
   }
-  before = store.log_store()->stats().payload_bytes_appended;
-  for (auto pid : store.tree()->LeafPageIds()) {
-    (void)store.tree()->DemotePage(pid, always_demote);
-  }
-  uint64_t css_media = store.log_store()->stats().payload_bytes_appended -
-                       before;
+  uint64_t css_media =
+      css_store.log_store()->stats().payload_bytes_appended - before;
   printf("media bytes for the dataset: full pages %llu, CSS pages %llu "
          "(ratio %.2f)\n",
          (unsigned long long)raw_media, (unsigned long long)css_media,
@@ -167,6 +166,7 @@ int Run() {
 
   // CPU per SS read from the compressed tier vs the plain tier.
   auto probe = [&](bool compressed) {
+    core::CachingStore& store = compressed ? css_store : plain_store;
     Random prng(9);
     uint64_t nanos = 0;
     constexpr int kProbes = 800;
@@ -181,7 +181,7 @@ int Run() {
       (void)store.tree()->Get(Slice(key));  // ensure resident
       (void)store.tree()->Put(Slice(key), "probe-touch");
       if (compressed) {
-        (void)store.tree()->DemotePage(*pid, always_demote);
+        (void)store.tree()->DemotePage(*pid);
       } else {
         (void)store.tree()->FlushPage(*pid, bwtree::FlushMode::kFullPage);
         (void)store.tree()->EvictPage(*pid,

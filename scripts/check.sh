@@ -12,11 +12,11 @@
 #   programs under examples/ (ctest label `example`), so their
 #   DebugString() output is printed end to end under each sanitizer.
 #   Every ctest lane includes the three-tier suite — css_tier_test's
-#   demotion/promotion/reheat policies, compressor_robustness_test's
-#   adversarial decompression inputs, and the crash-recovery torture
-#   with CSS demotions active — so the sanitizer lanes (asan/tsan/
-#   ubsan) exercise the compressed tier's concurrency and memory
-#   safety, not just the plain build.
+#   record-form, demotion and promotion policies,
+#   compressor_robustness_test's adversarial decompression inputs, and
+#   the crash-recovery torture with CSS demotions active — so the
+#   sanitizer lanes (asan/tsan/ubsan) exercise the compressed tier's
+#   concurrency and memory safety, not just the plain build.
 #   `simd` rebuilds with -DCOSTPERF_NO_SIMD=ON (scalar key-slice search,
 #   no vector kernels, no cpu dispatch) and runs the index + batch-probe
 #   tests — proof the scalar fallback is a complete, correct

@@ -5,6 +5,7 @@
 
 #include "analysis/bwtree_validator.h"
 #include "bwtree/node.h"
+#include "llama/log_store.h"
 
 namespace costperf::analysis {
 
@@ -13,6 +14,29 @@ namespace {
 using mapping::PageId;
 
 std::string PidEntity(PageId pid) { return "pid " + std::to_string(pid); }
+
+// Empty when `word` names pid's own compressed record of `bytes` stored
+// bytes; otherwise what the entry names instead.
+std::string CssRecordMismatch(llama::LogStructuredStore* log, PageId pid,
+                              uint64_t word, uint64_t bytes) {
+  if (word == 0) return "null";
+  if (!bwtree::IsFlashWord(word)) return "a memory pointer";
+  if (log == nullptr) return "a flash address with no log store";
+  const llama::FlashAddress addr = bwtree::DecodeFlash(word);
+  std::string image;
+  PageId owner = mapping::kInvalidPageId;
+  bool compressed = false;
+  const Status s = log->Read(addr, &image, &owner, &compressed);
+  if (!s.ok()) return "an unreadable record (" + s.ToString() + ")";
+  if (owner != pid) return "page " + std::to_string(owner) + "'s record";
+  if (!compressed) return "a plain record";
+  const uint64_t stored = addr.len() - llama::LogStructuredStore::kHeaderBytes;
+  if (stored != bytes) {
+    return "a compressed record of " + std::to_string(stored) +
+           " stored bytes";
+  }
+  return "";
+}
 
 }  // namespace
 
@@ -63,6 +87,16 @@ std::vector<Violation> MappingTableAuditor::Check() {
                 " resident bytes but the mapping entry is " +
                 (word == 0 ? "null" : "a flash address")});
       }
+    }
+    for (const auto& [pid, bytes] : cache_->CssEntries()) {
+      const uint64_t word = pid < table->capacity() ? table->Get(pid) : 0;
+      const std::string mismatch =
+          CssRecordMismatch(tree_->options().log_store, pid, word, bytes);
+      if (mismatch.empty()) continue;
+      out.push_back(Violation{
+          "MappingTableAuditor", "css-record", PidEntity(pid),
+          "cache manager charges a CSS entry " + std::to_string(bytes) +
+              " stored bytes but the mapping entry is " + mismatch});
     }
   }
 

@@ -284,12 +284,12 @@ void BwTree::CacheTouch(PageId pid) {
 // ---------------------------------------------------------------------
 
 void BwTree::MetaSetChain(PageId pid, std::vector<uint64_t> chain,
-                          bool dirty) {
+                          bool dirty, bool newest_compressed) {
   MutexLock lk(&meta_mu_);
   auto& m = meta_[pid];
   m.flash_chain = std::move(chain);
   m.base_dirty = dirty;
-  m.newest_compressed = false;
+  m.newest_compressed = newest_compressed;
 }
 
 void BwTree::MetaMarkDirty(PageId pid) {
@@ -1364,7 +1364,21 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
       return ss;
     }
   }
-  auto addr = RetryAppend(pid, fresh->image());
+  // A tiered tree decides the record's form here, once per write: an
+  // image that compresses well enough goes to the log compressed, so the
+  // page's demotion later only swings onto this record (DESIGN.md §3.7).
+  const Slice image = fresh->image();
+  std::string compressed;
+  bool packed = false;
+  if (options_.css_min_ratio > 0) {
+    compression::CompressInfo info;
+    compression::Compressor::Compress(image, &compressed, &info);
+    packed = info.ratio() <= options_.css_min_ratio;
+  }
+  auto addr = packed ? RetryAppendCompressed(
+                           pid, Slice(compressed),
+                           static_cast<uint32_t>(image.size()))
+                     : RetryAppend(pid, image);
   if (!addr.ok()) {
     if (addr.status().code() == StatusCode::kInvalidArgument &&
         fresh->size() >= 2) {
@@ -1384,10 +1398,11 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
   if (CasWithMeta(pid, w, EncodePointer(fresh), [&](PageMeta& m) {
         m.flash_chain = {addr->packed()};
         m.base_dirty = false;
-        m.newest_compressed = false;
+        m.newest_compressed = packed;
       })) {
     s_full_flushes_.fetch_add(1, std::memory_order_relaxed);
-    s_bytes_flushed_.fetch_add(fresh->image().size(),
+    if (packed) s_compressed_flushes_.fetch_add(1, std::memory_order_relaxed);
+    s_bytes_flushed_.fetch_add(packed ? compressed.size() : image.size(),
                                std::memory_order_relaxed);
     RetireChain(head);
     MarkChainDead(meta.flash_chain);
@@ -1502,9 +1517,9 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode, bool* wrote) {
       continue;  // re-read the (now clean) entry
     }
     if (SwingToFlash(pid, w, head,
-                     FlashAddress::FromPacked(meta.flash_chain.front()))) {
+                     FlashAddress::FromPacked(meta.flash_chain.front()),
+                     /*css_bytes=*/std::nullopt)) {
       s_full_evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.cache != nullptr) options_.cache->Erase(pid);
       return Status::Ok();
     }
   }
@@ -1512,11 +1527,18 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode, bool* wrote) {
 }
 
 bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
-                          FlashAddress newest) {
+                          FlashAddress newest,
+                          std::optional<uint64_t> css_bytes) {
   // The word holds a clean base, so the metadata read with it still
   // describes it: any change to flash_chain or base_dirty moves the word
   // (DESIGN.md §3.4 rule 4), and this CAS then fails.
-  if (!table_.Cas(pid, expected, EncodeFlash(newest))) {
+  const auto swing = [&] {
+    return table_.Cas(pid, expected, EncodeFlash(newest));
+  };
+  const bool swung = options_.cache != nullptr
+                         ? options_.cache->SwingOut(pid, css_bytes, swing)
+                         : swing();
+  if (!swung) {
     s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -1524,8 +1546,7 @@ bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
   return true;
 }
 
-Status BwTree::DemotePage(PageId pid, const CssPolicy& policy,
-                          DemoteResult* out) {
+Status BwTree::DemotePage(PageId pid, DemoteResult* out) {
   if (options_.log_store == nullptr) {
     return Status::FailedPrecondition("no log store configured");
   }
@@ -1534,114 +1555,57 @@ Status BwTree::DemotePage(PageId pid, const CssPolicy& policy,
   *res = DemoteResult{};
 
   EpochGuard guard(&epochs_);
-  uint64_t w = table_.Get(pid);
-  if (w == 0) return Status::NotFound("no such page");
-  if (IsFlashWord(w)) return Status::Ok();  // already non-resident
+  // Two passes at most: a dirty page is flushed on the first and swung
+  // on the second.
+  for (int pass = 0; pass < 2; ++pass) {
+    const uint64_t w = table_.Get(pid);
+    if (w == 0) return Status::NotFound("no such page");
+    if (IsFlashWord(w)) return Status::Ok();  // already non-resident
 
-  Node* head = DecodePointer(w);
-  if (head->type == NodeType::kRemoveNode) return Status::Ok();
-  Node* tail = ChainTail(head);
-  if (tail->type == NodeType::kInnerBase) {
-    return Status::InvalidArgument("inner pages are not demoted");
-  }
-  if (tail->type == NodeType::kFlashPointer) {
-    // Record-cache form: the base is already on flash. Plain eviction
-    // owns this shape; demotion only compresses resident bases.
-    return Status::FailedPrecondition("page base not resident");
-  }
+    Node* head = DecodePointer(w);
+    if (head->type == NodeType::kRemoveNode) return Status::Ok();
+    Node* tail = ChainTail(head);
+    if (tail->type == NodeType::kInnerBase) {
+      return Status::InvalidArgument("inner pages are not demoted");
+    }
+    if (tail->type == NodeType::kFlashPointer) {
+      // Record-cache form: the base is already on flash. Plain eviction
+      // owns this shape.
+      return Status::FailedPrecondition("page base not resident");
+    }
 
-  // Anti-thrash refusal: a page that keeps getting promoted back out of
-  // CSS pays decompress_r on every reheat — past the policy limit the
-  // tier is a measured loss for it (Fig. 8's argument in reverse).
-  if (options_.cache != nullptr &&
-      options_.cache->ReheatCount(pid) > policy.max_reheats) {
-    s_css_refusals_.fetch_add(1, std::memory_order_relaxed);
-    return Status::FailedPrecondition("page reheats too often for CSS");
-  }
-
-  // A clean bare base on one compressed record is that record, inflated:
-  // demote it by a swing back onto the record, which compresses and
-  // writes nothing and leaves no dead bytes. Only a dirty page or a page
-  // on a plain record (or on a delta chain) pays for compression below.
-  PageMeta meta = MetaGet(pid);
-  if (head == tail && !meta.base_dirty && meta.flash_chain.size() == 1 &&
-      meta.newest_compressed) {
+    const PageMeta meta = MetaGet(pid);
+    if (head != tail || meta.base_dirty || meta.flash_chain.empty()) {
+      if (pass > 0) break;  // written again since our flush
+      Status s = FlushPage(pid, FlushMode::kFullPage);
+      if (!s.ok()) return s;
+      res->flushed = true;
+      continue;
+    }
+    // A clean bare base on one compressed record is that record,
+    // inflated: the swing compresses and writes nothing and leaves no
+    // dead bytes. A plain record means the page compressed too poorly
+    // when it was written, and CSS would be a loss for it.
+    if (meta.flash_chain.size() != 1 || !meta.newest_compressed) {
+      s_css_refusals_.fetch_add(1, std::memory_order_relaxed);
+      return Status::FailedPrecondition("page's record is not compressed");
+    }
     const FlashAddress record = FlashAddress::FromPacked(meta.flash_chain[0]);
     const uint64_t raw = static_cast<const LeafBase*>(tail)->image().size();
     const uint64_t stored =
         record.len() - llama::LogStructuredStore::kHeaderBytes;
-    if (!SwingToFlash(pid, w, head, record)) {
-      return Status::Aborted("page changed during demotion");
-    }
+    if (!SwingToFlash(pid, w, head, record, stored)) break;
     s_css_demotions_.fetch_add(1, std::memory_order_relaxed);
-    s_css_clean_demotions_.fetch_add(1, std::memory_order_relaxed);
+    if (!res->flushed) {
+      s_css_clean_demotions_.fetch_add(1, std::memory_order_relaxed);
+    }
     s_css_raw_demoted_.fetch_add(raw, std::memory_order_relaxed);
     s_css_stored_demoted_.fetch_add(stored, std::memory_order_relaxed);
-    if (options_.cache != nullptr) {
-      options_.cache->SetTier(pid, llama::CacheTier::kCss, stored);
-    }
-    *res = DemoteResult{.demoted = true, .swung = true, .raw_bytes = raw,
-                        .stored_bytes = stored};
-    return Status::Ok();
-  }
-
-  // A bare base is compressed as it is; deltas are folded into a fresh
-  // base first, which is never installed (only its image reaches the log).
-  LeafBase* fresh = nullptr;
-  if (head != tail) {
-    fresh = ConsolidateChain(head);
-    if (fresh == nullptr) return Status::Internal("consolidation failed");
-  }
-  const LeafBase* page =
-      fresh != nullptr ? fresh : static_cast<const LeafBase*>(tail);
-  Status ss = EnsureSplitSiblingDurable(page->right_sibling());
-  if (!ss.ok()) {
-    delete fresh;
-    return ss;
-  }
-
-  const Slice image = page->image();
-  std::string compressed;
-  compression::CompressInfo info;
-  // One Compress call both produces the stored image and measures the
-  // ratio the policy gates on.
-  compression::Compressor::Compress(image, &compressed, &info);
-  delete fresh;
-  res->raw_bytes = info.raw_size;
-  res->stored_bytes = info.compressed_size;
-  if (info.ratio() > policy.min_ratio) {
-    s_css_refusals_.fetch_add(1, std::memory_order_relaxed);
-    return Status::FailedPrecondition("compression ratio above threshold");
-  }
-
-  auto addr = RetryAppendCompressed(pid, Slice(compressed),
-                                    static_cast<uint32_t>(info.raw_size));
-  if (!addr.ok()) return addr.status();
-
-  // Flush and eviction in one step: swing the mapping word straight to
-  // the new record's flash address. The metadata read above still
-  // describes the word if the CAS lands (DESIGN.md §3.4 rule 4).
-  if (CasWithMeta(pid, w, EncodeFlash(*addr), [&](PageMeta& m) {
-        m.flash_chain = {addr->packed()};
-        m.base_dirty = false;
-        m.newest_compressed = true;
-      })) {
-    s_css_demotions_.fetch_add(1, std::memory_order_relaxed);
-    s_css_raw_demoted_.fetch_add(info.raw_size, std::memory_order_relaxed);
-    s_css_stored_demoted_.fetch_add(info.compressed_size,
-                                    std::memory_order_relaxed);
-    s_bytes_flushed_.fetch_add(compressed.size(), std::memory_order_relaxed);
-    RetireChain(head);
-    MarkChainDead(meta.flash_chain);
-    if (options_.cache != nullptr) {
-      options_.cache->SetTier(pid, llama::CacheTier::kCss,
-                              compressed.size());
-    }
     res->demoted = true;
+    res->raw_bytes = raw;
+    res->stored_bytes = stored;
     return Status::Ok();
   }
-  s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
-  options_.log_store->MarkDead(*addr);
   return Status::Aborted("page changed during demotion");
 }
 
@@ -1880,7 +1844,7 @@ Status BwTree::TryMergeRight(PageId left_pid) {
   table_.Set(right_pid, 0);
   PageMeta right_meta = MetaGet(right_pid);
   MarkChainDead(right_meta.flash_chain);
-  MetaSetChain(right_pid, {}, false);
+  MetaSetChain(right_pid, {}, false, false);
   if (options_.cache != nullptr) options_.cache->Erase(right_pid);
   epochs_.Retire([this, right_pid] { table_.Free(right_pid); });
 
@@ -2234,13 +2198,14 @@ Status BwTree::RecoverFromStore() {
   struct Recovered {
     FlashAddress addr;
     std::string image;
+    bool compressed = false;
   };
   std::map<PageId, Recovered> latest;
   std::vector<std::pair<PageId, FlashAddress>> visited;
   Status s = options_.log_store->Recover(
-      [&](PageId pid, FlashAddress addr, const Slice& image) {
+      [&](PageId pid, FlashAddress addr, const Slice& image, bool compressed) {
         visited.emplace_back(pid, addr);
-        latest[pid] = Recovered{addr, image.ToString()};
+        latest[pid] = Recovered{addr, image.ToString(), compressed};
       });
   if (!s.ok()) return s;
 
@@ -2285,7 +2250,9 @@ Status BwTree::RecoverFromStore() {
         return Status::Corruption("flash chain too long during recovery");
       }
     }
-    MetaSetChain(pid, std::move(chain), /*dirty=*/false);
+    // The newest record keeps its form, so a page recovered onto a
+    // compressed record demotes by a swing.
+    MetaSetChain(pid, std::move(chain), /*dirty=*/false, rec.compressed);
   }
 
   // 3. Reconstruct the leaf order from fences. The leftmost leaf is the
@@ -2645,6 +2612,7 @@ BwTreeStats BwTree::stats() const {
       s_read_relocation_retries_.load(std::memory_order_relaxed);
   s.page_loads = s_loads_.load(std::memory_order_relaxed);
   s.full_flushes = s_full_flushes_.load(std::memory_order_relaxed);
+  s.compressed_flushes = s_compressed_flushes_.load(std::memory_order_relaxed);
   s.delta_flushes = s_delta_flushes_.load(std::memory_order_relaxed);
   s.full_evictions = s_full_evictions_.load(std::memory_order_relaxed);
   s.record_cache_evictions = s_rc_evictions_.load(std::memory_order_relaxed);

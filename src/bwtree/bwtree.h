@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -43,6 +44,12 @@ struct BwTreeOptions {
   // max_attempts = 1 disables retrying. The backoff is kept short: these
   // are in-memory-simulated I/Os, and tests inject high error rates.
   RetryPolicy io_retry = ShortBackoffRetry();
+  // Record form of a leaf's full image (the compressed tier, §7.2 /
+  // Fig. 8). With a positive value FlushPage compresses the consolidated
+  // image once and appends it compressed when compressed/raw is at most
+  // this, plain otherwise; only a page on a compressed record can demote
+  // (DemotePage). 0 writes every image plain: a tree without a CSS tier.
+  double css_min_ratio = 0;
 
   static RetryPolicy ShortBackoffRetry() {
     RetryPolicy p;
@@ -52,10 +59,10 @@ struct BwTreeOptions {
   }
 };
 
-// How a dirty page reaches flash (paper Fig. 5). The compressed tier
-// (§7.2) has its own entry point, BwTree::DemotePage.
+// How a dirty page reaches flash (paper Fig. 5).
 enum class FlushMode {
-  kFullPage,   // write the full consolidated page image
+  kFullPage,   // write the full consolidated page image (compressed on a
+               // tiered tree when it compresses well enough)
   kDeltaOnly,  // write just the in-memory deltas with a back-pointer to
                // the previously stored image (valid when the base page is
                // already on flash; falls back to full otherwise)
@@ -67,26 +74,15 @@ enum class EvictMode {
   kKeepDeltas,    // record cache: deltas survive, base page is dropped
 };
 
-// When is a page worth demoting to the compressed tier? Both knobs guard
-// the Fig. 8 breakeven from the cost side: a page that barely compresses
-// saves too little media to pay its decompression tax, and a page that
-// keeps getting promoted back pays that tax over and over.
-struct CssPolicy {
-  // Refuse demotion when compressed/raw exceeds this (measured from the
-  // single Compress call that produces the stored image).
-  double min_ratio = 0.85;
-  // Refuse pages already promoted out of CSS more than this many times.
-  uint32_t max_reheats = 4;
-};
-
 // What a successful (or refused) demotion did, for the tiering loop's
 // accounting and the measured-ratio feed to the cost model.
 struct DemoteResult {
   bool demoted = false;
-  // A clean page already on a compressed record: the mapping word swung
-  // onto that record, and nothing was compressed or written.
-  bool swung = false;
-  uint64_t raw_bytes = 0;     // consolidated image size
+  // The page was dirty or on a delta chain: the demotion flushed it
+  // first (appending its record) and then swung onto that record. A
+  // clean page's demotion writes nothing.
+  bool flushed = false;
+  uint64_t raw_bytes = 0;     // the page's image size
   uint64_t stored_bytes = 0;  // compressed bytes the page's record holds
 };
 
@@ -111,13 +107,14 @@ struct BwTreeStats {
   // Paging.
   uint64_t page_loads = 0;
   uint64_t full_flushes = 0, delta_flushes = 0;
+  uint64_t compressed_flushes = 0;  // of full_flushes, written compressed
   uint64_t full_evictions = 0, record_cache_evictions = 0;
   uint64_t bytes_flushed = 0;
   // Tier hierarchy (§7.2 / Fig. 8).
   uint64_t css_hits = 0;  // page loads satisfied by a compressed record
   uint64_t css_demotions = 0;          // DemotePage successes
-  uint64_t css_clean_demotions = 0;    // of those, swings (nothing appended)
-  uint64_t css_demotion_refusals = 0;  // policy said CSS would be a loss
+  uint64_t css_clean_demotions = 0;    // of those, nothing flushed first
+  uint64_t css_demotion_refusals = 0;  // the page's record is plain
   uint64_t css_raw_bytes_demoted = 0;     // pre-compression image bytes
   uint64_t css_stored_bytes_demoted = 0;  // bytes that reached the log
   // Fault handling.
@@ -199,20 +196,17 @@ class BwTree {
   // *wrote (when non-null) reports whether the eviction appended to the
   // log: a clean page is evicted without writing anything.
   Status EvictPage(PageId pid, EvictMode mode, bool* wrote = nullptr);
-  // Demotes a resident leaf to the compressed tier. A clean bare base
-  // whose one flash record is already compressed (a promoted page nobody
-  // wrote since) is demoted by swinging the mapping entry back onto that
-  // record: nothing is compressed or written. Any other page is
-  // consolidated, compressed once (the same call that measures the
-  // ratio) and appended as a compressed log record, and the entry swings
-  // to its flash address — flush and eviction in one CAS. The cache
-  // manager keeps tracking the page in the CSS tier (recency, compressed
-  // footprint, reheats); the next access promotes it back through the
-  // ordinary load path. Refuses with FailedPrecondition when `policy`
-  // says CSS would be a loss for this page (poor ratio or too many
-  // reheats) or when the base is not resident; Aborted on races.
-  Status DemotePage(PageId pid, const CssPolicy& policy,
-                    DemoteResult* out = nullptr);
+  // Demotes a resident leaf to the compressed tier by swinging its
+  // mapping entry onto the page's one flash record when that record is
+  // compressed. A clean bare base swings as it is; a dirty page or a
+  // delta chain is flushed first — FlushPage decides the record's form —
+  // and then swung. Nothing is compressed here. The cache manager keeps
+  // tracking the page in the CSS tier (recency, compressed footprint);
+  // the next access promotes it back through the ordinary load path.
+  // Refuses with FailedPrecondition when the page's record is plain (it
+  // compressed worse than css_min_ratio, the tree has no tier, or it sits
+  // on a delta page) or when the base is not resident; Aborted on races.
+  Status DemotePage(PageId pid, DemoteResult* out = nullptr);
   // Makes the page resident (SS work happens here).
   Status LoadPage(PageId pid);
   // Flushes every dirty leaf (full images).
@@ -327,9 +321,10 @@ class BwTree {
     // True when the resident base's content is newer than flash_chain.
     bool base_dirty = false;
     // True when flash_chain's newest record is stored compressed. Set
-    // with the chain: a demotion's append sets it, every plain write
-    // (flush, record-cache eviction, recovery, merge) clears it, and a
-    // load or a GC relocation leaves it, as the record keeps its form.
+    // with the chain: a full flush sets it to the form it wrote,
+    // recovery to the form it found, every other write (delta flush,
+    // record-cache eviction, merge) clears it, and a load or a GC
+    // relocation leaves it, as the record keeps its form.
     bool newest_compressed = false;
   };
 
@@ -403,11 +398,14 @@ class BwTree {
   // Moves a clean resident page onto its newest flash record `newest`
   // (flash_chain[0]) with one CAS of the mapping word from `expected`,
   // whose chain starts at `head`, and retires that chain. Writes
-  // nothing and changes no metadata. Full eviction and a clean demotion
-  // share it; the caller then erases the cache entry or moves it to
-  // the CSS tier. False (a CAS failure, counted) when the word moved.
+  // nothing and changes no metadata. Full eviction and demotion share
+  // it: the CAS and the move of the page's cache entry — to the CSS
+  // tier charged `css_bytes`, or out of the cache (nullopt) — share one
+  // CacheManager::SwingOut latch hold. False (a CAS failure, counted)
+  // when the word moved.
   bool SwingToFlash(PageId pid, uint64_t expected, Node* head,
-                    FlashAddress newest) REQUIRES_EPOCH(epochs_);
+                    FlashAddress newest, std::optional<uint64_t> css_bytes)
+      REQUIRES_EPOCH(epochs_);
 
   // Split durability ordering: if `sib` (a page's right sibling) has never
   // reached flash, flush it first. The log is sequential, so "sibling
@@ -415,7 +413,7 @@ class BwTree {
   // post-split image — which no longer carries the migrated keys — also
   // preserves the sibling image that does. FlushAll gets the same
   // invariant by flushing right-to-left; this covers single-page flushes
-  // (background eviction, CSS re-flush, GC page rewrites).
+  // (background eviction, a demotion's flush, GC page rewrites).
   Status EnsureSplitSiblingDurable(PageId sib) REQUIRES_EPOCH(epochs_);
 
   // Attempts consolidation (and split if oversized). Best effort;
@@ -484,9 +482,9 @@ class BwTree {
   void CacheInsertOrResize(PageId pid, Node* head);
   void CacheTouch(PageId pid);
 
-  // Meta accessors.
-  void MetaSetChain(PageId pid, std::vector<uint64_t> chain, bool dirty)
-      EXCLUDES(meta_mu_);
+  // Meta accessors. `newest_compressed` is the form of chain[0].
+  void MetaSetChain(PageId pid, std::vector<uint64_t> chain, bool dirty,
+                    bool newest_compressed) EXCLUDES(meta_mu_);
   void MetaMarkDirty(PageId pid) EXCLUDES(meta_mu_);
   // Swings `pid`'s mapping word from `expected` to `desired` and, when
   // it lands, applies `update` to the page's metadata in the same
@@ -555,8 +553,8 @@ class BwTree {
       s_root_collapses_{0}, s_cas_failures_{0},
       s_read_relocation_retries_{0};
   mutable std::atomic<uint64_t> s_loads_{0}, s_full_flushes_{0},
-      s_delta_flushes_{0}, s_full_evictions_{0}, s_rc_evictions_{0},
-      s_bytes_flushed_{0};
+      s_compressed_flushes_{0}, s_delta_flushes_{0}, s_full_evictions_{0},
+      s_rc_evictions_{0}, s_bytes_flushed_{0};
   mutable std::atomic<uint64_t> s_io_retries_{0}, s_io_give_ups_{0},
       s_salvage_{0};
   mutable std::atomic<uint64_t> s_css_hits_{0}, s_css_demotions_{0},

@@ -33,6 +33,8 @@ CachingStore::CachingStore(CachingStoreOptions options)
   bwtree::BwTreeOptions tree_opts = options_.tree;
   tree_opts.log_store = log_.get();
   tree_opts.cache = cache_.get();
+  tree_opts.css_min_ratio =
+      options_.tier.css_budget_bytes != 0 ? options_.tier.min_ratio : 0;
   tree_ = std::make_unique<bwtree::BwTree>(tree_opts);
 
   const uint64_t interval = options_.maintenance_interval_ops;
@@ -365,13 +367,12 @@ bool CachingStore::TryDemote(mapping::PageId pid, bool over_budget) {
     return false;
   }
   if (cache_->css_resident_bytes() >= tier.css_budget_bytes) return false;
-  bwtree::CssPolicy policy;
-  policy.min_ratio = tier.min_ratio;
-  policy.max_reheats = tier.max_reheats;
   bwtree::DemoteResult res;
-  Status s = tree_->DemotePage(pid, policy, &res);
-  // A swing onto the page's compressed record wrote nothing.
-  NoteWriteOutcome(s, /*reset_on_ok=*/res.demoted && !res.swung);
+  Status s = tree_->DemotePage(pid, &res);
+  // Only the demotion's flush writes: once it has, the swing's outcome
+  // says nothing about the media.
+  NoteWriteOutcome(res.flushed ? Status::Ok() : s,
+                   /*reset_on_ok=*/res.flushed);
   // Refused (FailedPrecondition), raced (Aborted), or failed: the caller
   // falls back to plain eviction for this victim.
   return s.ok() && res.demoted;
@@ -387,7 +388,9 @@ bool CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
   for (auto pid : cache_->PickDemotionCandidates(quota.compress_pages,
                                                  tier.demote_idle_seconds)) {
     if (cache_->css_resident_bytes() >= tier.css_budget_bytes) break;
-    TryDemote(pid, /*over_budget=*/false);
+    if (TryDemote(pid, /*over_budget=*/false)) {
+      bg_proactive_demotions_.fetch_add(1, std::memory_order_relaxed);
+    }
     if (degraded_.load(std::memory_order_acquire)) return false;
   }
 
@@ -600,6 +603,8 @@ KvStoreStats CachingStore::Stats() const {
   s.tier_css_hits = t.css_hits;
   s.tier_demotions = t.css_demotions;
   s.tier_clean_demotions = t.css_clean_demotions;
+  s.tier_proactive_demotions =
+      bg_proactive_demotions_.load(std::memory_order_relaxed);
   s.tier_promotions = c.promotions;
   s.tier_demotion_refusals = t.css_demotion_refusals;
   s.tier_css_fallthroughs =

@@ -28,11 +28,12 @@ struct CachingStoreOptions {
   double breakeven_interval_seconds = 45.0;
   // The compressed-secondary-storage tier (§7.2 / Fig. 8): with a
   // non-zero budget the store runs a live three-level hierarchy —
-  // DRAM -> compressed-SS -> SS. Cold DRAM pages demote to a compressed
-  // log record (still tracked by the cache manager, promoted back on
-  // touch); CSS overflow falls through to plain SS; demotion refuses
-  // pages whose measured compression ratio or reheat rate would make the
-  // tier a loss.
+  // DRAM -> compressed-SS -> SS. A leaf's record form is decided when the
+  // leaf is written: a flush stores its image compressed when it
+  // compresses well enough. Cold DRAM pages demote by swinging onto that
+  // record (still tracked by the cache manager, promoted back on touch);
+  // CSS overflow falls through to plain SS; a page on a plain record is
+  // refused CSS and evicted plain.
   struct TierOptions {
     // Stored-byte budget for CSS-tier pages. 0 disables the tier.
     uint64_t css_budget_bytes = 0;
@@ -41,10 +42,10 @@ struct CachingStoreOptions {
     // evicted while the store is over its memory budget tries demotion
     // whatever its idle time.
     double demote_idle_seconds = 30.0;
-    // Refuse demotion when compressed/raw exceeds this.
+    // With the tier on, a leaf's image is written compressed when
+    // compressed/raw is at most this, plain otherwise; a page on a plain
+    // record is refused demotion (BwTreeOptions::css_min_ratio).
     double min_ratio = 0.85;
-    // Refuse pages already promoted back out of CSS this many times.
-    uint32_t max_reheats = 4;
   };
   TierOptions tier;
   // Cache recency sampling: only every Nth Touch per thread reads the
@@ -225,7 +226,7 @@ class CachingStore : public KvStore,
   // demote_idle_seconds is refused unless `over_budget`: a victim picked
   // while resident bytes exceed the budget leaves DRAM either way, and
   // leaving compressed keeps its flash bytes small. The CSS budget and
-  // the CssPolicy refusals apply in both cases.
+  // the refusal of a page on a plain record apply in both cases.
   bool TryDemote(mapping::PageId pid, bool over_budget)
       REQUIRES(maintenance_mu_);
   bool GcStep(const maintenance::MaintenanceQuota& quota)
@@ -249,8 +250,8 @@ class CachingStore : public KvStore,
   // device's OutOfRange grows the failure streak (degrading at the
   // threshold); `reset_on_ok` says whether an OK from this call wrote to
   // the log, which is evidence of working media, or wrote nothing (a
-  // Put/Delete, a clean eviction, a demotion by swing), which must not
-  // mask concurrent flush failures.
+  // Put/Delete, a clean eviction, a clean page's demotion), which must
+  // not mask concurrent flush failures.
   void NoteWriteOutcome(const Status& s, bool reset_on_ok);
 
   CachingStoreOptions options_;
@@ -307,6 +308,7 @@ class CachingStore : public KvStore,
   std::atomic<uint64_t> background_steps_{0};
   std::atomic<uint64_t> bg_pages_evicted_{0};
   std::atomic<uint64_t> bg_pages_promoted_{0};
+  std::atomic<uint64_t> bg_proactive_demotions_{0};
   std::atomic<uint64_t> bg_css_fallthroughs_{0};
   std::atomic<uint64_t> bg_gc_segments_{0};
   std::atomic<uint64_t> bg_consolidations_{0};

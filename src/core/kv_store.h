@@ -106,9 +106,10 @@ inline constexpr int kStatsLines = static_cast<int>(StatsLine::kTier) + 1;
   X(tier_css_bytes, kLevel, kTier)         /* compressed footprint */      \
   X(tier_css_hits, kCount, kTier)          /* loads served by CSS */       \
   X(tier_demotions, kCount, kTier)         /* DRAM -> CSS */               \
-  X(tier_clean_demotions, kCount, kTier)   /* of which swings, no write */ \
+  X(tier_clean_demotions, kCount, kTier)   /* of which nothing flushed */  \
+  X(tier_proactive_demotions, kCount, kTier) /* of which not victims */    \
   X(tier_promotions, kCount, kTier)        /* CSS -> DRAM */               \
-  X(tier_demotion_refusals, kCount, kTier) /* CSS would be a loss */       \
+  X(tier_demotion_refusals, kCount, kTier) /* on a plain record */         \
   X(tier_css_fallthroughs, kCount, kTier)  /* CSS -> SS on overflow */     \
   X(css_raw_bytes, kCount, kTier)          /* pre-compression, demoted */  \
   X(css_stored_bytes, kCount, kTier)       /* compressed, demoted */       \

@@ -94,8 +94,6 @@ void CacheManager::GrowTable(Shard& shard) {
                   std::memory_order_relaxed);
     dst.tier.store(src.tier.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
-    dst.reheats.store(src.reheats.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
     dst.pid.store(pid, std::memory_order_release);
   }
   // Tombstones are dropped by the rehash.
@@ -155,13 +153,11 @@ void CacheManager::Insert(mapping::PageId pid, uint64_t bytes) {
         CacheTier::kCss) {
       // The page's chain just got rebuilt in memory: this Insert IS the
       // CSS -> DRAM promotion. Move its footprint between the tier
-      // accounts and remember the reheat — a page that keeps coming
-      // back will be refused by the next demotion pass.
+      // accounts.
       shard.css_bytes.fetch_sub(old, std::memory_order_relaxed);
       shard.css_pages.fetch_sub(1, std::memory_order_relaxed);
       shard.resident_bytes.fetch_add(bytes, std::memory_order_relaxed);
       shard.promotions.fetch_add(1, std::memory_order_relaxed);
-      s->reheats.fetch_add(1, std::memory_order_relaxed);
       s->tier.store(static_cast<uint32_t>(CacheTier::kDram),
                     std::memory_order_relaxed);
     } else {
@@ -178,7 +174,6 @@ void CacheManager::Insert(mapping::PageId pid, uint64_t bytes) {
   s->seq.store(seq, std::memory_order_relaxed);
   s->tier.store(static_cast<uint32_t>(CacheTier::kDram),
                 std::memory_order_relaxed);
-  s->reheats.store(0, std::memory_order_relaxed);
   s->pid.store(pid, std::memory_order_release);
   shard.live++;
   if (!claimed_tombstone) shard.used++;
@@ -322,7 +317,27 @@ bool CacheManager::SetTier(mapping::PageId pid, CacheTier tier,
   Shard& shard = ShardFor(pid);
   MutexLock lk(&shard.mu);
   Slot* s = FindSlot(shard, pid);
-  if (s == nullptr) return false;
+  return s != nullptr && SetSlotTier(shard, s, tier, bytes);
+}
+
+bool CacheManager::SwingOut(mapping::PageId pid,
+                            std::optional<uint64_t> css_bytes,
+                            const std::function<bool()>& swing) {
+  Shard& shard = ShardFor(pid);
+  MutexLock lk(&shard.mu);
+  if (!swing()) return false;
+  Slot* s = FindSlot(shard, pid);
+  if (s == nullptr) return true;
+  if (css_bytes.has_value()) {
+    SetSlotTier(shard, s, CacheTier::kCss, *css_bytes);
+  } else {
+    EraseSlot(shard, s);
+  }
+  return true;
+}
+
+bool CacheManager::SetSlotTier(Shard& shard, Slot* s, CacheTier tier,
+                               uint64_t bytes) {
   const CacheTier cur =
       static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed));
   if (cur == tier) return false;
@@ -336,7 +351,6 @@ bool CacheManager::SetTier(mapping::PageId pid, CacheTier tier,
     shard.css_pages.fetch_sub(1, std::memory_order_relaxed);
     shard.resident_bytes.fetch_add(bytes, std::memory_order_relaxed);
     shard.promotions.fetch_add(1, std::memory_order_relaxed);
-    s->reheats.fetch_add(1, std::memory_order_relaxed);
   }
   s->bytes.store(bytes, std::memory_order_relaxed);
   s->tier.store(static_cast<uint32_t>(tier), std::memory_order_relaxed);
@@ -347,12 +361,6 @@ CacheTier CacheManager::GetTier(mapping::PageId pid) const {
   Slot* s = FindSlot(ShardFor(pid), pid);
   if (s == nullptr) return CacheTier::kDram;
   return static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed));
-}
-
-uint32_t CacheManager::ReheatCount(mapping::PageId pid) const {
-  Slot* s = FindSlot(ShardFor(pid), pid);
-  if (s == nullptr) return 0;
-  return s->reheats.load(std::memory_order_relaxed);
 }
 
 uint64_t CacheManager::css_resident_bytes() const {

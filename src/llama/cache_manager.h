@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,7 +36,7 @@ std::string EvictionPolicyName(EvictionPolicy p);
 // tracked page currently occupies. kDram pages have a live in-memory
 // delta chain; kCss pages live only as a compressed record on secondary
 // storage but stay tracked here so the tiering policy can see their
-// recency, reheat history, and compressed footprint. Pages that fall all
+// recency and compressed footprint. Pages that fall all
 // the way to plain SS are simply erased from the cache manager.
 enum class CacheTier : uint8_t {
   kDram = 0,
@@ -115,7 +117,7 @@ struct CacheStats {
 // callers re-check each page before acting on it.
 //
 // Memory-ordering contract: a slot's payload fields (bytes, tick, seq,
-// tier, reheats) are written before its pid is store-released; readers
+// tier) are written before its pid is store-released; readers
 // acquire-load the pid and may then read the payload relaxed. Ticks are
 // advisory recency metadata — concurrent updates race benignly (a lost
 // Touch can only make a page look slightly colder).
@@ -138,9 +140,9 @@ class CacheManager {
 
   // Page became resident (DRAM tier) with the given footprint. If pid is
   // currently tracked in the CSS tier this IS the promotion path: the
-  // entry flips to kDram, byte accounting moves between tiers, and its
-  // reheat counter bumps — so the tree's ordinary load-and-install flow
-  // promotes compressed pages without any tier-specific calls.
+  // entry flips to kDram and byte accounting moves between tiers, so the
+  // tree's ordinary load-and-install flow promotes compressed pages
+  // without any tier-specific calls.
   void Insert(mapping::PageId pid, uint64_t bytes);
   // Page was accessed (refreshes its last-touch tick). Lock-free.
   COSTPERF_HOT void Touch(mapping::PageId pid);
@@ -180,17 +182,24 @@ class CacheManager {
   // Moves a tracked page between tiers; `bytes` is its footprint in the
   // destination tier (compressed size for kCss, raw chain size for
   // kDram). Returns false (no accounting change) if pid is untracked or
-  // already in `tier`. kCss -> kDram through here counts a promotion and
-  // a reheat, same as the Insert path.
+  // already in `tier`. kCss -> kDram through here counts a promotion,
+  // same as the Insert path.
   bool SetTier(mapping::PageId pid, CacheTier tier, uint64_t bytes);
   // Current tier; kDram if untracked (use Contains to distinguish).
   // Lock-free.
   CacheTier GetTier(mapping::PageId pid) const;
-  // How many times this page has been promoted back out of CSS. The
-  // demotion policy refuses pages that keep reheating — repeatedly
-  // paying decompress_r for the same page erases the storage saving
-  // (Fig. 8's breakeven argument in reverse). 0 if untracked. Lock-free.
-  uint32_t ReheatCount(mapping::PageId pid) const;
+  // Moves a page out of DRAM in step with the swing of its mapping word:
+  // under pid's shard latch, runs `swing` (the caller's CAS of the word
+  // to a flash address) and, only when it lands, moves the entry to the
+  // CSS tier charged `css_bytes` (a demotion) or erases it (nullopt: a
+  // full eviction). A load that swings the word back promotes through
+  // Insert, which takes the same latch after its own CAS, so it always
+  // lands after this move. Moved after the latch is dropped, a demotion
+  // could label a page that a reader had already reloaded CSS, and an
+  // eviction could drop a reloaded page's entry. Returns whether the
+  // swing landed.
+  bool SwingOut(mapping::PageId pid, std::optional<uint64_t> css_bytes,
+                const std::function<bool()>& swing);
 
   uint64_t css_resident_bytes() const;
 
@@ -216,8 +225,7 @@ class CacheManager {
   bool EraseCss(mapping::PageId pid);
 
   // Snapshot of (pid, stored bytes) for every CSS-tier page, for
-  // invariant auditing against the log store's compressed-record
-  // accounting.
+  // invariant auditing against the records the mapping entries name.
   std::vector<std::pair<mapping::PageId, uint64_t>> CssEntries() const;
 
   CacheStats stats() const;
@@ -251,9 +259,6 @@ class CacheManager {
     // CacheTier the entry occupies (raw uint32 so lock-free readers can
     // load it relaxed like the other payload fields).
     std::atomic<uint32_t> tier{0};
-    // Promotions out of CSS survived so far; input to the anti-thrash
-    // demotion refusal.
-    std::atomic<uint32_t> reheats{0};
   };
 
   struct Table {
@@ -338,6 +343,9 @@ class CacheManager {
                                       bool hottest_first = false);
   // Tombstones a found slot and releases its tier's accounting.
   void EraseSlot(Shard& shard, Slot* s) REQUIRES(shard.mu);
+  // SetTier on a found slot.
+  bool SetSlotTier(Shard& shard, Slot* s, CacheTier tier, uint64_t bytes)
+      REQUIRES(shard.mu);
 
   const CacheOptions options_;
   Clock* clock_;

@@ -479,9 +479,8 @@ std::string RecoveryReport::ToString() const {
   return buf;
 }
 
-Status LogStructuredStore::Recover(
-    const std::function<void(PageId, FlashAddress, const Slice&)>& visitor,
-    RecoveryReport* report) {
+Status LogStructuredStore::Recover(const RecoveryVisitor& visitor,
+                                   RecoveryReport* report) {
   // Scan the device in segment strides; rebuild directory from headers.
   const uint64_t nsegs = device_->capacity_bytes() / options_.segment_bytes;
   std::string raw(options_.segment_bytes, '\0');
@@ -595,10 +594,10 @@ Status LogStructuredStore::Recover(
         info.css_raw_bytes += r.raw_len;
       }
       rep.records_adopted++;
+      const bool compressed = (r.flags & kRecordFlagCompressed) != 0;
       visitor(r.pid,
               FlashAddress(seg * options_.segment_bytes + r.pos, r.len),
-              (r.flags & kRecordFlagCompressed) != 0 ? Slice(r.inflated)
-                                                     : r.payload);
+              compressed ? Slice(r.inflated) : r.payload, compressed);
     }
     info.dead_bytes = skipped_dead;
     rep.bytes_adopted += adopted_end - kSegmentHeaderBytes;

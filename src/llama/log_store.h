@@ -155,10 +155,10 @@ class LogStructuredStore {
   Result<FlashAddress> Append(PageId pid, const Slice& image);
 
   // Buffers an already-compressed record (the caller ran the image
-  // through compression::Compressor — demotion compresses exactly once
-  // and applies its ratio policy on the same call). `raw_len` is the
-  // decompressed size, carried in the header so Read/Recover can bound
-  // and validate decompression. The CRC covers the compressed bytes as
+  // through compression::Compressor — a tiered tree's flush compresses
+  // once and applies its ratio test to that call's output). `raw_len` is
+  // the decompressed size, carried in the header so Read/Recover can
+  // bound and validate decompression. The CRC covers the compressed bytes as
   // stored, so torn-tail recovery sees both record forms identically.
   Result<FlashAddress> AppendCompressed(PageId pid, const Slice& compressed,
                                         uint32_t raw_len);
@@ -201,8 +201,10 @@ class LogStructuredStore {
                                  double live_threshold = 0.75);
 
   // Rebuilds segment directory and replays records after a restart. Calls
-  // the visitor with each record in log order (last call per pid wins).
-  // Only sealed (on-device) segments are recoverable, by construction.
+  // the visitor with each record in log order (last call per pid wins):
+  // its address, its payload (decompressed when the record is stored
+  // compressed) and whether it is. Only sealed (on-device) segments are
+  // recoverable, by construction.
   //
   // Torn-tail tolerant: each segment is adopted up to its last record with
   // a valid checksum; everything after it (a torn tail from a crash mid
@@ -211,9 +213,10 @@ class LogStructuredStore {
   // image (adopted) or is genuinely lost (surfaced by the caller, not by
   // failing the whole recovery). The report (also kept, see
   // last_recovery_report) says exactly what was kept and dropped.
-  Status Recover(
-      const std::function<void(PageId, FlashAddress, const Slice&)>& visitor,
-      RecoveryReport* report = nullptr);
+  using RecoveryVisitor = std::function<void(
+      PageId, FlashAddress, const Slice& payload, bool compressed)>;
+  Status Recover(const RecoveryVisitor& visitor,
+                 RecoveryReport* report = nullptr);
 
   // Report from the most recent Recover() call (zeroes before any).
   RecoveryReport last_recovery_report() const;

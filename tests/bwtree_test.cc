@@ -26,7 +26,8 @@ std::string Val(uint64_t i) { return "value-" + std::to_string(i); }
 class BwTreeTest : public ::testing::Test {
  protected:
   void SetUpStore(uint64_t max_page_bytes = 1024,
-                  uint64_t segment_bytes = llama::LogStoreOptions().segment_bytes) {
+                  uint64_t segment_bytes = llama::LogStoreOptions().segment_bytes,
+                  double css_min_ratio = 0) {
     storage::SsdOptions dev;
     dev.capacity_bytes = 256ull << 20;
     dev.max_iops = 0;
@@ -40,6 +41,7 @@ class BwTreeTest : public ::testing::Test {
     opts.consolidate_threshold = 4;
     opts.max_inner_children = 8;
     opts.log_store = log_.get();
+    opts.css_min_ratio = css_min_ratio;
     tree_ = std::make_unique<BwTree>(opts);
   }
 
@@ -693,8 +695,11 @@ TEST_F(BwTreeTest, PagingRacesNeverLoseAcknowledgedWrites) {
   // demotes and reloads it. A consolidation or load that folds deltas
   // into a base must leave the page dirty. If a racing flush or demotion
   // marks it clean afterwards, the next eviction maps the page back to
-  // an older flash image and an acknowledged write disappears.
-  SetUpStore(4096);
+  // an older flash image and an acknowledged write disappears. Every
+  // full flush writes compressed, whatever the ratio, so every demotion
+  // can land.
+  SetUpStore(4096, llama::LogStoreOptions().segment_bytes,
+             /*css_min_ratio=*/1e9);
   constexpr int kKeys = 4;
   constexpr uint64_t kRounds = 20000;
   for (int k = 0; k < kKeys; ++k) ASSERT_TRUE(tree_->Put(Key(k), Val(0)).ok());
@@ -703,14 +708,11 @@ TEST_F(BwTreeTest, PagingRacesNeverLoseAcknowledgedWrites) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> stale{0};
   std::thread pager([&] {
-    CssPolicy always;  // demote at any ratio, however often
-    always.min_ratio = 1e9;
-    always.max_reheats = UINT32_MAX;
     for (uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
       switch (i % 4) {
         case 0: (void)tree_->FlushPage(pid, FlushMode::kFullPage); break;
         case 1: (void)tree_->EvictPage(pid, EvictMode::kFullEviction); break;
-        case 2: (void)tree_->DemotePage(pid, always); break;
+        case 2: (void)tree_->DemotePage(pid); break;
         default: (void)tree_->LoadPage(pid); break;
       }
       tree_->ReclaimMemory();
@@ -851,16 +853,17 @@ TEST_F(BwTreeTest, RacingFlushAndEvictionKeepTheFlashChainExact) {
 
 TEST_F(BwTreeTest, RacingSwingGcAndWritersKeepTheFlashChainExact) {
   // Three threads share a few leaves. One promotes and demotes them, so a
-  // clean page swings back onto its compressed record and a dirty one
-  // compresses. One seals the log and collects its segments, so GC moves
-  // the records of evicted and resident pages alike. One posts deltas.
+  // clean page swings back onto its compressed record and a dirty one is
+  // flushed compressed first. One seals the log and collects its
+  // segments, so GC moves the records of evicted and resident pages
+  // alike. One posts deltas.
   // Every path that moves a page's record moves its mapping word in the
   // same metadata hold, so no swing or demotion may land on a record GC
   // already replaced, and no record may be dropped or marked dead twice.
   // Each seal spends a device slot, so the segments are small and the
   // collector seals at most once per writer round.
   constexpr uint64_t kSegmentBytes = 4 << 10;
-  SetUpStore(512, kSegmentBytes);
+  SetUpStore(512, kSegmentBytes, /*css_min_ratio=*/0.85);
   constexpr int kKeys = 40;
   // The writer goes on past kMinRounds until the other two have swung
   // pages and moved records, up to kMaxRounds.
@@ -891,12 +894,10 @@ TEST_F(BwTreeTest, RacingSwingGcAndWritersKeepTheFlashChainExact) {
     }
   };
   std::thread tierer([&] {
-    CssPolicy policy;
-    policy.max_reheats = UINT32_MAX;
     while (!stop.load(std::memory_order_acquire)) {
       for (PageId pid : leaves) {
         note(tree_->LoadPage(pid));
-        note(tree_->DemotePage(pid, policy));
+        note(tree_->DemotePage(pid));
       }
     }
   });

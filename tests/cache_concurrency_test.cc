@@ -7,7 +7,9 @@
 // (payload-before-pid publication, acquire probes, relaxed recency).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -203,6 +205,45 @@ TEST(CacheConcurrencyTest, BoundedPicksRaceInsertEraseTouchAndGrowth) {
   EXPECT_EQ(s.resident_pages, kPids);
   EXPECT_EQ(s.resident_bytes, kPids * 64);
   EXPECT_EQ(s.css_pages, 0u);
+}
+
+// A load that swings a page's word back after a demotion's or an
+// eviction's swing promotes it through Insert. That Insert must land
+// after the entry's move out of DRAM, or a reloaded page ends up
+// labelled CSS (or untracked). The swing below holds the latch until
+// the loader has had ample time to try its Insert.
+TEST(CacheConcurrencyTest, PromotionAfterASwingLandsAfterTheMove) {
+  for (const bool demote : {true, false}) {
+    SCOPED_TRACE(demote ? "demotion" : "eviction");
+    CacheOptions opts;
+    opts.memory_budget_bytes = ~0ull;
+    CacheManager cm(opts);
+    cm.Insert(7, 4096);
+    std::atomic<bool> swung{false};
+    std::thread loader([&] {
+      while (!swung.load(std::memory_order_acquire)) std::this_thread::yield();
+      cm.Insert(7, 4096);  // the reload's promotion
+    });
+    const std::optional<uint64_t> css_bytes =
+        demote ? std::optional<uint64_t>(600) : std::nullopt;
+    ASSERT_TRUE(cm.SwingOut(7, css_bytes, [&] {
+      swung.store(true, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return true;
+    }));
+    loader.join();
+    EXPECT_TRUE(cm.Contains(7));
+    EXPECT_EQ(cm.GetTier(7), CacheTier::kDram);
+    EXPECT_EQ(cm.resident_bytes(), 4096u);
+    EXPECT_EQ(cm.css_resident_bytes(), 0u);
+    EXPECT_EQ(cm.stats().promotions, demote ? 1u : 0u);
+  }
+  // A swing that does not land leaves the entry where it was.
+  CacheManager cm;
+  cm.Insert(7, 4096);
+  EXPECT_FALSE(cm.SwingOut(7, 600, [] { return false; }));
+  EXPECT_EQ(cm.GetTier(7), CacheTier::kDram);
+  EXPECT_EQ(cm.resident_bytes(), 4096u);
 }
 
 TEST(CacheConcurrencyTest, SampledTouchesCountAndStaySafe) {

@@ -29,8 +29,11 @@ class CssTreeTest : public ::testing::Test {
     BwTreeOptions opts;
     opts.log_store = log_.get();
     opts.max_page_bytes = 64 << 10;
+    opts.css_min_ratio = kMinRatio;
     tree_ = std::make_unique<BwTree>(opts);
   }
+
+  static constexpr double kMinRatio = 0.85;
 
   std::unique_ptr<storage::SsdDevice> device_;
   std::unique_ptr<llama::LogStructuredStore> log_;
@@ -44,11 +47,14 @@ TEST_F(CssTreeTest, CompressedFlushEvictReloadRoundTrip) {
   }
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
-  // Demotion is the compressed flush and the eviction in one step.
+  // The page is dirty: its demotion flushes it compressed and swings the
+  // mapping entry onto that record.
   DemoteResult res;
-  ASSERT_TRUE(tree_->DemotePage(pids[0], CssPolicy{}, &res).ok());
+  ASSERT_TRUE(tree_->DemotePage(pids[0], &res).ok());
   EXPECT_TRUE(res.demoted);
+  EXPECT_TRUE(res.flushed);
   EXPECT_EQ(tree_->stats().css_demotions, 1u);
+  EXPECT_EQ(tree_->stats().compressed_flushes, 1u);
   EXPECT_FALSE(tree_->IsLeafResident(pids[0]));
 
   for (int i = 0; i < 100; ++i) {
@@ -67,20 +73,23 @@ TEST_F(CssTreeTest, CompressedImageSmallerOnMedia) {
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
 
+  // A flush on a tiered tree writes the image compressed.
   uint64_t before = log_->stats().payload_bytes_appended;
   ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kFullPage).ok());
-  uint64_t full_bytes = log_->stats().payload_bytes_appended - before;
+  const uint64_t flushed_bytes = log_->stats().payload_bytes_appended - before;
+  EXPECT_EQ(log_->stats().css_records_appended, 1u);
 
-  // Same page content, now demoted to a compressed record.
+  // Same page content, dirtied and demoted: the demotion's flush appends
+  // the page's stored bytes, far fewer than its raw image.
   ASSERT_TRUE(tree_->Put("key5", StructuredValue(5)).ok());
   before = log_->stats().payload_bytes_appended;
   DemoteResult res;
-  ASSERT_TRUE(tree_->DemotePage(pids[0], CssPolicy{}, &res).ok());
+  ASSERT_TRUE(tree_->DemotePage(pids[0], &res).ok());
   ASSERT_TRUE(res.demoted);
-  uint64_t css_bytes = log_->stats().payload_bytes_appended - before;
+  const uint64_t css_bytes = log_->stats().payload_bytes_appended - before;
   EXPECT_EQ(css_bytes, res.stored_bytes);
-
-  EXPECT_LT(css_bytes, full_bytes / 2)
+  EXPECT_EQ(css_bytes, flushed_bytes);
+  EXPECT_LT(css_bytes, res.raw_bytes / 2)
       << "CSS image should be much smaller than the raw page";
 }
 
@@ -91,7 +100,7 @@ TEST_F(CssTreeTest, DeltaChainOverCompressedBase) {
   }
   auto pids = tree_->LeafPageIds();
   DemoteResult res;
-  ASSERT_TRUE(tree_->DemotePage(pids[0], CssPolicy{}, &res).ok());
+  ASSERT_TRUE(tree_->DemotePage(pids[0], &res).ok());
   ASSERT_TRUE(res.demoted);
   // Blind update + delta flush on top of the compressed base.
   ASSERT_TRUE(tree_->Put("key3", "updated").ok());
@@ -109,7 +118,7 @@ TEST_F(CssTreeTest, RecoveryOfCompressedPages) {
   }
   for (auto pid : tree_->LeafPageIds()) {
     DemoteResult res;
-    ASSERT_TRUE(tree_->DemotePage(pid, CssPolicy{}, &res).ok());
+    ASSERT_TRUE(tree_->DemotePage(pid, &res).ok());
     ASSERT_TRUE(res.demoted);
   }
   ASSERT_TRUE(log_->Flush().ok());
@@ -170,12 +179,22 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   llama::LogStructuredStore* log = store.log_store();
   const PageId pid = FillOneLeaf(&store);
 
+  // The page has never been written: its first demotion flushes it
+  // compressed — the one compression the page pays — and swings onto the
+  // record.
+  const llama::LogStoreStats fresh = log->stats();
   DemoteResult first;
-  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &first).ok());
+  ASSERT_TRUE(tree->DemotePage(pid, &first).ok());
   ASSERT_TRUE(first.demoted);
-  EXPECT_FALSE(first.swung);
+  EXPECT_TRUE(first.flushed);
+  EXPECT_EQ(log->stats().css_records_appended,
+            fresh.css_records_appended + 1);
   const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
   ASSERT_EQ(chain.size(), 1u);
+  EXPECT_EQ(first.stored_bytes, FlashAddress::FromPacked(chain[0]).len() -
+                                    llama::LogStructuredStore::kHeaderBytes);
+  EXPECT_EQ(tree->mapping_table()->Get(pid),
+            EncodeFlash(FlashAddress::FromPacked(chain[0])));
 
   // A Get promotes the page; nobody writes it.
   ExpectReads(&store);
@@ -185,9 +204,9 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   // Demoting it again swings the word back onto its compressed record.
   const llama::LogStoreStats before = log->stats();
   DemoteResult swing;
-  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &swing).ok());
+  ASSERT_TRUE(tree->DemotePage(pid, &swing).ok());
   EXPECT_TRUE(swing.demoted);
-  EXPECT_TRUE(swing.swung);
+  EXPECT_FALSE(swing.flushed);
   EXPECT_EQ(swing.raw_bytes, first.raw_bytes);
   EXPECT_EQ(swing.stored_bytes, first.stored_bytes);
   EXPECT_EQ(log->stats().records_appended, before.records_appended);
@@ -199,37 +218,173 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   const core::KvStoreStats stats = store.Stats();
   EXPECT_EQ(stats.tier_demotions, 2u);
   EXPECT_EQ(stats.tier_clean_demotions, 1u);
-  // A swing counts its bytes as a compressing demotion does, so the
-  // measured ratio and page size keep their meaning.
+  // Both demotions count the page's bytes, so the measured ratio and
+  // page size keep their meaning.
   EXPECT_EQ(stats.css_raw_bytes, 2 * first.raw_bytes);
   EXPECT_EQ(stats.css_stored_bytes, 2 * first.stored_bytes);
   ExpectReads(&store);
   EXPECT_TRUE(store.CheckInvariants().empty());
 
-  // A write after the promotion makes the next demotion compress: a new
-  // compressed record, and the old one dead.
+  // A write after the promotion makes the next demotion flush first: one
+  // new compressed record, the old one dead, and the word swung onto the
+  // new one.
   ASSERT_TRUE(store.Put("key3", "updated").ok());
   const llama::LogStoreStats dirty_before = log->stats();
-  DemoteResult compressed;
-  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &compressed).ok());
-  EXPECT_TRUE(compressed.demoted);
-  EXPECT_FALSE(compressed.swung);
+  DemoteResult dirty;
+  ASSERT_TRUE(tree->DemotePage(pid, &dirty).ok());
+  EXPECT_TRUE(dirty.demoted);
+  EXPECT_TRUE(dirty.flushed);
+  EXPECT_EQ(log->stats().records_appended, dirty_before.records_appended + 1);
   EXPECT_EQ(log->stats().css_records_appended,
             dirty_before.css_records_appended + 1);
   EXPECT_EQ(log->stats().dead_bytes_marked,
             dirty_before.dead_bytes_marked +
                 FlashAddress::FromPacked(chain[0]).len());
-  EXPECT_NE(tree->DebugPageInfo(pid).flash_chain, chain);
+  const std::vector<uint64_t> rewritten = tree->DebugPageInfo(pid).flash_chain;
+  ASSERT_EQ(rewritten.size(), 1u);
+  EXPECT_NE(rewritten, chain);
+  EXPECT_EQ(tree->mapping_table()->Get(pid),
+            EncodeFlash(FlashAddress::FromPacked(rewritten[0])));
+  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kCss);
   EXPECT_EQ(store.Stats().tier_clean_demotions, 1u);
   ExpectReads(&store, 3);
   EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+TEST(CssStoreTest, FlushesWriteCompressedAndTheNextDemotionIsASwing) {
+  core::CachingStore store(ManualTierOptions());
+  BwTree* tree = store.tree();
+  llama::LogStructuredStore* log = store.log_store();
+  const PageId pid = FillOneLeaf(&store);
+
+  // A checkpoint flushes the dirty leaf compressed.
+  ASSERT_TRUE(store.Checkpoint().ok());
+  EXPECT_EQ(log->stats().css_records_appended, 1u);
+  EXPECT_EQ(tree->stats().compressed_flushes, 1u);
+  EXPECT_EQ(tree->stats().full_flushes, 1u);
+  EXPECT_TRUE(tree->IsLeafResident(pid));
+
+  // So does a housekeeping flush of a page written since.
+  ASSERT_TRUE(store.Put("key3", "updated").ok());
+  PageId cursor = 0;
+  const BwTree::HousekeepingStats hk = tree->HousekeepingScan(&cursor, 64, 8);
+  EXPECT_EQ(hk.flushed, 1u);
+  EXPECT_EQ(log->stats().css_records_appended, 2u);
+  EXPECT_EQ(tree->stats().compressed_flushes, 2u);
+
+  // The demotion that follows appends nothing: it swings onto the
+  // record the flush wrote.
+  const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
+  ASSERT_EQ(chain.size(), 1u);
+  const llama::LogStoreStats before = log->stats();
+  DemoteResult res;
+  ASSERT_TRUE(tree->DemotePage(pid, &res).ok());
+  EXPECT_TRUE(res.demoted);
+  EXPECT_FALSE(res.flushed);
+  EXPECT_EQ(log->stats().records_appended, before.records_appended);
+  EXPECT_EQ(log->stats().dead_bytes_marked, before.dead_bytes_marked);
+  EXPECT_EQ(tree->mapping_table()->Get(pid),
+            EncodeFlash(FlashAddress::FromPacked(chain[0])));
+  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kCss);
+  EXPECT_EQ(store.Stats().tier_clean_demotions, 1u);
+  ExpectReads(&store, 3);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+TEST(CssStoreTest, StoreWithoutTierFlushesPlain) {
+  core::CachingStoreOptions opts = ManualTierOptions();
+  opts.tier.css_budget_bytes = 0;
+  core::CachingStore store(opts);
+  BwTree* tree = store.tree();
+  const PageId pid = FillOneLeaf(&store);
+
+  ASSERT_TRUE(store.Checkpoint().ok());
+  EXPECT_EQ(store.log_store()->stats().css_records_appended, 0u);
+  EXPECT_EQ(tree->stats().compressed_flushes, 0u);
+  EXPECT_EQ(tree->stats().full_flushes, 1u);
+  // Its page is on a plain record, so CSS refuses it.
+  DemoteResult res;
+  EXPECT_EQ(tree->DemotePage(pid, &res).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(res.demoted);
+  EXPECT_TRUE(tree->IsLeafResident(pid));
+  ExpectReads(&store);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+TEST(CssStoreTest, PoorlyCompressingPageIsFlushedPlainRefusedAndEvictedPlain) {
+  core::CachingStoreOptions opts = ManualTierOptions();
+  // Any resident byte is over budget, so the next step evicts the leaf.
+  opts.memory_budget_bytes = 1;
+  core::CachingStore store(opts);
+  BwTree* tree = store.tree();
+  Random rng(7);
+  std::vector<std::string> values;
+  for (int i = 0; i < kLeafKeys; ++i) {
+    std::string v(200, '\0');
+    for (char& c : v) c = static_cast<char>(rng.Uniform(256));
+    values.push_back(v);
+    ASSERT_TRUE(store.Put("key" + std::to_string(i), v).ok());
+  }
+  const std::vector<PageId> pids = tree->LeafPageIds();
+  ASSERT_EQ(pids.size(), 1u);
+  const PageId pid = pids[0];
+
+  // The victim's demotion flushes it, plain because it compresses worse
+  // than min_ratio, and is refused; the eviction then swings it out.
+  store.Maintain();
+  const core::KvStoreStats s = store.Stats();
+  EXPECT_EQ(s.tier_demotions, 0u);
+  EXPECT_EQ(s.tier_demotion_refusals, 1u);
+  EXPECT_EQ(s.background_pages_evicted, 1u);
+  EXPECT_EQ(store.log_store()->stats().css_records_appended, 0u);
+  EXPECT_EQ(tree->stats().full_flushes, 1u);
+  EXPECT_EQ(tree->stats().compressed_flushes, 0u);
+  EXPECT_FALSE(tree->IsLeafResident(pid));
+  EXPECT_FALSE(store.cache()->Contains(pid));
+  EXPECT_TRUE(store.CheckInvariants().empty());
+  for (int i = 0; i < kLeafKeys; ++i) {
+    auto r = store.Get("key" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << i;
+    EXPECT_EQ(*r, values[i]) << i;
+  }
+  EXPECT_EQ(store.Stats().tier_css_hits, 0u);
+}
+
+TEST(CssStoreTest, RecoveredPageOnACompressedRecordDemotesBySwing) {
+  core::CachingStoreOptions opts = ManualTierOptions();
+  core::CachingStore store(opts);
+  const PageId pid = FillOneLeaf(&store);
+  DemoteResult res;
+  ASSERT_TRUE(store.tree()->DemotePage(pid, &res).ok());
+  ASSERT_TRUE(res.demoted);
+  ASSERT_TRUE(store.Checkpoint().ok());
+
+  opts.external_device = store.device();
+  core::CachingStore reopened(opts);
+  ASSERT_TRUE(reopened.Recover().ok());
+  ExpectReads(&reopened);
+  ASSERT_TRUE(reopened.tree()->IsLeafResident(pid));
+
+  // The recovered page knows its record is compressed: the demotion is a
+  // swing, not a second compressed copy.
+  const llama::LogStoreStats before = reopened.log_store()->stats();
+  DemoteResult again;
+  ASSERT_TRUE(reopened.tree()->DemotePage(pid, &again).ok());
+  EXPECT_TRUE(again.demoted);
+  EXPECT_FALSE(again.flushed);
+  EXPECT_EQ(again.stored_bytes, res.stored_bytes);
+  EXPECT_EQ(reopened.log_store()->stats().records_appended,
+            before.records_appended);
+  ExpectReads(&reopened);
+  EXPECT_TRUE(reopened.CheckInvariants().empty());
 }
 
 // Demotes the one leaf, seals its compressed record's segment, promotes
 // the page again and returns that record.
 uint64_t DemoteSealAndPromote(core::CachingStore* store, PageId pid) {
   DemoteResult res;
-  EXPECT_TRUE(store->tree()->DemotePage(pid, CssPolicy{}, &res).ok());
+  EXPECT_TRUE(store->tree()->DemotePage(pid, &res).ok());
   EXPECT_TRUE(res.demoted);
   EXPECT_TRUE(store->log_store()->Flush().ok());
   ExpectReads(store);
@@ -277,8 +432,9 @@ TEST(CssStoreTest, GcMovesAPromotedPagesCompressedRecordAsItIs) {
 
   // A later demotion swings onto the moved record.
   DemoteResult swing;
-  ASSERT_TRUE(tree->DemotePage(pid, CssPolicy{}, &swing).ok());
-  EXPECT_TRUE(swing.swung);
+  ASSERT_TRUE(tree->DemotePage(pid, &swing).ok());
+  EXPECT_TRUE(swing.demoted);
+  EXPECT_FALSE(swing.flushed);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
             EncodeFlash(FlashAddress::FromPacked(moved)));
   ExpectReads(&store);
@@ -347,8 +503,8 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   }
   ASSERT_TRUE(store.Checkpoint().ok());
 
-  // Phase 1: 60s idle -> pages pass the MM/SS breakeven and are evicted
-  // uncompressed (idle < the demotion floor).
+  // Phase 1: 60s idle -> pages pass the MM/SS breakeven and are evicted,
+  // not demoted (idle < the demotion floor).
   clock.AdvanceSeconds(60);
   store.Maintain();
   EXPECT_EQ(store.Stats().tier_demotions, 0u);
@@ -363,6 +519,11 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   const auto after_demote = store.Stats();
   EXPECT_GT(after_demote.tier_demotions, 0u)
       << "stone-cold pages must demote to the compressed tier";
+  // More stone-cold pages than one step's victims: the tiering pass
+  // demotes the rest itself.
+  EXPECT_GT(after_demote.tier_proactive_demotions, 0u);
+  EXPECT_LT(after_demote.tier_proactive_demotions,
+            after_demote.tier_demotions);
   EXPECT_GT(after_demote.tier_css_pages, 0u);
   EXPECT_GT(after_demote.tier_css_bytes, 0u);
   EXPECT_LT(after_demote.MeasuredCompressionRatio(), 0.7)
@@ -410,6 +571,8 @@ TEST(CssStoreTest, VictimsOverTheMemoryBudgetDemoteWhateverTheirIdleTime) {
   EXPECT_LE(store.cache()->resident_bytes(), opts.memory_budget_bytes);
   EXPECT_GT(s.tier_demotions, 0u)
       << "victims over the budget must leave compressed";
+  EXPECT_EQ(s.tier_proactive_demotions, 0u)
+      << "no page is idle past the floor, so every demotion is a victim's";
   EXPECT_GT(s.tier_css_pages, 0u);
   for (int i = 0; i < 3000; i += 37) {
     auto r = store.Get("k" + std::to_string(i));
@@ -418,43 +581,6 @@ TEST(CssStoreTest, VictimsOverTheMemoryBudgetDemoteWhateverTheirIdleTime) {
   }
   EXPECT_GT(store.Stats().tier_css_hits, 0u);
   EXPECT_TRUE(store.CheckInvariants().empty());
-}
-
-TEST(CssStoreTest, ReheatLimitRefusesThrashingPages) {
-  VirtualClock clock(1);
-  core::CachingStoreOptions opts;
-  opts.clock = &clock;
-  opts.device.capacity_bytes = 256ull << 20;
-  opts.device.max_iops = 0;
-  opts.eviction_policy = llama::EvictionPolicy::kCostBased;
-  opts.breakeven_interval_seconds = 45.0;
-  opts.tier.css_budget_bytes = 64ull << 20;
-  opts.tier.demote_idle_seconds = 50.0;
-  opts.tier.max_reheats = 1;
-  opts.memory_budget_bytes = 0;
-  opts.maintenance_interval_ops = 0;
-  core::CachingStore store(opts);
-
-  for (int i = 0; i < 1500; ++i) {
-    ASSERT_TRUE(
-        store.Put("k" + std::to_string(i), StructuredValue(i)).ok());
-  }
-  ASSERT_TRUE(store.Checkpoint().ok());
-
-  // Demote -> touch (promote) cycles past the reheat limit: the policy
-  // must eventually refuse to demote pages that keep coming back.
-  for (int round = 0; round < 4; ++round) {
-    clock.AdvanceSeconds(100);
-    store.Maintain();
-    for (int i = 0; i < 1500; i += 10) {
-      ASSERT_TRUE(store.Get("k" + std::to_string(i)).ok());
-    }
-  }
-  const auto s = store.Stats();
-  EXPECT_GT(s.tier_demotions, 0u);
-  EXPECT_GT(s.tier_promotions, 0u);
-  EXPECT_GT(s.tier_demotion_refusals, 0u)
-      << "pages reheated past max_reheats must be refused CSS";
 }
 
 }  // namespace

@@ -123,6 +123,7 @@ TEST(IntegrationTest, CrashRecoveryWithRedoLogCatchesUnflushedCommits) {
 TEST(IntegrationTest, MixedWorkloadWithGcAndCompressionStaysConsistent) {
   core::CachingStoreOptions opts;
   opts.memory_budget_bytes = 512 << 10;
+  opts.tier.css_budget_bytes = 64ull << 20;
   opts.device.capacity_bytes = 256ull << 20;
   opts.device.max_iops = 0;
   opts.tree.max_page_bytes = 1024;
@@ -153,7 +154,7 @@ TEST(IntegrationTest, MixedWorkloadWithGcAndCompressionStaysConsistent) {
     } else if (dice < 0.97) {
       // Occasional demotion of a random page to the CSS tier.
       auto pid = store.tree()->LeafOf(key);
-      if (pid.ok()) (void)store.tree()->DemotePage(*pid, bwtree::CssPolicy{});
+      if (pid.ok()) (void)store.tree()->DemotePage(*pid);
     } else {
       (void)store.RunGc(0.5);
     }

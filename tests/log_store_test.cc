@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "compression/compressor.h"
 
 namespace costperf::llama {
 namespace {
@@ -217,7 +218,8 @@ TEST_F(LogStoreTest, RecoverReplaysSealedSegmentsInOrder) {
   LogStructuredStore recovered(device_.get());
   std::map<PageId, std::string> latest;
   ASSERT_TRUE(recovered
-                  .Recover([&](PageId pid, FlashAddress, const Slice& img) {
+                  .Recover([&](PageId pid, FlashAddress, const Slice& img,
+                               bool) {
                     latest[pid] = img.ToString();
                   })
                   .ok());
@@ -234,6 +236,30 @@ TEST_F(LogStoreTest, RecoverReplaysSealedSegmentsInOrder) {
   std::string img;
   ASSERT_TRUE(recovered.Read(*a, &img).ok());
   EXPECT_EQ(img, "post-recovery");
+}
+
+TEST_F(LogStoreTest, RecoveryReportsEachRecordsForm) {
+  const std::string raw(400, 'r');
+  std::string compressed;
+  compression::Compressor::Compress(Slice(raw), &compressed);
+  ASSERT_TRUE(store_->Append(1, Slice("plain")).ok());
+  ASSERT_TRUE(store_
+                  ->AppendCompressed(2, Slice(compressed),
+                                     static_cast<uint32_t>(raw.size()))
+                  .ok());
+  ASSERT_TRUE(store_->Flush().ok());
+
+  LogStructuredStore recovered(device_.get());
+  std::map<PageId, std::pair<std::string, bool>> seen;
+  ASSERT_TRUE(recovered
+                  .Recover([&](PageId pid, FlashAddress, const Slice& img,
+                               bool was_compressed) {
+                    seen[pid] = {img.ToString(), was_compressed};
+                  })
+                  .ok());
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1], std::make_pair(std::string("plain"), false));
+  EXPECT_EQ(seen[2], std::make_pair(raw, true));
 }
 
 TEST_F(LogStoreTest, VariablePagesConsumeOnlyTheirSize) {

@@ -100,6 +100,7 @@ TEST(ShardedStoreTest, BreakevensAggregateFromSummedAccumulators) {
   CachingStoreOptions opts;
   opts.memory_budget_bytes = 0;
   opts.maintenance_interval_ops = 0;
+  opts.tier.css_budget_bytes = 64ull << 20;
   opts.device.capacity_bytes = 64ull << 20;
   opts.device.max_iops = 0;
   auto store = ShardedStore::OfCaching(2, opts);
@@ -119,7 +120,7 @@ TEST(ShardedStoreTest, BreakevensAggregateFromSummedAccumulators) {
   for (size_t s = 0; s < store->shard_count(); ++s) {
     auto* tree = static_cast<CachingStore*>(store->shard(s))->tree();
     for (auto pid : tree->LeafPageIds()) {
-      ASSERT_TRUE(tree->DemotePage(pid, bwtree::CssPolicy{}).ok());
+      ASSERT_TRUE(tree->DemotePage(pid).ok());
     }
   }
   const KvStoreStats a = store->shard(0)->Stats();

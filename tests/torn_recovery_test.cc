@@ -40,7 +40,7 @@ std::map<PageId, std::string> RecoverAll(storage::SsdDevice* device,
                                          RecoveryReport* report) {
   std::map<PageId, std::string> out;
   Status s = store->Recover(
-      [&](PageId pid, FlashAddress, const Slice& payload) {
+      [&](PageId pid, FlashAddress, const Slice& payload, bool) {
         out[pid] = std::string(payload.data(), payload.size());
       },
       report);
