@@ -123,13 +123,13 @@ int Run() {
   }
 
   // --- the CSS tier running inside the actual store ---
-  // Same dataset flushed uncompressed vs demoted to the compressed tier:
+  // Same dataset flushed uncompressed vs evicted to the compressed tier:
   // compare media bytes and the CPU of reading a page back from each.
   printf("\n--- CSS tier in the storage stack ---\n");
   // Two stores over the same records: one without the tier, whose
   // flushes write plain images, and one whose flushes compress every
-  // image whatever its ratio, so every page the probe below demotes
-  // stays on the compressed tier.
+  // image whatever its ratio, so every page the probe below evicts lands
+  // on the compressed tier.
   const auto plain_opts = bench::FigureStoreOptions();
   auto css_opts = plain_opts;
   css_opts.tier.css_budget_bytes = 1ull << 30;
@@ -151,11 +151,11 @@ int Run() {
   }
   uint64_t raw_media =
       plain_store.log_store()->stats().payload_bytes_appended - before;
-  // Every page is dirty: its demotion flushes it compressed and swings
-  // onto the record.
+  // Every page is dirty: its eviction flushes it compressed and swings
+  // onto the record, a demotion.
   before = css_store.log_store()->stats().payload_bytes_appended;
   for (auto pid : css_store.tree()->LeafPageIds()) {
-    (void)css_store.tree()->DemotePage(pid);
+    (void)css_store.tree()->EvictPage(pid, bwtree::EvictMode::kFullEviction);
   }
   uint64_t css_media =
       css_store.log_store()->stats().payload_bytes_appended - before;
@@ -174,19 +174,13 @@ int Run() {
       char key[32];
       snprintf(key, sizeof(key), "rec%010d",
                (int)prng.Uniform(kStoreRecords));
-      // Force the page onto the probed tier: dirty it, then demote it or
-      // flush and evict it, then time the read back.
+      // Force the page onto the probed tier: dirty it, then evict it —
+      // flushed in the store's record form — and time the read back.
       auto pid = store.tree()->LeafOf(Slice(key));
       if (!pid.ok()) continue;
       (void)store.tree()->Get(Slice(key));  // ensure resident
       (void)store.tree()->Put(Slice(key), "probe-touch");
-      if (compressed) {
-        (void)store.tree()->DemotePage(*pid);
-      } else {
-        (void)store.tree()->FlushPage(*pid, bwtree::FlushMode::kFullPage);
-        (void)store.tree()->EvictPage(*pid,
-                                      bwtree::EvictMode::kFullEviction);
-      }
+      (void)store.tree()->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
       uint64_t t0 = ThreadCpuNanos();
       (void)store.tree()->Get(Slice(key));
       nanos += ThreadCpuNanos() - t0;

@@ -495,20 +495,16 @@ int RunSmokeJson(const char* path) {
       // small flash read + decompression instead of a full-page SS read)
       // counts as a hit. css_hits counts per page install — ~1 per op
       // that reheated a leaf, since inner nodes never live compressed —
-      // but background promotions also install from compressed records
-      // without any op behind them, so subtract those and cap at 1.
+      // so cap at 1.
       const uint64_t classified = s.hits + s.misses;
-      const uint64_t op_css_hits =
-          s.tier_css_hits > s.background_pages_promoted
-              ? s.tier_css_hits - s.background_pages_promoted
-              : 0;
       const double hit_rate =
           classified == 0
               ? 0.0
-              : std::min(1.0, static_cast<double>(s.hits + op_css_hits) /
+              : std::min(1.0, static_cast<double>(s.hits + s.tier_css_hits) /
                                   static_cast<double>(classified));
       // Occupancy cost at the paper's §4.1 prices: DRAM rent on what is
-      // actually resident plus flash rent on the compressed footprint.
+      // actually resident plus flash rent on the compressed bytes the log
+      // retains, live or dead until GC trims them.
       const costmodel::CostParams prices = costmodel::CostParams::PaperDefaults();
       const double dollars = prices.dram_cost_per_byte *
                                  static_cast<double>(s.memory_bytes) +

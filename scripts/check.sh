@@ -12,7 +12,7 @@
 #   programs under examples/ (ctest label `example`), so their
 #   DebugString() output is printed end to end under each sanitizer.
 #   Every ctest lane includes the three-tier suite — css_tier_test's
-#   record-form, demotion and promotion policies,
+#   record form and the demotions and promotions that follow from it,
 #   compressor_robustness_test's adversarial decompression inputs, and
 #   the crash-recovery torture with CSS demotions active — so the
 #   sanitizer lanes (asan/tsan/ubsan) exercise the compressed tier's

@@ -208,6 +208,21 @@ std::vector<mapping::PageId> CollectReachablePids(bwtree::BwTree* tree) {
   return pids;
 }
 
+std::vector<mapping::PageId> CollectMemoryLeafPids(bwtree::BwTree* tree) {
+  std::vector<PageId> pids;
+  Traverse(tree, [&](PageId pid, uint64_t word) {
+    tree->epochs()->AssertActive();  // see Traverse's doc comment
+    if (word == 0 || bwtree::IsFlashWord(word)) return;
+    std::vector<const Node*> nodes;
+    const Node* tail =
+        WalkChain(tree->epochs(), bwtree::DecodePointer(word), &nodes);
+    if (tail != nullptr && tail->type != NodeType::kInnerBase) {
+      pids.push_back(pid);
+    }
+  });
+  return pids;
+}
+
 std::vector<Violation> BwTreeValidator::Check() {
   std::vector<Violation> out;
   Traverse(tree_, [&](PageId pid, uint64_t word) {

@@ -14,6 +14,10 @@ namespace costperf::analysis {
 // dereferences mapping words under a single epoch guard but takes no
 // latches against concurrent SMOs).
 std::vector<mapping::PageId> CollectReachablePids(bwtree::BwTree* tree);
+// Of those, the leaves whose mapping word is a memory pointer — a
+// resident base, or record deltas over a FlashPointer: the pages that
+// hold DRAM. Same quiescent-tree contract.
+std::vector<mapping::PageId> CollectMemoryLeafPids(bwtree::BwTree* tree);
 
 // Structural validator for the Bw-tree (tentpole prong 2, rule ids):
 //   null-word    reachable page whose mapping entry is 0

@@ -5,7 +5,6 @@
 
 #include "analysis/bwtree_validator.h"
 #include "bwtree/node.h"
-#include "llama/log_store.h"
 
 namespace costperf::analysis {
 
@@ -14,29 +13,6 @@ namespace {
 using mapping::PageId;
 
 std::string PidEntity(PageId pid) { return "pid " + std::to_string(pid); }
-
-// Empty when `word` names pid's own compressed record of `bytes` stored
-// bytes; otherwise what the entry names instead.
-std::string CssRecordMismatch(llama::LogStructuredStore* log, PageId pid,
-                              uint64_t word, uint64_t bytes) {
-  if (word == 0) return "null";
-  if (!bwtree::IsFlashWord(word)) return "a memory pointer";
-  if (log == nullptr) return "a flash address with no log store";
-  const llama::FlashAddress addr = bwtree::DecodeFlash(word);
-  std::string image;
-  PageId owner = mapping::kInvalidPageId;
-  bool compressed = false;
-  const Status s = log->Read(addr, &image, &owner, &compressed);
-  if (!s.ok()) return "an unreadable record (" + s.ToString() + ")";
-  if (owner != pid) return "page " + std::to_string(owner) + "'s record";
-  if (!compressed) return "a plain record";
-  const uint64_t stored = addr.len() - llama::LogStructuredStore::kHeaderBytes;
-  if (stored != bytes) {
-    return "a compressed record of " + std::to_string(stored) +
-           " stored bytes";
-  }
-  return "";
-}
 
 }  // namespace
 
@@ -78,7 +54,9 @@ std::vector<Violation> MappingTableAuditor::Check() {
   }
 
   if (cache_ != nullptr) {
+    std::unordered_set<PageId> tracked;
     for (const auto& [pid, bytes] : cache_->ResidentEntries()) {
+      tracked.insert(pid);
       uint64_t word = pid < table->capacity() ? table->Get(pid) : 0;
       if (word == 0 || bwtree::IsFlashWord(word)) {
         out.push_back(Violation{
@@ -88,15 +66,12 @@ std::vector<Violation> MappingTableAuditor::Check() {
                 (word == 0 ? "null" : "a flash address")});
       }
     }
-    for (const auto& [pid, bytes] : cache_->CssEntries()) {
-      const uint64_t word = pid < table->capacity() ? table->Get(pid) : 0;
-      const std::string mismatch =
-          CssRecordMismatch(tree_->options().log_store, pid, word, bytes);
-      if (mismatch.empty()) continue;
+    for (PageId pid : CollectMemoryLeafPids(tree_)) {
+      if (tracked.count(pid) != 0) continue;
       out.push_back(Violation{
-          "MappingTableAuditor", "css-record", PidEntity(pid),
-          "cache manager charges a CSS entry " + std::to_string(bytes) +
-              " stored bytes but the mapping entry is " + mismatch});
+          "MappingTableAuditor", "resident-untracked", PidEntity(pid),
+          "leaf's mapping entry is a memory pointer but the cache manager "
+          "does not track it"});
     }
   }
 

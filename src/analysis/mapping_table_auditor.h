@@ -18,10 +18,9 @@ namespace costperf::analysis {
 //                      merge SMOs park ids that way until epoch reclaim.
 //   cache-not-resident cache manager believes a page is resident but its
 //                      mapping entry is null or a flash address
-//   css-record         a CSS-tier entry whose mapping entry is not a
-//                      flash address of the page's own compressed record
-//                      holding exactly the stored bytes the entry is
-//                      charged (read back through the tree's log store)
+//   resident-untracked the converse: a tree-reachable leaf whose mapping
+//                      entry is a memory pointer has no cache entry, so
+//                      it holds DRAM that no victim pick can reach
 class MappingTableAuditor : public InvariantChecker {
  public:
   // `cache` may be null (tree without resident-set accounting).

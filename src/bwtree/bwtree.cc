@@ -751,7 +751,8 @@ Status BwTree::PostDelta(const Slice& key, Node* delta) {
       Bump(cell.mm);
       opclass::Publish(OpClass::kMm);
       if (fresh_tail != nullptr) {
-        // Insert: the page re-enters the cache (a CSS entry promotes).
+        // Insert: the page's chain is in memory again (the delta over a
+        // FlashPointer), so it re-enters the cache.
         CacheInsertOrResize(pid, delta);
         return Status::Ok();
       }
@@ -1199,9 +1200,8 @@ Status BwTree::LoadAndInstall(PageId pid, uint64_t entry_word,
                   [&](PageMeta& m) { m.base_dirty = had_memory_deltas; })) {
     s_loads_.fetch_add(1, std::memory_order_relaxed);
     // The install counts as a CSS hit when the base image came back from
-    // a compressed record: the tier answered instead of plain SS. The
-    // cache manager's Insert below doubles as the CSS -> DRAM promotion
-    // when it was tracking this page in the compressed tier.
+    // a compressed record: the tier answered instead of plain SS, and the
+    // load is the page's CSS -> DRAM promotion.
     if (from_css) s_css_hits_.fetch_add(1, std::memory_order_relaxed);
     if (old_head != nullptr) RetireChain(old_head);
     CacheInsertOrResize(pid, fresh);
@@ -1353,8 +1353,8 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
 
   // Every flush installs a fresh base, a bare base's as one copy of its
   // image: the metadata it rewrites must move with the mapping word
-  // (DESIGN.md §3.4 rule 4), so a racing flush, eviction or demotion
-  // that read the old word and metadata fails its CAS.
+  // (DESIGN.md §3.4 rule 4), so a racing flush or eviction that read
+  // the old word and metadata fails its CAS.
   LeafBase* fresh = ConsolidateChain(head);
   if (fresh == nullptr) return Status::Internal("consolidation failed");
   {
@@ -1366,7 +1366,8 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
   }
   // A tiered tree decides the record's form here, once per write: an
   // image that compresses well enough goes to the log compressed, so the
-  // page's demotion later only swings onto this record (DESIGN.md §3.7).
+  // page's eviction later only swings onto this record, a demotion to
+  // CSS (DESIGN.md §3.7).
   const Slice image = fresh->image();
   std::string compressed;
   bool packed = false;
@@ -1417,13 +1418,13 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
   return Status::Aborted("page changed during flush");
 }
 
-Status BwTree::EvictPage(PageId pid, EvictMode mode, bool* wrote) {
+Status BwTree::EvictPage(PageId pid, EvictMode mode, EvictResult* out) {
   if (options_.log_store == nullptr) {
     return Status::FailedPrecondition("no log store configured");
   }
-  bool local_wrote = false;
-  if (wrote == nullptr) wrote = &local_wrote;
-  *wrote = false;
+  EvictResult local;
+  EvictResult* res = out != nullptr ? out : &local;
+  *res = EvictResult{};
   EpochGuard guard(&epochs_);
   for (int attempt = 0; attempt < 100; ++attempt) {
     uint64_t w = table_.Get(pid);
@@ -1452,7 +1453,7 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode, bool* wrote) {
         if (!ss.ok()) return ss;
         auto addr = RetryAppend(pid, base->image());
         if (!addr.ok()) return addr.status();
-        *wrote = true;
+        res->wrote = true;
         s_bytes_flushed_.fetch_add(base->image().size(),
                                    std::memory_order_relaxed);
         base_addr = *addr;
@@ -1513,22 +1514,39 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode, bool* wrote) {
     if (IsDirty(pid) || meta.flash_chain.empty()) {
       Status s = FlushPage(pid, FlushMode::kFullPage);
       if (!s.ok() && !s.IsAborted()) return s;
-      *wrote |= s.ok();
+      res->wrote |= s.ok();
       continue;  // re-read the (now clean) entry
     }
-    if (SwingToFlash(pid, w, head,
-                     FlashAddress::FromPacked(meta.flash_chain.front()),
-                     /*css_bytes=*/std::nullopt)) {
-      s_full_evictions_.fetch_add(1, std::memory_order_relaxed);
+    const FlashAddress newest = FlashAddress::FromPacked(meta.flash_chain[0]);
+    if (!SwingToFlash(pid, w, head, newest)) continue;
+    s_full_evictions_.fetch_add(1, std::memory_order_relaxed);
+    // The page's tier is its record's form (DESIGN.md §3.7): a base
+    // image swung onto a compressed record is in CSS. A FlashPointer
+    // stub held no image, so its swing moves nothing between tiers.
+    if (tail->type != NodeType::kLeafBase || options_.css_min_ratio <= 0) {
       return Status::Ok();
     }
+    if (!meta.newest_compressed) {
+      s_css_refusals_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Ok();
+    }
+    res->demoted = true;
+    s_css_demotions_.fetch_add(1, std::memory_order_relaxed);
+    if (!res->wrote) {
+      s_css_clean_demotions_.fetch_add(1, std::memory_order_relaxed);
+    }
+    s_css_raw_demoted_.fetch_add(static_cast<LeafBase*>(tail)->image().size(),
+                                 std::memory_order_relaxed);
+    s_css_stored_demoted_.fetch_add(
+        newest.len() - llama::LogStructuredStore::kHeaderBytes,
+        std::memory_order_relaxed);
+    return Status::Ok();
   }
   return Status::Aborted("EvictPage kept racing writers");
 }
 
 bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
-                          FlashAddress newest,
-                          std::optional<uint64_t> css_bytes) {
+                          FlashAddress newest) {
   // The word holds a clean base, so the metadata read with it still
   // describes it: any change to flash_chain or base_dirty moves the word
   // (DESIGN.md §3.4 rule 4), and this CAS then fails.
@@ -1536,7 +1554,7 @@ bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
     return table_.Cas(pid, expected, EncodeFlash(newest));
   };
   const bool swung = options_.cache != nullptr
-                         ? options_.cache->SwingOut(pid, css_bytes, swing)
+                         ? options_.cache->SwingOut(pid, swing)
                          : swing();
   if (!swung) {
     s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -1544,69 +1562,6 @@ bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
   }
   RetireChain(head);
   return true;
-}
-
-Status BwTree::DemotePage(PageId pid, DemoteResult* out) {
-  if (options_.log_store == nullptr) {
-    return Status::FailedPrecondition("no log store configured");
-  }
-  DemoteResult local;
-  DemoteResult* res = out != nullptr ? out : &local;
-  *res = DemoteResult{};
-
-  EpochGuard guard(&epochs_);
-  // Two passes at most: a dirty page is flushed on the first and swung
-  // on the second.
-  for (int pass = 0; pass < 2; ++pass) {
-    const uint64_t w = table_.Get(pid);
-    if (w == 0) return Status::NotFound("no such page");
-    if (IsFlashWord(w)) return Status::Ok();  // already non-resident
-
-    Node* head = DecodePointer(w);
-    if (head->type == NodeType::kRemoveNode) return Status::Ok();
-    Node* tail = ChainTail(head);
-    if (tail->type == NodeType::kInnerBase) {
-      return Status::InvalidArgument("inner pages are not demoted");
-    }
-    if (tail->type == NodeType::kFlashPointer) {
-      // Record-cache form: the base is already on flash. Plain eviction
-      // owns this shape.
-      return Status::FailedPrecondition("page base not resident");
-    }
-
-    const PageMeta meta = MetaGet(pid);
-    if (head != tail || meta.base_dirty || meta.flash_chain.empty()) {
-      if (pass > 0) break;  // written again since our flush
-      Status s = FlushPage(pid, FlushMode::kFullPage);
-      if (!s.ok()) return s;
-      res->flushed = true;
-      continue;
-    }
-    // A clean bare base on one compressed record is that record,
-    // inflated: the swing compresses and writes nothing and leaves no
-    // dead bytes. A plain record means the page compressed too poorly
-    // when it was written, and CSS would be a loss for it.
-    if (meta.flash_chain.size() != 1 || !meta.newest_compressed) {
-      s_css_refusals_.fetch_add(1, std::memory_order_relaxed);
-      return Status::FailedPrecondition("page's record is not compressed");
-    }
-    const FlashAddress record = FlashAddress::FromPacked(meta.flash_chain[0]);
-    const uint64_t raw = static_cast<const LeafBase*>(tail)->image().size();
-    const uint64_t stored =
-        record.len() - llama::LogStructuredStore::kHeaderBytes;
-    if (!SwingToFlash(pid, w, head, record, stored)) break;
-    s_css_demotions_.fetch_add(1, std::memory_order_relaxed);
-    if (!res->flushed) {
-      s_css_clean_demotions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    s_css_raw_demoted_.fetch_add(raw, std::memory_order_relaxed);
-    s_css_stored_demoted_.fetch_add(stored, std::memory_order_relaxed);
-    res->demoted = true;
-    res->raw_bytes = raw;
-    res->stored_bytes = stored;
-    return Status::Ok();
-  }
-  return Status::Aborted("page changed during demotion");
 }
 
 Status BwTree::FlushAll() {
@@ -2481,8 +2436,8 @@ llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
   // rewrote every other page). An evicted page's flash word moves to the
   // new address. A resident chain is replaced by its consolidated base —
   // a bare base by one copy of itself — so the mapping word moves with
-  // the metadata (DESIGN.md §3.4 rule 4) and a flush, eviction or
-  // demotion that read the old word fails its CAS. The replacement is
+  // the metadata (DESIGN.md §3.4 rule 4) and a flush or eviction that
+  // read the old word fails its CAS. The replacement is
   // built outside meta_mu_; the chain check, the CAS and the chain update
   // share one hold, as in CasWithMeta, and so does the answer when the
   // page cannot be moved: superseded when the chain no longer holds

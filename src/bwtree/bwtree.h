@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -47,8 +46,9 @@ struct BwTreeOptions {
   // Record form of a leaf's full image (the compressed tier, §7.2 /
   // Fig. 8). With a positive value FlushPage compresses the consolidated
   // image once and appends it compressed when compressed/raw is at most
-  // this, plain otherwise; only a page on a compressed record can demote
-  // (DemotePage). 0 writes every image plain: a tree without a CSS tier.
+  // this, plain otherwise, and a full eviction onto a compressed record
+  // is a demotion to CSS. 0 writes every image plain: a tree without a
+  // CSS tier.
   double css_min_ratio = 0;
 
   static RetryPolicy ShortBackoffRetry() {
@@ -74,16 +74,15 @@ enum class EvictMode {
   kKeepDeltas,    // record cache: deltas survive, base page is dropped
 };
 
-// What a successful (or refused) demotion did, for the tiering loop's
-// accounting and the measured-ratio feed to the cost model.
-struct DemoteResult {
+// What an eviction did.
+struct EvictResult {
+  // The eviction appended to the log: a dirty page (or, for
+  // kKeepDeltas, a dirty base) was flushed first. A clean page is
+  // evicted without writing anything.
+  bool wrote = false;
+  // A full eviction swung the page's image onto its compressed record:
+  // a demotion to the CSS tier (DESIGN.md §3.7).
   bool demoted = false;
-  // The page was dirty or on a delta chain: the demotion flushed it
-  // first (appending its record) and then swung onto that record. A
-  // clean page's demotion writes nothing.
-  bool flushed = false;
-  uint64_t raw_bytes = 0;     // the page's image size
-  uint64_t stored_bytes = 0;  // compressed bytes the page's record holds
 };
 
 struct BwTreeStats {
@@ -112,9 +111,9 @@ struct BwTreeStats {
   uint64_t bytes_flushed = 0;
   // Tier hierarchy (§7.2 / Fig. 8).
   uint64_t css_hits = 0;  // page loads satisfied by a compressed record
-  uint64_t css_demotions = 0;          // DemotePage successes
+  uint64_t css_demotions = 0;  // full evictions onto a compressed record
   uint64_t css_clean_demotions = 0;    // of those, nothing flushed first
-  uint64_t css_demotion_refusals = 0;  // the page's record is plain
+  uint64_t css_demotion_refusals = 0;  // tiered, but onto a plain record
   uint64_t css_raw_bytes_demoted = 0;     // pre-compression image bytes
   uint64_t css_stored_bytes_demoted = 0;  // bytes that reached the log
   // Fault handling.
@@ -193,20 +192,15 @@ class BwTree {
   // --- paging operations (driven by the caching store / cache manager) ---
 
   Status FlushPage(PageId pid, FlushMode mode);
-  // *wrote (when non-null) reports whether the eviction appended to the
-  // log: a clean page is evicted without writing anything.
-  Status EvictPage(PageId pid, EvictMode mode, bool* wrote = nullptr);
-  // Demotes a resident leaf to the compressed tier by swinging its
-  // mapping entry onto the page's one flash record when that record is
-  // compressed. A clean bare base swings as it is; a dirty page or a
-  // delta chain is flushed first — FlushPage decides the record's form —
-  // and then swung. Nothing is compressed here. The cache manager keeps
-  // tracking the page in the CSS tier (recency, compressed footprint);
-  // the next access promotes it back through the ordinary load path.
-  // Refuses with FailedPrecondition when the page's record is plain (it
-  // compressed worse than css_min_ratio, the tree has no tier, or it sits
-  // on a delta page) or when the base is not resident; Aborted on races.
-  Status DemotePage(PageId pid, DemoteResult* out = nullptr);
+  // The one way a leaf leaves DRAM. A full eviction flushes a dirty page
+  // first — FlushPage decides the record's form — and then swings the
+  // mapping entry onto the page's newest record, erasing its cache entry
+  // in the same latch hold. When that record is compressed the eviction
+  // is a demotion to CSS and is counted as one (css_demotions, the raw
+  // and stored bytes); on a tiered tree a swing onto a plain record is
+  // counted as a refusal. Nothing is compressed here. *out (when
+  // non-null) reports what the eviction did. Aborted on races.
+  Status EvictPage(PageId pid, EvictMode mode, EvictResult* out = nullptr);
   // Makes the page resident (SS work happens here).
   Status LoadPage(PageId pid);
   // Flushes every dirty leaf (full images).
@@ -276,7 +270,7 @@ class BwTree {
   // the new address; a resident leaf chain without SMO deltas is
   // replaced by its consolidated base, so the mapping word moves with
   // the metadata. Otherwise answers kSuperseded when the page's chain no
-  // longer holds old_addr (a flush, demotion or free replaced it) and
+  // longer holds old_addr (a flush or free replaced it) and
   // kStillReferenced when it does.
   llama::InstallOutcome GcInstall(PageId pid, FlashAddress old_addr,
                                   FlashAddress new_addr);
@@ -398,14 +392,11 @@ class BwTree {
   // Moves a clean resident page onto its newest flash record `newest`
   // (flash_chain[0]) with one CAS of the mapping word from `expected`,
   // whose chain starts at `head`, and retires that chain. Writes
-  // nothing and changes no metadata. Full eviction and demotion share
-  // it: the CAS and the move of the page's cache entry — to the CSS
-  // tier charged `css_bytes`, or out of the cache (nullopt) — share one
-  // CacheManager::SwingOut latch hold. False (a CAS failure, counted)
-  // when the word moved.
+  // nothing and changes no metadata. The CAS and the erase of the
+  // page's cache entry share one CacheManager::SwingOut latch hold.
+  // False (a CAS failure, counted) when the word moved.
   bool SwingToFlash(PageId pid, uint64_t expected, Node* head,
-                    FlashAddress newest, std::optional<uint64_t> css_bytes)
-      REQUIRES_EPOCH(epochs_);
+                    FlashAddress newest) REQUIRES_EPOCH(epochs_);
 
   // Split durability ordering: if `sib` (a page's right sibling) has never
   // reached flash, flush it first. The log is sequential, so "sibling
@@ -413,7 +404,7 @@ class BwTree {
   // post-split image — which no longer carries the migrated keys — also
   // preserves the sibling image that does. FlushAll gets the same
   // invariant by flushing right-to-left; this covers single-page flushes
-  // (background eviction, a demotion's flush, GC page rewrites).
+  // (background eviction, GC page rewrites).
   Status EnsureSplitSiblingDurable(PageId sib) REQUIRES_EPOCH(epochs_);
 
   // Attempts consolidation (and split if oversized). Best effort;

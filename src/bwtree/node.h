@@ -126,7 +126,8 @@ class LeafBase : public Node {
   Slice high_key() const { return high_key_; }
   // B-link pointer: the sibling holding keys >= high_key.
   PageId right_sibling() const { return right_sibling_; }
-  // The kFullLeaf image: what FlushPage appends and DemotePage compresses.
+  // The kFullLeaf image: what FlushPage appends (compressed on a tiered
+  // tree).
   Slice image() const { return Slice(image_); }
   // SIMD slice index over the keys, built when the image is indexed.
   const NodeSearchIndex& search() const { return search_; }

@@ -36,8 +36,8 @@ namespace costperf::compression {
 // decompress 0.80–0.86 µs/page (3.6–3.9 GB/s). Decompression cost is the
 // model's `decompress_r` input.
 
-// Raw/compressed byte counts from a single Compress call, so a demotion
-// path can apply a ratio policy without compressing twice.
+// Raw/compressed byte counts from a single Compress call, so a tiered
+// tree's flush can apply its ratio policy without compressing twice.
 struct CompressInfo {
   uint64_t raw_size = 0;
   uint64_t compressed_size = 0;
@@ -55,7 +55,8 @@ class Compressor {
   static void Compress(const Slice& input, std::string* out);
 
   // Same, reporting raw/compressed sizes of this one call so callers that
-  // gate on the ratio (tier demotion) never compress the input twice.
+  // gate on the ratio (a tiered tree's flush) never compress the input
+  // twice.
   static void Compress(const Slice& input, std::string* out,
                        CompressInfo* info);
 

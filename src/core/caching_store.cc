@@ -309,7 +309,7 @@ bool CachingStore::RunStep(const maintenance::MaintenanceQuota& quota) {
     return false;
   }
   bool more = EvictStep(quota);
-  more |= TierStep(quota);
+  TierStep(quota);
   more |= GcStep(quota);
   HousekeepingStep(quota);
   tree_->ReclaimMemory();
@@ -329,25 +329,8 @@ bool CachingStore::EvictStep(const maintenance::MaintenanceQuota& quota) {
   auto victims = cache_->PickVictims(want, quota.evict_pages);
   bool progressed = false;
   for (auto pid : victims) {
-    // Demote-before-evict: a victim goes to the compressed tier when the
-    // policy says it pays; demotion IS its eviction (one CAS moved the
-    // page out of DRAM), so plain eviction is skipped and evict_pages
-    // bounds both. Over budget the page must leave DRAM now whatever its
-    // idle time, and leaving compressed is what keeps its flash bytes
-    // small.
-    if (TryDemote(pid, /*over_budget=*/want > 0)) {
-      progressed = true;
-      if (degraded_.load(std::memory_order_acquire)) return false;
-      continue;
-    }
-    bool wrote = false;
-    Status s =
-        tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction, &wrote);
-    NoteWriteOutcome(s, /*reset_on_ok=*/wrote);
-    if (s.ok()) {
-      progressed = true;
-      bg_pages_evicted_.fetch_add(1, std::memory_order_relaxed);
-    }
+    bwtree::EvictResult res;
+    progressed |= EvictPicked(pid, &res).ok();
     if (degraded_.load(std::memory_order_acquire)) return false;
   }
   // Requeue only when this step evicted something AND work remains: the
@@ -359,71 +342,31 @@ bool CachingStore::EvictStep(const maintenance::MaintenanceQuota& quota) {
                         (cost_based && victims.size() >= quota.evict_pages));
 }
 
-bool CachingStore::TryDemote(mapping::PageId pid, bool over_budget) {
+void CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
   const auto& tier = options_.tier;
-  if (tier.css_budget_bytes == 0) return false;
-  if (cache_->GetTier(pid) != llama::CacheTier::kDram) return false;
-  if (!over_budget && cache_->IdleSeconds(pid) < tier.demote_idle_seconds) {
-    return false;
-  }
-  if (cache_->css_resident_bytes() >= tier.css_budget_bytes) return false;
-  bwtree::DemoteResult res;
-  Status s = tree_->DemotePage(pid, &res);
-  // Only the demotion's flush writes: once it has, the swing's outcome
-  // says nothing about the media.
-  NoteWriteOutcome(res.flushed ? Status::Ok() : s,
-                   /*reset_on_ok=*/res.flushed);
-  // Refused (FailedPrecondition), raced (Aborted), or failed: the caller
-  // falls back to plain eviction for this victim.
-  return s.ok() && res.demoted;
-}
-
-bool CachingStore::TierStep(const maintenance::MaintenanceQuota& quota) {
-  const auto& tier = options_.tier;
-  if (tier.css_budget_bytes == 0) return false;
-
+  if (tier.css_budget_bytes == 0) return;
   // Proactive demotion, independent of memory pressure: DRAM rental on a
-  // page idle past the demotion floor is already a loss (§4.2), and the
-  // compressed record shrinks its media footprint on top (Fig. 8).
+  // page idle past the demotion floor is already a loss (§4.2), and its
+  // compressed record shrinks its media footprint on top (Fig. 8). The
+  // eviction swings the page onto that record.
   for (auto pid : cache_->PickDemotionCandidates(quota.compress_pages,
                                                  tier.demote_idle_seconds)) {
-    if (cache_->css_resident_bytes() >= tier.css_budget_bytes) break;
-    if (TryDemote(pid, /*over_budget=*/false)) {
+    bwtree::EvictResult res;
+    if (EvictPicked(pid, &res).ok() && res.demoted) {
       bg_proactive_demotions_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (degraded_.load(std::memory_order_acquire)) return false;
+    if (degraded_.load(std::memory_order_acquire)) return;
   }
+}
 
-  // CSS overflow: the coldest compressed pages fall through to plain SS.
-  // Their durable record already exists — dropping the cache entry is
-  // the entire eviction (the mapping word is already a flash address).
-  bool more = false;
-  const uint64_t css = cache_->css_resident_bytes();
-  if (css > tier.css_budget_bytes) {
-    for (auto pid : cache_->PickCssVictims(css - tier.css_budget_bytes,
-                                           quota.evict_pages)) {
-      if (cache_->EraseCss(pid)) {
-        bg_css_fallthroughs_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    more = cache_->css_resident_bytes() > tier.css_budget_bytes;
-  }
-
-  // Background promotion: while DRAM has clear headroom, pay the
-  // decompression for the hottest CSS pages ahead of demand.
-  if (effective_budget_ != ~0ull) {
-    const uint64_t floor_bytes = static_cast<uint64_t>(
-        static_cast<double>(effective_budget_) * kPromoteFillFloor);
-    if (cache_->resident_bytes() < floor_bytes) {
-      for (auto pid : cache_->PickPromotionCandidates(quota.promote_pages)) {
-        if (tree_->LoadPage(pid).ok()) {
-          bg_pages_promoted_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (cache_->resident_bytes() >= floor_bytes) break;
-      }
-    }
-  }
-  return more;
+Status CachingStore::EvictPicked(mapping::PageId pid,
+                                 bwtree::EvictResult* res) {
+  // On a tiered store the page's record is usually compressed, and the
+  // eviction is then its demotion to CSS (DESIGN.md §3.7).
+  Status s = tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction, res);
+  NoteWriteOutcome(s, /*reset_on_ok=*/res->wrote);
+  if (s.ok()) bg_pages_evicted_.fetch_add(1, std::memory_order_relaxed);
+  return s;
 }
 
 bool CachingStore::GcStep(const maintenance::MaintenanceQuota& quota) {
@@ -586,37 +529,27 @@ KvStoreStats CachingStore::Stats() const {
   s.stall_micros_total = stall_micros_total_.load(std::memory_order_relaxed);
   const auto l = log_->stats();
   s.log_append_groups = l.append_groups;
-  static_assert(llama::LogStoreStats::kGroupSizeBuckets == 6);
-  s.log_group_size_1 = l.group_size_hist[0];
-  s.log_group_size_2 = l.group_size_hist[1];
-  s.log_group_size_3_4 = l.group_size_hist[2];
-  s.log_group_size_5_8 = l.group_size_hist[3];
-  s.log_group_size_9_16 = l.group_size_hist[4];
-  s.log_group_size_17_up = l.group_size_hist[5];
-  // Three-tier hierarchy: occupancy and traffic from the cache and tree.
-  // The Fig. 8 / Eq. 6 breakevens are KvStoreStats methods over these
-  // additive accumulators.
+  // Three-tier hierarchy: DRAM occupancy from the cache, CSS occupancy
+  // from the log (the compressed bytes it retains), traffic from the
+  // tree. A promotion is a load of a compressed record, so it is a CSS
+  // hit. The Fig. 8 / Eq. 6 breakevens are KvStoreStats methods over
+  // these additive accumulators.
   s.tier_dram_pages = c.resident_pages;
   s.tier_dram_bytes = c.resident_bytes;
-  s.tier_css_pages = c.css_pages;
-  s.tier_css_bytes = c.css_bytes;
+  s.tier_css_bytes = l.css_stored_bytes_appended +
+                     l.css_stored_bytes_recovered -
+                     l.css_stored_bytes_collected;
   s.tier_css_hits = t.css_hits;
   s.tier_demotions = t.css_demotions;
   s.tier_clean_demotions = t.css_clean_demotions;
   s.tier_proactive_demotions =
       bg_proactive_demotions_.load(std::memory_order_relaxed);
-  s.tier_promotions = c.promotions;
+  s.tier_promotions = t.css_hits;
   s.tier_demotion_refusals = t.css_demotion_refusals;
-  s.tier_css_fallthroughs =
-      bg_css_fallthroughs_.load(std::memory_order_relaxed);
   s.css_raw_bytes = t.css_raw_bytes_demoted;
   s.css_stored_bytes = t.css_stored_bytes_demoted;
   s.tier_dram_interval_nanos = c.dram_interval_nanos;
   s.tier_dram_interval_samples = c.dram_interval_samples;
-  s.tier_css_interval_nanos = c.css_interval_nanos;
-  s.tier_css_interval_samples = c.css_interval_samples;
-  s.background_pages_promoted =
-      bg_pages_promoted_.load(std::memory_order_relaxed);
   return s;
 }
 

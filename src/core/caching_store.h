@@ -26,25 +26,23 @@ struct CachingStoreOptions {
   // Breakeven interval for the cost-based policy; by default derived
   // from CostParams::PaperDefaults() via Eq. (6).
   double breakeven_interval_seconds = 45.0;
-  // The compressed-secondary-storage tier (§7.2 / Fig. 8): with a
-  // non-zero budget the store runs a live three-level hierarchy —
-  // DRAM -> compressed-SS -> SS. A leaf's record form is decided when the
-  // leaf is written: a flush stores its image compressed when it
-  // compresses well enough. Cold DRAM pages demote by swinging onto that
-  // record (still tracked by the cache manager, promoted back on touch);
-  // CSS overflow falls through to plain SS; a page on a plain record is
-  // refused CSS and evicted plain.
+  // The compressed-secondary-storage tier (§7.2 / Fig. 8): when on, the
+  // store runs a live three-level hierarchy — DRAM -> compressed-SS ->
+  // SS. A leaf's record form is decided when the leaf is written: a flush
+  // stores its image compressed when it compresses well enough. A page
+  // that is not resident is in CSS when its record is compressed and in
+  // SS when it is plain, so every eviction of a page on a compressed
+  // record is its demotion, and the load that brings it back is its
+  // promotion. CSS has no cap of its own: it holds what the log retains.
   struct TierOptions {
-    // Stored-byte budget for CSS-tier pages. 0 disables the tier.
+    // Non-zero turns the tier on; the value is not a cap.
     uint64_t css_budget_bytes = 0;
-    // Proactive demotion (and a cost-based eviction victim under the
-    // memory budget) takes only pages idle at least this long. A victim
-    // evicted while the store is over its memory budget tries demotion
-    // whatever its idle time.
+    // Maintenance also evicts, whatever the memory budget, pages idle at
+    // least this long (proactive demotion).
     double demote_idle_seconds = 30.0;
     // With the tier on, a leaf's image is written compressed when
     // compressed/raw is at most this, plain otherwise; a page on a plain
-    // record is refused demotion (BwTreeOptions::css_min_ratio).
+    // record is evicted to SS (BwTreeOptions::css_min_ratio).
     double min_ratio = 0.85;
   };
   TierOptions tier;
@@ -66,7 +64,7 @@ struct CachingStoreOptions {
   double merge_fill_target = 0.0;
   // Degrade to read-only after this many consecutive write-path
   // failures — IoErrors, or OutOfRange from a full device — on the
-  // put/delete/flush/evict/demote/GC/checkpoint paths. 0 disables
+  // put/delete/flush/evict/GC/checkpoint paths. 0 disables
   // health tracking.
   uint32_t degrade_after_write_failures = 3;
 
@@ -199,8 +197,8 @@ class CachingStore : public KvStore,
   // BackgroundMaintainer — runs on a scheduler worker thread.
   bool MaintenanceStep(const maintenance::MaintenanceQuota& quota) override;
   // The one maintenance step, shared by scheduler workers and Maintain():
-  // at most `quota` of eviction, CSS tiering, GC and housekeeping. Returns
-  // true when it knows more work remains.
+  // at most `quota` of eviction, proactive demotion, GC and housekeeping.
+  // Returns true when it knows more work remains.
   bool RunStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // Bound on the steps one Maintain() call repeats.
@@ -209,25 +207,18 @@ class CachingStore : public KvStore,
   // exceed this fraction of the memory budget (the log's dead space past
   // log_dead_trigger signals too).
   static constexpr double kCacheFillTrigger = 0.9;
-  // Background promotion pulls the hottest CSS pages back to DRAM while
-  // resident bytes sit below this fraction of the memory budget; demand
-  // promotion on touch always works.
-  static constexpr double kPromoteFillFloor = 0.7;
+  // Evicts the step's victims (quota.evict_pages): down to the memory
+  // budget, and past breakeven under the cost-based policy.
   bool EvictStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
-  // CSS tier maintenance: demotes DRAM pages idle past the floor
-  // (quota.compress_pages), drops CSS overflow to plain SS, and promotes
-  // hot CSS pages back while DRAM has headroom (quota.promote_pages).
-  // No-op when the tier is off.
-  bool TierStep(const maintenance::MaintenanceQuota& quota)
+  // Proactive demotion: evicts pages idle at least demote_idle_seconds
+  // (quota.compress_pages). No-op when the tier is off.
+  void TierStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
-  // Tries to demote one page to the CSS tier: true when it went there
-  // (so an eviction victim must not also be evicted). A page below
-  // demote_idle_seconds is refused unless `over_budget`: a victim picked
-  // while resident bytes exceed the budget leaves DRAM either way, and
-  // leaving compressed keeps its flash bytes small. The CSS budget and
-  // the refusal of a page on a plain record apply in both cases.
-  bool TryDemote(mapping::PageId pid, bool over_budget)
+  // Full eviction of a page a maintenance pick chose: books its write
+  // outcome and background_pages_evicted; *res says whether it was a
+  // demotion.
+  Status EvictPicked(mapping::PageId pid, bwtree::EvictResult* res)
       REQUIRES(maintenance_mu_);
   bool GcStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
@@ -250,8 +241,8 @@ class CachingStore : public KvStore,
   // device's OutOfRange grows the failure streak (degrading at the
   // threshold); `reset_on_ok` says whether an OK from this call wrote to
   // the log, which is evidence of working media, or wrote nothing (a
-  // Put/Delete, a clean eviction, a clean page's demotion), which must
-  // not mask concurrent flush failures.
+  // Put/Delete, a clean page's eviction), which must not mask concurrent
+  // flush failures.
   void NoteWriteOutcome(const Status& s, bool reset_on_ok);
 
   CachingStoreOptions options_;
@@ -307,9 +298,7 @@ class CachingStore : public KvStore,
   std::atomic<uint64_t> foreground_maintenance_ops_{0};
   std::atomic<uint64_t> background_steps_{0};
   std::atomic<uint64_t> bg_pages_evicted_{0};
-  std::atomic<uint64_t> bg_pages_promoted_{0};
   std::atomic<uint64_t> bg_proactive_demotions_{0};
-  std::atomic<uint64_t> bg_css_fallthroughs_{0};
   std::atomic<uint64_t> bg_gc_segments_{0};
   std::atomic<uint64_t> bg_consolidations_{0};
   std::atomic<uint64_t> bg_leaf_flushes_{0};

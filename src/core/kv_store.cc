@@ -77,11 +77,11 @@ std::string KvStoreStats::ToString() const {
   char derived[320];
   snprintf(derived, sizeof(derived),
            "derived: health=%s F=%.3f css_ratio=%.3f dram_interval=%.3fs "
-           "css_interval=%.3fs T_i=%.1fs (modeled %.1fs) "
+           "T_i=%.1fs (modeled %.1fs) "
            "css_breakeven=%.1f ops/s (modeled %.1f)",
            HealthStatusName(health), MissFraction(),
            MeasuredCompressionRatio(), MeanDramIntervalSeconds(),
-           MeanCssIntervalSeconds(), MeasuredTiSeconds(), ModeledTiSeconds(),
+           MeasuredTiSeconds(), ModeledTiSeconds(),
            MeasuredCssBreakevenOps(), ModeledCssBreakevenOps());
   return out + derived;
 }

@@ -63,13 +63,6 @@ inline constexpr int kStatsLines = static_cast<int>(StatsLine::kTier) + 1;
   X(epoch_reclaim_batches, kCount, kContention) /* passes that freed */    \
   X(epoch_reclaimed_items, kCount, kContention) /* retired deleters run */ \
   X(log_append_groups, kCount, kContention)     /* completed groups */     \
-  /* Completed append groups by size: 1, 2, 3-4, 5-8, 9-16, 17+. */        \
-  X(log_group_size_1, kCount, kContention)                                 \
-  X(log_group_size_2, kCount, kContention)                                 \
-  X(log_group_size_3_4, kCount, kContention)                               \
-  X(log_group_size_5_8, kCount, kContention)                               \
-  X(log_group_size_9_16, kCount, kContention)                              \
-  X(log_group_size_17_up, kCount, kContention)                             \
   /* Batched-surface visibility: how much traffic arrives through the */   \
   /* batch API and how well composites (ShardedStore) group it. A wire */  \
   /* server whose pipelined windows reach the batched store paths shows */ \
@@ -97,27 +90,24 @@ inline constexpr int kStatsLines = static_cast<int>(StatsLine::kTier) + 1;
   X(write_stalls, kCount, kMaintenance)                                    \
   X(stall_micros_total, kCount, kMaintenance)                              \
   /* Three-tier hierarchy (DRAM -> compressed-SS -> SS, §7.2 / Fig. 8): */ \
-  /* occupancy, traffic, and the per-tier access-interval accumulators */  \
-  /* that make the five-minute-rule breakeven a measured quantity. */      \
-  /* Stores without a tier leave these 0. */                               \
+  /* occupancy, traffic, and the access-interval accumulator that makes */ \
+  /* the five-minute-rule breakeven a measured quantity. A page is in */   \
+  /* CSS when it is not resident and its record is compressed, so a */     \
+  /* demotion is an eviction onto a compressed record and a promotion */   \
+  /* is a load of one. Stores without a tier leave the CSS counters 0. */  \
   X(tier_dram_pages, kLevel, kTier)                                        \
   X(tier_dram_bytes, kLevel, kTier)                                        \
-  X(tier_css_pages, kLevel, kTier)                                         \
-  X(tier_css_bytes, kLevel, kTier)         /* compressed footprint */      \
+  X(tier_css_bytes, kLevel, kTier)         /* compressed, log retains */   \
   X(tier_css_hits, kCount, kTier)          /* loads served by CSS */       \
   X(tier_demotions, kCount, kTier)         /* DRAM -> CSS */               \
   X(tier_clean_demotions, kCount, kTier)   /* of which nothing flushed */  \
   X(tier_proactive_demotions, kCount, kTier) /* of which not victims */    \
-  X(tier_promotions, kCount, kTier)        /* CSS -> DRAM */               \
+  X(tier_promotions, kCount, kTier)        /* CSS -> DRAM, = css hits */   \
   X(tier_demotion_refusals, kCount, kTier) /* on a plain record */         \
-  X(tier_css_fallthroughs, kCount, kTier)  /* CSS -> SS on overflow */     \
   X(css_raw_bytes, kCount, kTier)          /* pre-compression, demoted */  \
   X(css_stored_bytes, kCount, kTier)       /* compressed, demoted */       \
   X(tier_dram_interval_nanos, kCount, kTier) /* sum of DRAM touch gaps */  \
-  X(tier_dram_interval_samples, kCount, kTier)                             \
-  X(tier_css_interval_nanos, kCount, kTier)  /* sum of CSS reheat gaps */  \
-  X(tier_css_interval_samples, kCount, kTier)                              \
-  X(background_pages_promoted, kCount, kTier) /* proactive CSS -> DRAM */
+  X(tier_dram_interval_samples, kCount, kTier)
 
 // Structured counters common to every KvStore. Benches and tests consume
 // these fields directly instead of parsing DebugString().
@@ -149,18 +139,13 @@ struct KvStoreStats {
                               : static_cast<double>(css_stored_bytes) /
                                     static_cast<double>(css_raw_bytes);
   }
-  // Mean measured inter-access gap per tier, seconds (0 with no samples).
+  // Mean measured inter-access gap of DRAM pages, seconds (0 with no
+  // samples).
   double MeanDramIntervalSeconds() const {
     return tier_dram_interval_samples == 0
                ? 0.0
                : static_cast<double>(tier_dram_interval_nanos) * 1e-9 /
                      static_cast<double>(tier_dram_interval_samples);
-  }
-  double MeanCssIntervalSeconds() const {
-    return tier_css_interval_samples == 0
-               ? 0.0
-               : static_cast<double>(tier_css_interval_nanos) * 1e-9 /
-                     static_cast<double>(tier_css_interval_samples);
   }
 
   // Fraction of classified ops that missed (the paper's F). 0 when the

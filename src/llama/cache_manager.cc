@@ -92,8 +92,6 @@ void CacheManager::GrowTable(Shard& shard) {
                    std::memory_order_relaxed);
     dst.seq.store(src.seq.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
-    dst.tier.store(src.tier.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
     dst.pid.store(pid, std::memory_order_release);
   }
   // Tombstones are dropped by the rehash.
@@ -148,22 +146,9 @@ void CacheManager::Insert(mapping::PageId pid, uint64_t bytes) {
   const uint64_t now = clock_->NowNanos();
   const uint64_t seq = lru_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (s->pid.load(std::memory_order_relaxed) == pid) {
+    // Re-insert of a resident page: treat as resize + touch (MRU).
     const uint64_t old = s->bytes.load(std::memory_order_relaxed);
-    if (static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed)) ==
-        CacheTier::kCss) {
-      // The page's chain just got rebuilt in memory: this Insert IS the
-      // CSS -> DRAM promotion. Move its footprint between the tier
-      // accounts.
-      shard.css_bytes.fetch_sub(old, std::memory_order_relaxed);
-      shard.css_pages.fetch_sub(1, std::memory_order_relaxed);
-      shard.resident_bytes.fetch_add(bytes, std::memory_order_relaxed);
-      shard.promotions.fetch_add(1, std::memory_order_relaxed);
-      s->tier.store(static_cast<uint32_t>(CacheTier::kDram),
-                    std::memory_order_relaxed);
-    } else {
-      // Re-insert of a resident page: treat as resize + touch (MRU).
-      shard.resident_bytes.fetch_add(bytes - old, std::memory_order_relaxed);
-    }
+    shard.resident_bytes.fetch_add(bytes - old, std::memory_order_relaxed);
     s->bytes.store(bytes, std::memory_order_relaxed);
     s->tick.store(now, std::memory_order_relaxed);
     s->seq.store(seq, std::memory_order_relaxed);
@@ -172,8 +157,6 @@ void CacheManager::Insert(mapping::PageId pid, uint64_t bytes) {
   s->bytes.store(bytes, std::memory_order_relaxed);
   s->tick.store(now, std::memory_order_relaxed);
   s->seq.store(seq, std::memory_order_relaxed);
-  s->tier.store(static_cast<uint32_t>(CacheTier::kDram),
-                std::memory_order_relaxed);
   s->pid.store(pid, std::memory_order_release);
   shard.live++;
   if (!claimed_tombstone) shard.used++;
@@ -216,21 +199,16 @@ void CacheManager::Touch(mapping::PageId pid) {
   const uint64_t now = clock_->NowNanos();
   const uint64_t prev = s->tick.load(std::memory_order_relaxed);
   s->tick.store(now, std::memory_order_relaxed);
-  // Accumulate the inter-reference gap into this thread's cell, binned
-  // by tier: the per-tier mean gap is the measured access interval the
-  // five-minute-rule breakeven gets compared against. Racing touches
-  // can double-count or drop a gap — advisory statistics, like ticks.
+  // Accumulate the inter-reference gap into this thread's cell: the
+  // mean gap is the measured access interval the five-minute-rule
+  // breakeven gets compared against. Racing touches can double-count or
+  // drop a gap — advisory statistics, like ticks.
   if (prev != 0 && now > prev) {
-    const bool css =
-        static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed)) ==
-        CacheTier::kCss;
-    std::atomic<uint64_t>& sum =
-        css ? cell.css_interval_nanos : cell.dram_interval_nanos;
-    std::atomic<uint64_t>& cnt =
-        css ? cell.css_interval_samples : cell.dram_interval_samples;
-    sum.store(sum.load(std::memory_order_relaxed) + (now - prev),
-              std::memory_order_relaxed);
-    BumpCell(cnt);
+    cell.dram_interval_nanos.store(
+        cell.dram_interval_nanos.load(std::memory_order_relaxed) +
+            (now - prev),
+        std::memory_order_relaxed);
+    BumpCell(cell.dram_interval_samples);
   }
 }
 
@@ -241,15 +219,7 @@ void CacheManager::Resize(mapping::PageId pid, uint64_t new_bytes) {
   if (s == nullptr) return;
   const uint64_t old = s->bytes.load(std::memory_order_relaxed);
   s->bytes.store(new_bytes, std::memory_order_relaxed);
-  // Adjust whichever tier account the entry is charged against (a CSS
-  // entry's footprint never changes in practice, but keep the books
-  // closed regardless).
-  std::atomic<uint64_t>& account =
-      static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed)) ==
-              CacheTier::kCss
-          ? shard.css_bytes
-          : shard.resident_bytes;
-  account.fetch_add(new_bytes - old, std::memory_order_relaxed);
+  shard.resident_bytes.fetch_add(new_bytes - old, std::memory_order_relaxed);
 }
 
 void CacheManager::Erase(mapping::PageId pid) {
@@ -259,32 +229,12 @@ void CacheManager::Erase(mapping::PageId pid) {
   if (s != nullptr) EraseSlot(shard, s);
 }
 
-bool CacheManager::EraseCss(mapping::PageId pid) {
-  Shard& shard = ShardFor(pid);
-  MutexLock lk(&shard.mu);
-  Slot* s = FindSlot(shard, pid);
-  if (s == nullptr ||
-      static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed)) !=
-          CacheTier::kCss) {
-    return false;
-  }
-  EraseSlot(shard, s);
-  return true;
-}
-
 void CacheManager::EraseSlot(Shard& shard, Slot* s) {
   const uint64_t bytes = s->bytes.load(std::memory_order_relaxed);
-  const CacheTier tier =
-      static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed));
   // Tombstone keeps the probe chain intact for concurrent readers.
   s->pid.store(kTombstonePid, std::memory_order_release);
   shard.live--;
-  if (tier == CacheTier::kCss) {
-    shard.css_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-    shard.css_pages.fetch_sub(1, std::memory_order_relaxed);
-  } else {
-    shard.resident_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-  }
+  shard.resident_bytes.fetch_sub(bytes, std::memory_order_relaxed);
   shard.evictions.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -300,79 +250,18 @@ uint64_t CacheManager::resident_bytes() const {
   return total;
 }
 
-bool CacheManager::OverBudget() const {
-  return resident_bytes() > options_.memory_budget_bytes;
-}
-
-double CacheManager::IdleSeconds(mapping::PageId pid) const {
-  Slot* s = FindSlot(ShardFor(pid), pid);
-  if (s == nullptr) return -1.0;
-  return static_cast<double>(clock_->NowNanos() -
-                             s->tick.load(std::memory_order_relaxed)) *
-         1e-9;
-}
-
-bool CacheManager::SetTier(mapping::PageId pid, CacheTier tier,
-                           uint64_t bytes) {
-  Shard& shard = ShardFor(pid);
-  MutexLock lk(&shard.mu);
-  Slot* s = FindSlot(shard, pid);
-  return s != nullptr && SetSlotTier(shard, s, tier, bytes);
-}
-
 bool CacheManager::SwingOut(mapping::PageId pid,
-                            std::optional<uint64_t> css_bytes,
                             const std::function<bool()>& swing) {
   Shard& shard = ShardFor(pid);
   MutexLock lk(&shard.mu);
   if (!swing()) return false;
   Slot* s = FindSlot(shard, pid);
-  if (s == nullptr) return true;
-  if (css_bytes.has_value()) {
-    SetSlotTier(shard, s, CacheTier::kCss, *css_bytes);
-  } else {
-    EraseSlot(shard, s);
-  }
+  if (s != nullptr) EraseSlot(shard, s);
   return true;
-}
-
-bool CacheManager::SetSlotTier(Shard& shard, Slot* s, CacheTier tier,
-                               uint64_t bytes) {
-  const CacheTier cur =
-      static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed));
-  if (cur == tier) return false;
-  const uint64_t old = s->bytes.load(std::memory_order_relaxed);
-  if (tier == CacheTier::kCss) {
-    shard.resident_bytes.fetch_sub(old, std::memory_order_relaxed);
-    shard.css_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    shard.css_pages.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    shard.css_bytes.fetch_sub(old, std::memory_order_relaxed);
-    shard.css_pages.fetch_sub(1, std::memory_order_relaxed);
-    shard.resident_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    shard.promotions.fetch_add(1, std::memory_order_relaxed);
-  }
-  s->bytes.store(bytes, std::memory_order_relaxed);
-  s->tier.store(static_cast<uint32_t>(tier), std::memory_order_relaxed);
-  return true;
-}
-
-CacheTier CacheManager::GetTier(mapping::PageId pid) const {
-  Slot* s = FindSlot(ShardFor(pid), pid);
-  if (s == nullptr) return CacheTier::kDram;
-  return static_cast<CacheTier>(s->tier.load(std::memory_order_relaxed));
-}
-
-uint64_t CacheManager::css_resident_bytes() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->css_bytes.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 std::vector<CacheManager::VictimCandidate> CacheManager::Sweep(
-    CacheTier tier, size_t limit) {
+    size_t limit) {
   std::vector<VictimCandidate> out;
   if (limit == 0) return out;
   out.reserve(std::min<size_t>(limit, 1024));
@@ -395,10 +284,6 @@ std::vector<CacheManager::VictimCandidate> CacheManager::Sweep(
       const Slot& s = t->slots[i];
       const uint64_t pid = s.pid.load(std::memory_order_acquire);
       if (pid == kEmptyPid || pid == kTombstonePid) continue;
-      if (s.tier.load(std::memory_order_relaxed) !=
-          static_cast<uint32_t>(tier)) {
-        continue;
-      }
       const VictimCandidate c{pid, s.bytes.load(std::memory_order_relaxed),
                               s.tick.load(std::memory_order_relaxed),
                               s.seq.load(std::memory_order_relaxed)};
@@ -418,23 +303,20 @@ std::vector<CacheManager::VictimCandidate> CacheManager::Sweep(
   return out;
 }
 
-std::vector<CacheManager::VictimCandidate> CacheManager::Sample(
-    CacheTier tier, size_t k, bool hottest_first) {
-  // Saturating: the unbounded PickVictims sweeps the whole tier.
+std::vector<CacheManager::VictimCandidate> CacheManager::Sample(size_t k) {
+  // Saturating: the unbounded PickVictims sweeps the whole cache.
   const size_t limit = k > std::numeric_limits<size_t>::max() / kSampleFactor
                            ? std::numeric_limits<size_t>::max()
                            : k * kSampleFactor;
-  std::vector<VictimCandidate> sample = Sweep(tier, limit);
+  std::vector<VictimCandidate> sample = Sweep(limit);
   const size_t keep = std::min(k, sample.size());
   // (tick, seq) ascending is exact LRU order, coldest first: every Insert
   // and full Touch refreshes tick; seq breaks same-tick ties by insertion
   // order.
-  auto colder = [](const VictimCandidate& a, const VictimCandidate& b) {
-    return a.tick != b.tick ? a.tick < b.tick : a.seq < b.seq;
-  };
   std::partial_sort(sample.begin(), sample.begin() + keep, sample.end(),
-                    [&](const VictimCandidate& a, const VictimCandidate& b) {
-                      return hottest_first ? colder(b, a) : colder(a, b);
+                    [](const VictimCandidate& a, const VictimCandidate& b) {
+                      return a.tick != b.tick ? a.tick < b.tick
+                                              : a.seq < b.seq;
                     });
   sample.resize(keep);
   return sample;
@@ -446,11 +328,8 @@ std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes) {
 
 std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes,
                                                        size_t max_pages) {
-  // Victim selection is a DRAM-tier concern: CSS entries hold no memory
-  // worth reclaiming here (PickCssVictims handles CSS overflow). The
-  // sample holds at most max_pages entries.
-  const std::vector<VictimCandidate> order =
-      Sample(CacheTier::kDram, max_pages);
+  // The sample holds at most max_pages entries.
+  const std::vector<VictimCandidate> order = Sample(max_pages);
   // Read after the sweep, so no tick it saw is newer than `now`.
   const uint64_t now = clock_->NowNanos();
   const uint64_t breakeven_nanos =
@@ -479,8 +358,7 @@ std::vector<mapping::PageId> CacheManager::PickVictims(uint64_t want_bytes,
 std::vector<mapping::PageId> CacheManager::PickDemotionCandidates(
     size_t max_pages, double min_idle_seconds) {
   std::vector<mapping::PageId> out;
-  const std::vector<VictimCandidate> order =
-      Sample(CacheTier::kDram, max_pages);
+  const std::vector<VictimCandidate> order = Sample(max_pages);
   const uint64_t now = clock_->NowNanos();
   const uint64_t min_idle_nanos =
       static_cast<uint64_t>(min_idle_seconds * 1e9);
@@ -489,48 +367,6 @@ std::vector<mapping::PageId> CacheManager::PickDemotionCandidates(
   for (const VictimCandidate& c : order) {
     if (now - c.tick < min_idle_nanos) break;
     out.push_back(c.pid);
-  }
-  return out;
-}
-
-std::vector<mapping::PageId> CacheManager::PickCssVictims(
-    uint64_t want_bytes, size_t max_pages) {
-  std::vector<mapping::PageId> out;
-  uint64_t picked = 0;
-  for (const VictimCandidate& c : Sample(CacheTier::kCss, max_pages)) {
-    if (picked >= want_bytes) break;
-    out.push_back(c.pid);
-    picked += c.bytes;
-  }
-  return out;
-}
-
-std::vector<mapping::PageId> CacheManager::PickPromotionCandidates(
-    size_t max_pages) {
-  std::vector<mapping::PageId> out;
-  for (const VictimCandidate& c :
-       Sample(CacheTier::kCss, max_pages, /*hottest_first=*/true)) {
-    out.push_back(c.pid);
-  }
-  return out;
-}
-
-std::vector<std::pair<mapping::PageId, uint64_t>> CacheManager::CssEntries()
-    const {
-  std::vector<std::pair<mapping::PageId, uint64_t>> out;
-  for (const auto& shard : shards_) {
-    MutexLock lk(&shard->mu);
-    Table* t = shard->table.load(std::memory_order_relaxed);
-    for (size_t i = 0; i <= t->mask; ++i) {
-      const Slot& s = t->slots[i];
-      const uint64_t pid = s.pid.load(std::memory_order_relaxed);
-      if (pid == kEmptyPid || pid == kTombstonePid) continue;
-      if (static_cast<CacheTier>(s.tier.load(std::memory_order_relaxed)) !=
-          CacheTier::kCss) {
-        continue;
-      }
-      out.emplace_back(pid, s.bytes.load(std::memory_order_relaxed));
-    }
   }
   return out;
 }
@@ -545,12 +381,6 @@ CacheManager::ResidentEntries() const {
       const Slot& s = t->slots[i];
       const uint64_t pid = s.pid.load(std::memory_order_relaxed);
       if (pid == kEmptyPid || pid == kTombstonePid) continue;
-      // DRAM tier only: a CSS entry's mapping word is a flash address
-      // with no live chain, so auditors must not expect one.
-      if (static_cast<CacheTier>(s.tier.load(std::memory_order_relaxed)) !=
-          CacheTier::kDram) {
-        continue;
-      }
       out.emplace_back(pid, s.bytes.load(std::memory_order_relaxed));
     }
   }
@@ -563,13 +393,8 @@ CacheStats CacheManager::stats() const {
     s.insertions += shard->insertions.load(std::memory_order_relaxed);
     s.evictions += shard->evictions.load(std::memory_order_relaxed);
     s.resident_bytes += shard->resident_bytes.load(std::memory_order_relaxed);
-    s.css_bytes += shard->css_bytes.load(std::memory_order_relaxed);
-    s.promotions += shard->promotions.load(std::memory_order_relaxed);
-    const uint64_t css_pages =
-        shard->css_pages.load(std::memory_order_relaxed);
-    s.css_pages += css_pages;
     MutexLock lk(&shard->mu);
-    s.resident_pages += shard->live - css_pages;  // live spans both tiers
+    s.resident_pages += shard->live;
   }
   for (const TouchCell& cell : touch_cells_) {
     s.touches += cell.touches.load(std::memory_order_relaxed);
@@ -578,10 +403,6 @@ CacheStats CacheManager::stats() const {
         cell.dram_interval_nanos.load(std::memory_order_relaxed);
     s.dram_interval_samples +=
         cell.dram_interval_samples.load(std::memory_order_relaxed);
-    s.css_interval_nanos +=
-        cell.css_interval_nanos.load(std::memory_order_relaxed);
-    s.css_interval_samples +=
-        cell.css_interval_samples.load(std::memory_order_relaxed);
   }
   return s;
 }

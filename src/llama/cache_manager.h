@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,17 +31,6 @@ enum class EvictionPolicy {
 
 std::string EvictionPolicyName(EvictionPolicy p);
 
-// Which tier of the paper's three-level hierarchy (§7.2 / Fig. 8) a
-// tracked page currently occupies. kDram pages have a live in-memory
-// delta chain; kCss pages live only as a compressed record on secondary
-// storage but stay tracked here so the tiering policy can see their
-// recency and compressed footprint. Pages that fall all
-// the way to plain SS are simply erased from the cache manager.
-enum class CacheTier : uint8_t {
-  kDram = 0,
-  kCss = 1,
-};
-
 struct CacheOptions {
   uint64_t memory_budget_bytes = 64ull << 20;
   EvictionPolicy policy = EvictionPolicy::kLru;
@@ -68,56 +56,39 @@ struct CacheStats {
   // Touches that took the sampled fast path (skipped: no table probe,
   // no clock read). touches counts every Touch call.
   uint64_t touches_sampled = 0;
-  // Compressed-secondary-storage tier occupancy and traffic.
-  uint64_t css_pages = 0;
-  uint64_t css_bytes = 0;    // compressed (stored) footprint
-  uint64_t promotions = 0;   // CSS -> DRAM transitions (reheats)
-  // Per-tier access-interval accumulators: sum of (touch - previous
-  // touch) gaps in nanoseconds, and how many gaps were sampled. The
-  // mean interval is the store's *measured* inter-reference time, the
-  // input the five-minute-rule breakeven is compared against.
+  // Access-interval accumulator: sum of (touch - previous touch) gaps in
+  // nanoseconds, and how many gaps were sampled. The mean interval is
+  // the store's *measured* inter-reference time, the input the
+  // five-minute-rule breakeven is compared against.
   uint64_t dram_interval_nanos = 0;
   uint64_t dram_interval_samples = 0;
-  uint64_t css_interval_nanos = 0;
-  uint64_t css_interval_samples = 0;
-
-  double MeanDramIntervalSeconds() const {
-    return dram_interval_samples == 0
-               ? 0.0
-               : static_cast<double>(dram_interval_nanos) * 1e-9 /
-                     static_cast<double>(dram_interval_samples);
-  }
-  double MeanCssIntervalSeconds() const {
-    return css_interval_samples == 0
-               ? 0.0
-               : static_cast<double>(css_interval_nanos) * 1e-9 /
-                     static_cast<double>(css_interval_samples);
-  }
 };
 
 // Resident-set accounting and victim selection for the data cache. The
 // cache manager does not hold page contents — the Bw-tree owns those via
 // the mapping table; this class decides *which* logical pages should be
 // resident, which is the knob the paper's whole cost analysis is about.
+// It tracks DRAM-resident pages only: a page that leaves DRAM leaves the
+// table, and whether it now sits in CSS or SS is its record's form
+// (DESIGN.md §3.7), not an entry here.
 //
 // Concurrency: sharded design. Pages hash to one of S shards, each an
 // open-addressing table of fixed slots. The hot-path operations —
-// Touch, Contains, IdleSeconds — are lock-free: they probe the slot
-// table through an acquire-load of the published pid and then read or
-// write the per-entry atomics (last-touch tick) with relaxed ordering.
-// Structural mutations (Insert/Erase/Resize/growth) take a short
-// per-shard mutex. Victim selection takes none: a pick sweeps the slot
-// tables lock-free from a per-manager hand, shard after shard, until it
-// has seen kSampleFactor entries of the wanted tier per page it needs
-// (or every slot once), and returns the coldest of that sample (the
-// hottest, for promotion). A tier that fits in one sample is picked in
-// exact LRU order; a larger one in approximate (CLOCK-like) order, and
-// successive picks sweep on from where the last one stopped, so every
-// page is seen within ceil(n / sample) picks. Picks are advisory:
-// callers re-check each page before acting on it.
+// Touch and Contains — are lock-free: they probe the slot table through
+// an acquire-load of the published pid and then read or write the
+// per-entry atomics (last-touch tick) with relaxed ordering. Structural
+// mutations (Insert/Erase/Resize/growth) take a short per-shard mutex.
+// Victim selection takes none: a pick sweeps the slot tables lock-free
+// from a per-manager hand, shard after shard, until it has seen
+// kSampleFactor entries per page it needs (or every slot once), and
+// returns the coldest of that sample. A cache that fits in one sample is
+// picked in exact LRU order; a larger one in approximate (CLOCK-like)
+// order, and successive picks sweep on from where the last one stopped,
+// so every page is seen within ceil(n / sample) picks. Picks are
+// advisory: callers re-check each page before acting on it.
 //
-// Memory-ordering contract: a slot's payload fields (bytes, tick, seq,
-// tier) are written before its pid is store-released; readers
+// Memory-ordering contract: a slot's payload fields (bytes, tick, seq)
+// are written before its pid is store-released; readers
 // acquire-load the pid and may then read the payload relaxed. Ticks are
 // advisory recency metadata — concurrent updates race benignly (a lost
 // Touch can only make a page look slightly colder).
@@ -138,11 +109,8 @@ class CacheManager {
   CacheManager(const CacheManager&) = delete;
   CacheManager& operator=(const CacheManager&) = delete;
 
-  // Page became resident (DRAM tier) with the given footprint. If pid is
-  // currently tracked in the CSS tier this IS the promotion path: the
-  // entry flips to kDram and byte accounting moves between tiers, so the
-  // tree's ordinary load-and-install flow promotes compressed pages
-  // without any tier-specific calls.
+  // Page became resident with the given footprint; a re-insert of a
+  // tracked page acts as resize + touch.
   void Insert(mapping::PageId pid, uint64_t bytes);
   // Page was accessed (refreshes its last-touch tick). Lock-free.
   COSTPERF_HOT void Touch(mapping::PageId pid);
@@ -154,88 +122,47 @@ class CacheManager {
   COSTPERF_HOT bool Contains(mapping::PageId pid) const;
 
   uint64_t resident_bytes() const;
-  bool OverBudget() const;
 
-  // A bounded pick for k pages samples kSampleFactor * k entries of its
-  // tier and orders only that sample.
+  // A bounded pick for k pages samples kSampleFactor * k entries and
+  // orders only that sample.
   static constexpr size_t kSampleFactor = 8;
 
   // Picks victims whose combined size is >= want_bytes (or until the
   // cache would be empty), in policy order. Does NOT erase them — the
-  // caller evicts each page (flushing if dirty) and then calls Erase.
-  // For kCostBased with want_bytes == 0, returns every page whose idle
-  // time exceeds breakeven (proactive cost-driven eviction). Unbounded:
-  // sweeps and orders the whole DRAM tier.
+  // caller evicts each page (flushing if dirty), and the eviction's
+  // swing erases it (SwingOut). For kCostBased with want_bytes == 0,
+  // returns every page whose idle time exceeds breakeven (proactive
+  // cost-driven eviction). Unbounded: sweeps and orders the whole cache.
   std::vector<mapping::PageId> PickVictims(uint64_t want_bytes);
   // Quota-bounded variant for incremental background eviction: stops
   // after max_pages victims even if want_bytes is not yet covered (the
   // caller re-runs on its next maintenance step), and picks them from a
-  // sample of kSampleFactor * max_pages DRAM-tier entries.
+  // sample of kSampleFactor * max_pages entries.
   std::vector<mapping::PageId> PickVictims(uint64_t want_bytes,
                                            size_t max_pages);
-
-  // Seconds since pid was last touched; negative if unknown. Lock-free.
-  double IdleSeconds(mapping::PageId pid) const;
-
-  // --- Tier hierarchy (DESIGN.md §3.7) -----------------------------------
-
-  // Moves a tracked page between tiers; `bytes` is its footprint in the
-  // destination tier (compressed size for kCss, raw chain size for
-  // kDram). Returns false (no accounting change) if pid is untracked or
-  // already in `tier`. kCss -> kDram through here counts a promotion,
-  // same as the Insert path.
-  bool SetTier(mapping::PageId pid, CacheTier tier, uint64_t bytes);
-  // Current tier; kDram if untracked (use Contains to distinguish).
-  // Lock-free.
-  CacheTier GetTier(mapping::PageId pid) const;
-  // Moves a page out of DRAM in step with the swing of its mapping word:
-  // under pid's shard latch, runs `swing` (the caller's CAS of the word
-  // to a flash address) and, only when it lands, moves the entry to the
-  // CSS tier charged `css_bytes` (a demotion) or erases it (nullopt: a
-  // full eviction). A load that swings the word back promotes through
-  // Insert, which takes the same latch after its own CAS, so it always
-  // lands after this move. Moved after the latch is dropped, a demotion
-  // could label a page that a reader had already reloaded CSS, and an
-  // eviction could drop a reloaded page's entry. Returns whether the
-  // swing landed.
-  bool SwingOut(mapping::PageId pid, std::optional<uint64_t> css_bytes,
-                const std::function<bool()>& swing);
-
-  uint64_t css_resident_bytes() const;
-
-  // The three tier picks below choose from a sample of kSampleFactor *
-  // max_pages entries, like the bounded PickVictims, and change no state
-  // but the sweep's hand.
-
-  // Coldest-first DRAM-tier pages idle for at least min_idle_seconds:
-  // the demotion work list. The caller runs DemotePage (which may
-  // refuse) and the tier flips via SetTier.
+  // Coldest-first pages idle for at least min_idle_seconds, from a
+  // sample of kSampleFactor * max_pages entries like the bounded
+  // PickVictims: the tiered store's proactive eviction list. Changes no
+  // state but the sweep's hand.
   std::vector<mapping::PageId> PickDemotionCandidates(
       size_t max_pages, double min_idle_seconds);
-  // Coldest-first CSS-tier pages covering want_bytes: when the CSS tier
-  // itself is over budget these fall through to plain SS (their durable
-  // record already exists — the caller just drops them with EraseCss).
-  std::vector<mapping::PageId> PickCssVictims(uint64_t want_bytes,
-                                              size_t max_pages);
-  // Hottest-first CSS-tier pages: promotion candidates for when DRAM has
-  // headroom and background work can pay decompression ahead of demand.
-  std::vector<mapping::PageId> PickPromotionCandidates(size_t max_pages);
-  // Drops pid only while it is a CSS-tier entry, so a page a reader
-  // promoted after it was picked stays tracked. Returns whether it did.
-  bool EraseCss(mapping::PageId pid);
 
-  // Snapshot of (pid, stored bytes) for every CSS-tier page, for
-  // invariant auditing against the records the mapping entries name.
-  std::vector<std::pair<mapping::PageId, uint64_t>> CssEntries() const;
+  // Moves a page out of DRAM in step with the swing of its mapping word:
+  // under pid's shard latch, runs `swing` (the caller's CAS of the word
+  // to a flash address) and, only when it lands, erases the entry. A
+  // load that swings the word back re-inserts the page through Insert,
+  // which takes the same latch after its own CAS, so it always lands
+  // after this erase. Erased after the latch is dropped, the entry of a
+  // page a reader had already reloaded would be lost, and no victim pick
+  // could reach that page again. Returns whether the swing landed.
+  bool SwingOut(mapping::PageId pid, const std::function<bool()>& swing);
 
   CacheStats stats() const;
   const CacheOptions& options() const { return options_; }
 
   // Snapshot of (pid, bytes) for every page the cache believes resident
   // in DRAM. For invariant auditing: the analysis layer cross-checks
-  // this set against the mapping table and the tree's resident chains —
-  // CSS-tier pages are excluded because their mapping word is a flash
-  // address, not a live chain.
+  // this set against the mapping table and the tree's resident chains.
   std::vector<std::pair<mapping::PageId, uint64_t>> ResidentEntries() const;
 
   size_t shard_count() const { return shards_.size(); }
@@ -256,9 +183,6 @@ class CacheManager {
     // Global insertion/re-insertion sequence; breaks recency ties among
     // pages whose ticks are equal, reproducing exact LRU order.
     std::atomic<uint64_t> seq{0};
-    // CacheTier the entry occupies (raw uint32 so lock-free readers can
-    // load it relaxed like the other payload fields).
-    std::atomic<uint32_t> tier{0};
   };
 
   struct Table {
@@ -284,14 +208,8 @@ class CacheManager {
     size_t live GUARDED_BY(mu) = 0;  // valid pids
     size_t used GUARDED_BY(mu) = 0;  // valid pids + tombstones
     std::atomic<uint64_t> resident_bytes{0};
-    // Stored (compressed) footprint and page count of this shard's
-    // CSS-tier entries; disjoint from resident_bytes, which is DRAM-tier
-    // only (`live` counts both tiers).
-    std::atomic<uint64_t> css_bytes{0};
-    std::atomic<uint64_t> css_pages{0};
     std::atomic<uint64_t> insertions{0};
     std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> promotions{0};
   };
 
   // Touch counters are striped per thread (not per shard): every touch
@@ -302,14 +220,12 @@ class CacheManager {
   struct alignas(64) TouchCell {
     std::atomic<uint64_t> touches{0};
     std::atomic<uint64_t> sampled{0};
-    // Per-tier inter-reference gap accumulators (nanoseconds / gap
-    // count), fed by the full-touch path reading the slot's previous
-    // tick before refreshing it. Same single-writer load+store
-    // discipline as the counters above.
+    // Inter-reference gap accumulator (nanoseconds / gap count), fed by
+    // the full-touch path reading the slot's previous tick before
+    // refreshing it. Same single-writer load+store discipline as the
+    // counters above.
     std::atomic<uint64_t> dram_interval_nanos{0};
     std::atomic<uint64_t> dram_interval_samples{0};
-    std::atomic<uint64_t> css_interval_nanos{0};
-    std::atomic<uint64_t> css_interval_samples{0};
   };
   static constexpr int kTouchCells = 64;
   static int TouchCellIndex();
@@ -333,19 +249,14 @@ class CacheManager {
                         bool* claimed_tombstone) REQUIRES(shard.mu);
   void GrowTable(Shard& shard) REQUIRES(shard.mu);
   // Visits slots from hand_, shard after shard, without a shard mutex,
-  // and collects up to `limit` entries of `tier`, visiting each slot at
-  // most once. Leaves the hand just past the last entry collected.
-  std::vector<VictimCandidate> Sweep(CacheTier tier, size_t limit);
-  // The k coldest entries (the k hottest with hottest_first) of a sweep
-  // of kSampleFactor * k entries of `tier`, in (tick, seq) order: exact
-  // LRU order within the sample.
-  std::vector<VictimCandidate> Sample(CacheTier tier, size_t k,
-                                      bool hottest_first = false);
-  // Tombstones a found slot and releases its tier's accounting.
+  // and collects up to `limit` entries, visiting each slot at most once.
+  // Leaves the hand just past the last entry collected.
+  std::vector<VictimCandidate> Sweep(size_t limit);
+  // The k coldest entries of a sweep of kSampleFactor * k entries, in
+  // (tick, seq) order: exact LRU order within the sample.
+  std::vector<VictimCandidate> Sample(size_t k);
+  // Tombstones a found slot and releases its bytes.
   void EraseSlot(Shard& shard, Slot* s) REQUIRES(shard.mu);
-  // SetTier on a found slot.
-  bool SetSlotTier(Shard& shard, Slot* s, CacheTier tier, uint64_t bytes)
-      REQUIRES(shard.mu);
 
   const CacheOptions options_;
   Clock* clock_;

@@ -85,23 +85,6 @@ Status LogStructuredStore::DecodeRecord(const char* data, uint64_t len,
   return Status::Ok();
 }
 
-void LogStructuredStore::RecordGroupLocked(uint64_t size) {
-  stats_.append_groups++;
-  size_t bucket = 0;  // 1, 2, 3-4, 5-8, 9-16, 17+
-  if (size >= 17) {
-    bucket = 5;
-  } else if (size >= 9) {
-    bucket = 4;
-  } else if (size >= 5) {
-    bucket = 3;
-  } else if (size >= 3) {
-    bucket = 2;
-  } else if (size == 2) {
-    bucket = 1;
-  }
-  stats_.group_size_hist[bucket]++;
-}
-
 Result<FlashAddress> LogStructuredStore::Append(PageId pid,
                                                 const Slice& image) {
   if (image.size() > UINT32_MAX) {
@@ -145,7 +128,6 @@ Result<FlashAddress> LogStructuredStore::AppendRecord(PageId pid,
     open_buffer_.resize(in_segment + record_len);
     dst = open_buffer_.data() + in_segment;
     pending_fills_++;
-    group_reserved_++;
     SegmentInfo& seg = directory_[open_segment_id_];
     seg.used_bytes = open_buffer_.size();
     stats_.records_appended++;
@@ -166,8 +148,7 @@ Result<FlashAddress> LogStructuredStore::AppendRecord(PageId pid,
   {
     MutexLock lk(&mu_);
     if (--pending_fills_ == 0) {
-      RecordGroupLocked(group_reserved_);
-      group_reserved_ = 0;
+      stats_.append_groups++;
       cv_.notify_all();
     }
   }

@@ -1,7 +1,6 @@
 #ifndef COSTPERF_LLAMA_LOG_STORE_H_
 #define COSTPERF_LLAMA_LOG_STORE_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -62,11 +61,8 @@ struct LogStoreStats {
   // Group-append visibility: appends reserve space under the latch and
   // encode outside it; a "group" is the run of appends whose encodes
   // overlapped (the fill counter rose from and returned to zero). With no
-  // concurrency every group has size 1.
+  // concurrency every group holds one append.
   uint64_t append_groups = 0;
-  // Group-size histogram buckets: 1, 2, 3-4, 5-8, 9-16, 17+.
-  static constexpr size_t kGroupSizeBuckets = 6;
-  std::array<uint64_t, kGroupSizeBuckets> group_size_hist{};
 };
 
 struct SegmentInfo {
@@ -91,8 +87,8 @@ struct SegmentInfo {
 enum class InstallOutcome {
   // The page now references the relocated copy.
   kInstalled,
-  // The page no longer references the old record: a flush, demotion,
-  // eviction or free replaced it after the liveness check.
+  // The page no longer references the old record: a flush, eviction or
+  // free replaced it after the liveness check.
   kSuperseded,
   // The page still references the old record and could not be moved.
   kStillReferenced,
@@ -270,8 +266,6 @@ class LogStructuredStore {
   // kHeaderBytes + stored.size() bytes (the unlatched half of Append).
   static void EncodeRecordTo(PageId pid, const Slice& stored, uint8_t flags,
                              uint32_t raw_len, char* dst);
-  // Accounts a completed append group of `size` records.
-  void RecordGroupLocked(uint64_t size) REQUIRES(mu_);
   // Parses and checksums the record at `data`; returns the *stored*
   // payload view (still compressed for CSS records) plus the form
   // fields, or error.
@@ -296,8 +290,6 @@ class LogStructuredStore {
   // True while a flusher waits for fills and writes the segment; blocks
   // new reservations so the sealed image is complete.
   bool sealing_ GUARDED_BY(mu_) = false;
-  // Reservations since pending_fills_ last rose from zero (current group).
-  uint64_t group_reserved_ GUARDED_BY(mu_) = 0;
   // Contents of the open segment so far. Capacity is reserved at
   // segment_bytes, so in-place fills never move the data.
   std::string open_buffer_ GUARDED_BY(mu_);

@@ -21,14 +21,13 @@ namespace costperf::maintenance {
 // unit can dirty the cache/log the foreground also touches), not
 // correctness — a store signals again if pressure remains.
 struct MaintenanceQuota {
-  uint32_t evict_pages = 32;             // victims evicted/demoted per step
+  uint32_t evict_pages = 32;             // victims evicted per step
   uint32_t gc_segments = 1;              // log segments collected per step
   uint32_t consolidate_scan_pages = 128; // mapping slots scanned for long chains
   uint32_t flush_dirty_leaves = 8;       // dirty leaves flushed per step
-  // Proactive demotions to the CSS tier per step. An eviction victim's
-  // demotion is its eviction, so evict_pages bounds that instead.
+  // Proactive demotions per step: evictions of pages idle past the
+  // tier's demotion floor (a victim's eviction counts under evict_pages).
   uint32_t compress_pages = 16;
-  uint32_t promote_pages = 8;            // CSS pages promoted back per step
 };
 
 // A store-side source of background work. MaintenanceStep() runs on a

@@ -147,10 +147,10 @@ class BwTreeBatchTest : public ::testing::Test {
 };
 
 // One fixed op sequence that leaves every leaf shape a read can meet:
-// plain base pages, insert/delete delta chains, fully evicted leaves,
-// record-cache leaves (deltas kept over an evicted base), leaves demoted
-// to the compressed tier, and blind deltas over evicted and demoted
-// bases.
+// plain base pages, insert/delete delta chains, fully evicted leaves —
+// demoted to the compressed tier, as this tree compresses every full
+// image — record-cache leaves (deltas kept over an evicted base), and
+// blind deltas over evicted bases.
 void BuildMixedLeaves(bwtree::BwTree* tree, uint64_t n) {
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(tree->Put(Key(i), Val(i)).ok());
@@ -166,14 +166,12 @@ void BuildMixedLeaves(bwtree::BwTree* tree, uint64_t n) {
   // page is paged out, so no flush writes a never-flushed sibling for it
   // and each record-cache leaf writes its own dirty base, plain.
   for (size_t j = leaves.size(); j-- > 0;) {
-    if (j % 4 == 1) {
+    if (j % 4 == 1 || j % 4 == 3) {
       ASSERT_TRUE(
           tree->EvictPage(leaves[j], bwtree::EvictMode::kFullEviction).ok());
     } else if (j % 4 == 2) {
       ASSERT_TRUE(
           tree->EvictPage(leaves[j], bwtree::EvictMode::kKeepDeltas).ok());
-    } else if (j % 4 == 3) {
-      ASSERT_TRUE(tree->DemotePage(leaves[j]).ok());
     }
   }
   for (uint64_t i = 2; i < n; i += 7) {  // blind deltas

@@ -691,13 +691,13 @@ TEST_F(BwTreeTest, ConcurrentReadersAndWriters) {
 }
 
 TEST_F(BwTreeTest, PagingRacesNeverLoseAcknowledgedWrites) {
-  // One leaf, written in bursts while another thread flushes, evicts,
-  // demotes and reloads it. A consolidation or load that folds deltas
-  // into a base must leave the page dirty. If a racing flush or demotion
-  // marks it clean afterwards, the next eviction maps the page back to
-  // an older flash image and an acknowledged write disappears. Every
-  // full flush writes compressed, whatever the ratio, so every demotion
-  // can land.
+  // One leaf, written in bursts while another thread flushes, evicts
+  // and reloads it. A consolidation or load that folds deltas into a
+  // base must leave the page dirty. If a racing flush or eviction marks
+  // it clean afterwards, the next eviction maps the page back to an older
+  // flash image and an acknowledged write disappears. Every full flush
+  // writes compressed, whatever the ratio, so every full eviction is a
+  // demotion.
   SetUpStore(4096, llama::LogStoreOptions().segment_bytes,
              /*css_min_ratio=*/1e9);
   constexpr int kKeys = 4;
@@ -711,8 +711,8 @@ TEST_F(BwTreeTest, PagingRacesNeverLoseAcknowledgedWrites) {
     for (uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
       switch (i % 4) {
         case 0: (void)tree_->FlushPage(pid, FlushMode::kFullPage); break;
-        case 1: (void)tree_->EvictPage(pid, EvictMode::kFullEviction); break;
-        case 2: (void)tree_->DemotePage(pid); break;
+        case 1:
+        case 2: (void)tree_->EvictPage(pid, EvictMode::kFullEviction); break;
         default: (void)tree_->LoadPage(pid); break;
       }
       tree_->ReclaimMemory();
@@ -858,8 +858,8 @@ TEST_F(BwTreeTest, RacingSwingGcAndWritersKeepTheFlashChainExact) {
   // segments, so GC moves the records of evicted and resident pages
   // alike. One posts deltas.
   // Every path that moves a page's record moves its mapping word in the
-  // same metadata hold, so no swing or demotion may land on a record GC
-  // already replaced, and no record may be dropped or marked dead twice.
+  // same metadata hold, so no swing may land on a record GC already
+  // replaced, and no record may be dropped or marked dead twice.
   // Each seal spends a device slot, so the segments are small and the
   // collector seals at most once per writer round.
   constexpr uint64_t kSegmentBytes = 4 << 10;
@@ -897,7 +897,7 @@ TEST_F(BwTreeTest, RacingSwingGcAndWritersKeepTheFlashChainExact) {
     while (!stop.load(std::memory_order_acquire)) {
       for (PageId pid : leaves) {
         note(tree_->LoadPage(pid));
-        note(tree_->DemotePage(pid));
+        note(tree_->EvictPage(pid, EvictMode::kFullEviction));
       }
     }
   });

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -33,8 +32,8 @@ TEST(CacheConcurrencyTest, TouchContainsRaceInsertErase) {
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  // Readers: lock-free Touch/Contains/IdleSeconds over the full pid
-  // range, half of which is being inserted/erased under their feet.
+  // Readers: lock-free Touch/Contains over the full pid range, half of
+  // which is being inserted/erased under their feet.
   for (int t = 0; t < kReaders; ++t) {
     threads.emplace_back([&cm, &stop, t] {
       uint64_t pid = static_cast<uint64_t>(t) * 17;
@@ -42,7 +41,6 @@ TEST(CacheConcurrencyTest, TouchContainsRaceInsertErase) {
         pid = (pid + 13) % kPids;
         cm.Touch(pid);
         cm.Contains(pid);
-        cm.IdleSeconds(pid);
       }
     });
   }
@@ -125,7 +123,7 @@ TEST(CacheConcurrencyTest, EvictionSweepRacesReaders) {
   // with a lock-free sweep, erase them while readers keep touching the
   // same pids.
   int sweeps = 0;
-  while (cm.OverBudget() && sweeps < 64) {
+  while (cm.resident_bytes() > 64 * 100 && sweeps < 64) {
     uint64_t over = cm.resident_bytes() - 64 * 100;
     for (mapping::PageId pid : cm.PickVictims(over)) cm.Erase(pid);
     ++sweeps;
@@ -133,7 +131,7 @@ TEST(CacheConcurrencyTest, EvictionSweepRacesReaders) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& th : readers) th.join();
 
-  EXPECT_FALSE(cm.OverBudget());
+  EXPECT_LE(cm.resident_bytes(), 64u * 100);
   // Accounting stayed consistent through the races.
   uint64_t bytes = 0;
   for (const auto& [pid, sz] : cm.ResidentEntries()) bytes += sz;
@@ -152,9 +150,9 @@ TEST(CacheConcurrencyTest, BoundedPicksRaceInsertEraseTouchAndGrowth) {
   std::atomic<uint64_t> picked{0};
   std::atomic<uint64_t> bad{0};
   std::vector<std::thread> threads;
-  // The picker sweeps lock-free while slots are claimed, tombstoned,
-  // flipped between tiers and copied into grown tables. A pick may name a
-  // page that has just left, never one that was never inserted.
+  // The picker sweeps lock-free while slots are claimed, tombstoned and
+  // copied into grown tables. A pick may name a page that has just left,
+  // never one that was never inserted.
   threads.emplace_back([&] {
     auto check = [&](const std::vector<mapping::PageId>& pids) {
       picked.fetch_add(pids.size(), std::memory_order_relaxed);
@@ -165,8 +163,6 @@ TEST(CacheConcurrencyTest, BoundedPicksRaceInsertEraseTouchAndGrowth) {
     while (!stop.load(std::memory_order_relaxed)) {
       check(cm.PickVictims(~0ull, 8));
       check(cm.PickDemotionCandidates(4, 0.0));
-      check(cm.PickCssVictims(~0ull, 8));
-      check(cm.PickPromotionCandidates(4));
     }
   });
   threads.emplace_back([&] {
@@ -176,20 +172,16 @@ TEST(CacheConcurrencyTest, BoundedPicksRaceInsertEraseTouchAndGrowth) {
       pid = (pid + 7) % kPids;
     }
   });
-  // Writer: grows the tables, then churns the odd pids through the CSS
-  // tier and out, and back in, until the picker has picked something.
+  // Writer: grows the tables, then churns the odd pids out and back in,
+  // resizing them on the way, until the picker has picked something.
   for (uint64_t pid = 0; pid < kPids; ++pid) cm.Insert(pid, 64);
   for (int round = 0;
        round < 4 || (picked.load(std::memory_order_relaxed) == 0 &&
                      round < 1000);
        ++round) {
     for (uint64_t pid = 1; pid < kPids; pid += 2) {
-      cm.SetTier(pid, CacheTier::kCss, 16);
-      if (round % 2 == 0) {
-        cm.Erase(pid);
-      } else {
-        cm.EraseCss(pid);
-      }
+      cm.Resize(pid, 16);
+      cm.Erase(pid);
       cm.Insert(pid, 64);
     }
   }
@@ -204,45 +196,36 @@ TEST(CacheConcurrencyTest, BoundedPicksRaceInsertEraseTouchAndGrowth) {
   auto s = cm.stats();
   EXPECT_EQ(s.resident_pages, kPids);
   EXPECT_EQ(s.resident_bytes, kPids * 64);
-  EXPECT_EQ(s.css_pages, 0u);
 }
 
-// A load that swings a page's word back after a demotion's or an
-// eviction's swing promotes it through Insert. That Insert must land
-// after the entry's move out of DRAM, or a reloaded page ends up
-// labelled CSS (or untracked). The swing below holds the latch until
-// the loader has had ample time to try its Insert.
+// A load that swings a page's word back after an eviction's swing (a
+// demotion's too: it is an eviction onto a compressed record) re-inserts
+// it through Insert. That Insert must land after the entry's erase, or
+// the reloaded page is left untracked, out of reach of every victim
+// pick. The swing below holds the latch until the loader has had ample
+// time to try its Insert.
 TEST(CacheConcurrencyTest, PromotionAfterASwingLandsAfterTheMove) {
-  for (const bool demote : {true, false}) {
-    SCOPED_TRACE(demote ? "demotion" : "eviction");
-    CacheOptions opts;
-    opts.memory_budget_bytes = ~0ull;
-    CacheManager cm(opts);
-    cm.Insert(7, 4096);
-    std::atomic<bool> swung{false};
-    std::thread loader([&] {
-      while (!swung.load(std::memory_order_acquire)) std::this_thread::yield();
-      cm.Insert(7, 4096);  // the reload's promotion
-    });
-    const std::optional<uint64_t> css_bytes =
-        demote ? std::optional<uint64_t>(600) : std::nullopt;
-    ASSERT_TRUE(cm.SwingOut(7, css_bytes, [&] {
-      swung.store(true, std::memory_order_release);
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      return true;
-    }));
-    loader.join();
-    EXPECT_TRUE(cm.Contains(7));
-    EXPECT_EQ(cm.GetTier(7), CacheTier::kDram);
-    EXPECT_EQ(cm.resident_bytes(), 4096u);
-    EXPECT_EQ(cm.css_resident_bytes(), 0u);
-    EXPECT_EQ(cm.stats().promotions, demote ? 1u : 0u);
-  }
-  // A swing that does not land leaves the entry where it was.
-  CacheManager cm;
+  CacheOptions opts;
+  opts.memory_budget_bytes = ~0ull;
+  CacheManager cm(opts);
   cm.Insert(7, 4096);
-  EXPECT_FALSE(cm.SwingOut(7, 600, [] { return false; }));
-  EXPECT_EQ(cm.GetTier(7), CacheTier::kDram);
+  std::atomic<bool> swung{false};
+  std::thread loader([&] {
+    while (!swung.load(std::memory_order_acquire)) std::this_thread::yield();
+    cm.Insert(7, 4096);  // the reload
+  });
+  ASSERT_TRUE(cm.SwingOut(7, [&] {
+    swung.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return true;
+  }));
+  loader.join();
+  EXPECT_TRUE(cm.Contains(7));
+  EXPECT_EQ(cm.resident_bytes(), 4096u);
+  EXPECT_EQ(cm.stats().evictions, 1u);
+  // A swing that does not land leaves the entry where it was.
+  EXPECT_FALSE(cm.SwingOut(7, [] { return false; }));
+  EXPECT_TRUE(cm.Contains(7));
   EXPECT_EQ(cm.resident_bytes(), 4096u);
 }
 

@@ -51,9 +51,13 @@ TEST(CacheManagerTest, OverBudgetDetection) {
   VirtualClock clock;
   CacheManager cm(WithClock(&clock, EvictionPolicy::kLru, /*budget=*/250));
   cm.Insert(1, 100);
-  EXPECT_FALSE(cm.OverBudget());
+  EXPECT_LE(cm.resident_bytes(), cm.options().memory_budget_bytes);
   cm.Insert(2, 200);
-  EXPECT_TRUE(cm.OverBudget());
+  ASSERT_GT(cm.resident_bytes(), cm.options().memory_budget_bytes);
+  // The excess is what a store's eviction step asks the pick to cover.
+  EXPECT_EQ(cm.PickVictims(cm.resident_bytes() -
+                           cm.options().memory_budget_bytes),
+            (std::vector<mapping::PageId>{1}));
 }
 
 TEST(CacheManagerTest, LruEvictsLeastRecentlyTouched) {
@@ -112,7 +116,7 @@ TEST(CacheManagerTest, CostBasedHonorsHardBudget) {
   cm.Insert(1, 100);
   clock.AdvanceSeconds(1.0);
   cm.Insert(2, 100);  // over budget, but nobody past breakeven
-  ASSERT_TRUE(cm.OverBudget());
+  ASSERT_GT(cm.resident_bytes(), cm.options().memory_budget_bytes);
   auto victims = cm.PickVictims(50);
   ASSERT_FALSE(victims.empty());
   EXPECT_EQ(victims[0], 1u) << "falls back to LRU order";
@@ -141,14 +145,11 @@ TEST(CacheManagerTest, TouchRefreshesIdleTime) {
   clock.AdvanceSeconds(44.0);
   cm.Touch(1);
   clock.AdvanceSeconds(10.0);
-  EXPECT_NEAR(cm.IdleSeconds(1), 10.0, 1e-6);
+  // Idle 10 s since the touch, not 54 s since the insert.
+  EXPECT_EQ(cm.PickDemotionCandidates(1, 10.0),
+            (std::vector<mapping::PageId>{1}));
+  EXPECT_TRUE(cm.PickDemotionCandidates(1, 10.5).empty());
   EXPECT_TRUE(cm.PickVictims(0).empty());
-}
-
-TEST(CacheManagerTest, IdleSecondsUnknownPage) {
-  VirtualClock clock;
-  CacheManager cm(WithClock(&clock, EvictionPolicy::kLru));
-  EXPECT_LT(cm.IdleSeconds(42), 0.0);
 }
 
 TEST(CacheManagerTest, StatsAccumulate) {
@@ -200,7 +201,7 @@ TEST(CacheManagerTest, TierPicksAreExactLruWhenTheTierFitsOneSample) {
     cm.Touch(p);
     clock.AdvanceSeconds(1.0);
   }
-  // Four pages need a sample of 32 entries: the whole tier.
+  // Four pages need a sample of 32 entries: the whole cache.
   ASSERT_GE(CacheManager::kSampleFactor * 4, 10u);
   using Pids = std::vector<mapping::PageId>;
   EXPECT_EQ(cm.PickVictims(~0ull, 4), (Pids{2, 5, 7, 9}));
@@ -210,16 +211,8 @@ TEST(CacheManagerTest, TierPicksAreExactLruWhenTheTierFitsOneSample) {
   EXPECT_EQ(cm.PickDemotionCandidates(10, 5.5), (Pids{2, 5, 7, 9, 0}));
   EXPECT_EQ(cm.PickDemotionCandidates(2, 0.0), (Pids{2, 5}));
 
-  // Six pages demote to CSS; the other four stay in DRAM and must not
-  // appear in a CSS pick, nor CSS pages in a DRAM pick.
-  for (mapping::PageId p : {9, 2, 4, 0, 8, 6}) {
-    ASSERT_TRUE(cm.SetTier(p, CacheTier::kCss, 10 + p));
-  }
-  EXPECT_EQ(cm.PickCssVictims(~0ull, 3), (Pids{2, 9, 0}));
-  // Stored bytes 12 + 19 cover 25: two pages.
-  EXPECT_EQ(cm.PickCssVictims(25, 6), (Pids{2, 9}));
-  EXPECT_EQ(cm.PickPromotionCandidates(3), (Pids{8, 6, 4}));
-  EXPECT_EQ(cm.PickPromotionCandidates(6), (Pids{8, 6, 4, 0, 9, 2}));
+  // Six pages leave DRAM; the other four are picked in the same order.
+  for (mapping::PageId p : {9, 2, 4, 0, 8, 6}) cm.Erase(p);
   EXPECT_EQ(cm.PickVictims(~0ull, 4), (Pids{5, 7, 1, 3}));
   EXPECT_EQ(cm.PickDemotionCandidates(4, 0.0), (Pids{5, 7, 1, 3}));
 }
@@ -274,11 +267,14 @@ TEST(CacheManagerTest, EachBoundedPickReturnsTheColdestItSaw) {
   constexpr size_t kRound = (kPages + kSample - 1) / kSample;
   InsertAscending(&cm, &clock, kPages);
   // Three cold pages; every other page is touched later, one second
-  // apart, so recency is a strict order.
+  // apart, so recency is a strict order. last_touch[p] is that order.
   const std::vector<mapping::PageId> cold = {17, 999, 1500};
+  std::vector<uint64_t> last_touch(kPages);
   for (mapping::PageId p = 0; p < kPages; ++p) {
+    last_touch[p] = p;
     if (std::find(cold.begin(), cold.end(), p) != cold.end()) continue;
     cm.Touch(p);
+    last_touch[p] = kPages + p;
     clock.AdvanceSeconds(1.0);
   }
   std::vector<mapping::PageId> seen;
@@ -288,7 +284,7 @@ TEST(CacheManagerTest, EachBoundedPickReturnsTheColdestItSaw) {
     // Coldest first, and a cold page the sample held comes before any
     // page touched since.
     for (size_t i = 1; i < picked.size(); ++i) {
-      EXPECT_GE(cm.IdleSeconds(picked[i - 1]), cm.IdleSeconds(picked[i]));
+      EXPECT_LT(last_touch[picked[i - 1]], last_touch[picked[i]]);
     }
     seen.insert(seen.end(), picked.begin(), picked.end());
   }
@@ -297,23 +293,6 @@ TEST(CacheManagerTest, EachBoundedPickReturnsTheColdestItSaw) {
   for (mapping::PageId p : cold) {
     EXPECT_GE(std::count(seen.begin(), seen.end(), p), 1) << p;
   }
-}
-
-TEST(CacheManagerTest, EraseCssKeepsAPromotedPage) {
-  VirtualClock clock;
-  CacheManager cm(WithClock(&clock, EvictionPolicy::kLru));
-  cm.Insert(1, 100);
-  cm.Insert(2, 100);
-  ASSERT_TRUE(cm.SetTier(1, CacheTier::kCss, 40));
-  ASSERT_TRUE(cm.SetTier(2, CacheTier::kCss, 40));
-  // Page 2 is promoted back after a CSS pick chose it.
-  cm.Insert(2, 100);
-  EXPECT_TRUE(cm.EraseCss(1));
-  EXPECT_FALSE(cm.EraseCss(2));
-  EXPECT_FALSE(cm.Contains(1));
-  EXPECT_TRUE(cm.Contains(2));
-  EXPECT_EQ(cm.resident_bytes(), 100u);
-  EXPECT_EQ(cm.css_resident_bytes(), 0u);
 }
 
 TEST(CacheManagerTest, PolicyNames) {

@@ -18,6 +18,25 @@ std::string StructuredValue(int i) {
   return buf;
 }
 
+// One full eviction, with the raw and stored bytes it counted as a
+// demotion (0 when it was none).
+struct Eviction {
+  EvictResult res;
+  uint64_t raw_bytes = 0;
+  uint64_t stored_bytes = 0;
+};
+
+Eviction Evict(BwTree* tree, PageId pid) {
+  const BwTreeStats before = tree->stats();
+  Eviction e;
+  EXPECT_TRUE(tree->EvictPage(pid, EvictMode::kFullEviction, &e.res).ok());
+  const BwTreeStats after = tree->stats();
+  e.raw_bytes = after.css_raw_bytes_demoted - before.css_raw_bytes_demoted;
+  e.stored_bytes =
+      after.css_stored_bytes_demoted - before.css_stored_bytes_demoted;
+  return e;
+}
+
 class CssTreeTest : public ::testing::Test {
  protected:
   CssTreeTest() {
@@ -47,12 +66,11 @@ TEST_F(CssTreeTest, CompressedFlushEvictReloadRoundTrip) {
   }
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
-  // The page is dirty: its demotion flushes it compressed and swings the
-  // mapping entry onto that record.
-  DemoteResult res;
-  ASSERT_TRUE(tree_->DemotePage(pids[0], &res).ok());
-  EXPECT_TRUE(res.demoted);
-  EXPECT_TRUE(res.flushed);
+  // The page is dirty: its eviction flushes it compressed and swings the
+  // mapping entry onto that record, a demotion.
+  const Eviction e = Evict(tree_.get(), pids[0]);
+  EXPECT_TRUE(e.res.demoted);
+  EXPECT_TRUE(e.res.wrote);
   EXPECT_EQ(tree_->stats().css_demotions, 1u);
   EXPECT_EQ(tree_->stats().compressed_flushes, 1u);
   EXPECT_FALSE(tree_->IsLeafResident(pids[0]));
@@ -79,17 +97,16 @@ TEST_F(CssTreeTest, CompressedImageSmallerOnMedia) {
   const uint64_t flushed_bytes = log_->stats().payload_bytes_appended - before;
   EXPECT_EQ(log_->stats().css_records_appended, 1u);
 
-  // Same page content, dirtied and demoted: the demotion's flush appends
+  // Same page content, dirtied and evicted: the demotion's flush appends
   // the page's stored bytes, far fewer than its raw image.
   ASSERT_TRUE(tree_->Put("key5", StructuredValue(5)).ok());
   before = log_->stats().payload_bytes_appended;
-  DemoteResult res;
-  ASSERT_TRUE(tree_->DemotePage(pids[0], &res).ok());
-  ASSERT_TRUE(res.demoted);
+  const Eviction e = Evict(tree_.get(), pids[0]);
+  ASSERT_TRUE(e.res.demoted);
   const uint64_t css_bytes = log_->stats().payload_bytes_appended - before;
-  EXPECT_EQ(css_bytes, res.stored_bytes);
+  EXPECT_EQ(css_bytes, e.stored_bytes);
   EXPECT_EQ(css_bytes, flushed_bytes);
-  EXPECT_LT(css_bytes, res.raw_bytes / 2)
+  EXPECT_LT(css_bytes, e.raw_bytes / 2)
       << "CSS image should be much smaller than the raw page";
 }
 
@@ -99,9 +116,7 @@ TEST_F(CssTreeTest, DeltaChainOverCompressedBase) {
         tree_->Put("key" + std::to_string(i), StructuredValue(i)).ok());
   }
   auto pids = tree_->LeafPageIds();
-  DemoteResult res;
-  ASSERT_TRUE(tree_->DemotePage(pids[0], &res).ok());
-  ASSERT_TRUE(res.demoted);
+  ASSERT_TRUE(Evict(tree_.get(), pids[0]).res.demoted);
   // Blind update + delta flush on top of the compressed base.
   ASSERT_TRUE(tree_->Put("key3", "updated").ok());
   ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kDeltaOnly).ok());
@@ -117,9 +132,7 @@ TEST_F(CssTreeTest, RecoveryOfCompressedPages) {
         tree_->Put("key" + std::to_string(i), StructuredValue(i)).ok());
   }
   for (auto pid : tree_->LeafPageIds()) {
-    DemoteResult res;
-    ASSERT_TRUE(tree_->DemotePage(pid, &res).ok());
-    ASSERT_TRUE(res.demoted);
+    ASSERT_TRUE(Evict(tree_.get(), pid).res.demoted);
   }
   ASSERT_TRUE(log_->Flush().ok());
 
@@ -164,6 +177,26 @@ PageId FillOneLeaf(core::CachingStore* store) {
   return pids[0];
 }
 
+// A page's tier is its record's form (DESIGN.md §3.7). It is in CSS when
+// its mapping word is the flash address of its own compressed record and
+// the cache does not track it.
+bool InCss(core::CachingStore* store, PageId pid) {
+  const uint64_t word = store->tree()->mapping_table()->Get(pid);
+  if (!IsFlashWord(word) || store->cache()->Contains(pid)) return false;
+  std::string image;
+  PageId owner = mapping::kInvalidPageId;
+  bool compressed = false;
+  return store->log_store()
+             ->Read(DecodeFlash(word), &image, &owner, &compressed)
+             .ok() &&
+         owner == pid && compressed;
+}
+
+// In DRAM: the word is a memory pointer and the cache tracks the page.
+bool InDram(core::CachingStore* store, PageId pid) {
+  return store->tree()->IsLeafResident(pid) && store->cache()->Contains(pid);
+}
+
 // Reads every key; `updated` names one key written since the fill.
 void ExpectReads(core::CachingStore* store, int updated = -1) {
   for (int i = 0; i < kLeafKeys; ++i) {
@@ -179,14 +212,13 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   llama::LogStructuredStore* log = store.log_store();
   const PageId pid = FillOneLeaf(&store);
 
-  // The page has never been written: its first demotion flushes it
+  // The page has never been written: its first eviction flushes it
   // compressed — the one compression the page pays — and swings onto the
-  // record.
+  // record, a demotion.
   const llama::LogStoreStats fresh = log->stats();
-  DemoteResult first;
-  ASSERT_TRUE(tree->DemotePage(pid, &first).ok());
-  ASSERT_TRUE(first.demoted);
-  EXPECT_TRUE(first.flushed);
+  const Eviction first = Evict(tree, pid);
+  ASSERT_TRUE(first.res.demoted);
+  EXPECT_TRUE(first.res.wrote);
   EXPECT_EQ(log->stats().css_records_appended,
             fresh.css_records_appended + 1);
   const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
@@ -195,18 +227,18 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
                                     llama::LogStructuredStore::kHeaderBytes);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
             EncodeFlash(FlashAddress::FromPacked(chain[0])));
+  EXPECT_TRUE(InCss(&store, pid));
 
   // A Get promotes the page; nobody writes it.
   ExpectReads(&store);
-  ASSERT_TRUE(tree->IsLeafResident(pid));
-  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kDram);
+  EXPECT_TRUE(InDram(&store, pid));
+  EXPECT_EQ(store.Stats().tier_promotions, 1u);
 
-  // Demoting it again swings the word back onto its compressed record.
+  // Evicting it again swings the word back onto its compressed record.
   const llama::LogStoreStats before = log->stats();
-  DemoteResult swing;
-  ASSERT_TRUE(tree->DemotePage(pid, &swing).ok());
-  EXPECT_TRUE(swing.demoted);
-  EXPECT_FALSE(swing.flushed);
+  const Eviction swing = Evict(tree, pid);
+  EXPECT_TRUE(swing.res.demoted);
+  EXPECT_FALSE(swing.res.wrote);
   EXPECT_EQ(swing.raw_bytes, first.raw_bytes);
   EXPECT_EQ(swing.stored_bytes, first.stored_bytes);
   EXPECT_EQ(log->stats().records_appended, before.records_appended);
@@ -214,7 +246,7 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   EXPECT_EQ(tree->DebugPageInfo(pid).flash_chain, chain);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
             EncodeFlash(FlashAddress::FromPacked(chain[0])));
-  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kCss);
+  EXPECT_TRUE(InCss(&store, pid));
   const core::KvStoreStats stats = store.Stats();
   EXPECT_EQ(stats.tier_demotions, 2u);
   EXPECT_EQ(stats.tier_clean_demotions, 1u);
@@ -225,15 +257,14 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   ExpectReads(&store);
   EXPECT_TRUE(store.CheckInvariants().empty());
 
-  // A write after the promotion makes the next demotion flush first: one
+  // A write after the promotion makes the next eviction flush first: one
   // new compressed record, the old one dead, and the word swung onto the
   // new one.
   ASSERT_TRUE(store.Put("key3", "updated").ok());
   const llama::LogStoreStats dirty_before = log->stats();
-  DemoteResult dirty;
-  ASSERT_TRUE(tree->DemotePage(pid, &dirty).ok());
-  EXPECT_TRUE(dirty.demoted);
-  EXPECT_TRUE(dirty.flushed);
+  const Eviction dirty = Evict(tree, pid);
+  EXPECT_TRUE(dirty.res.demoted);
+  EXPECT_TRUE(dirty.res.wrote);
   EXPECT_EQ(log->stats().records_appended, dirty_before.records_appended + 1);
   EXPECT_EQ(log->stats().css_records_appended,
             dirty_before.css_records_appended + 1);
@@ -245,7 +276,7 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   EXPECT_NE(rewritten, chain);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
             EncodeFlash(FlashAddress::FromPacked(rewritten[0])));
-  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kCss);
+  EXPECT_TRUE(InCss(&store, pid));
   EXPECT_EQ(store.Stats().tier_clean_demotions, 1u);
   ExpectReads(&store, 3);
   EXPECT_TRUE(store.CheckInvariants().empty());
@@ -272,20 +303,19 @@ TEST(CssStoreTest, FlushesWriteCompressedAndTheNextDemotionIsASwing) {
   EXPECT_EQ(log->stats().css_records_appended, 2u);
   EXPECT_EQ(tree->stats().compressed_flushes, 2u);
 
-  // The demotion that follows appends nothing: it swings onto the
-  // record the flush wrote.
+  // The eviction that follows appends nothing: it swings onto the
+  // record the flush wrote, a demotion.
   const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
   ASSERT_EQ(chain.size(), 1u);
   const llama::LogStoreStats before = log->stats();
-  DemoteResult res;
-  ASSERT_TRUE(tree->DemotePage(pid, &res).ok());
-  EXPECT_TRUE(res.demoted);
-  EXPECT_FALSE(res.flushed);
+  const Eviction e = Evict(tree, pid);
+  EXPECT_TRUE(e.res.demoted);
+  EXPECT_FALSE(e.res.wrote);
   EXPECT_EQ(log->stats().records_appended, before.records_appended);
   EXPECT_EQ(log->stats().dead_bytes_marked, before.dead_bytes_marked);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
             EncodeFlash(FlashAddress::FromPacked(chain[0])));
-  EXPECT_EQ(store.cache()->GetTier(pid), llama::CacheTier::kCss);
+  EXPECT_TRUE(InCss(&store, pid));
   EXPECT_EQ(store.Stats().tier_clean_demotions, 1u);
   ExpectReads(&store, 3);
   EXPECT_TRUE(store.CheckInvariants().empty());
@@ -302,13 +332,19 @@ TEST(CssStoreTest, StoreWithoutTierFlushesPlain) {
   EXPECT_EQ(store.log_store()->stats().css_records_appended, 0u);
   EXPECT_EQ(tree->stats().compressed_flushes, 0u);
   EXPECT_EQ(tree->stats().full_flushes, 1u);
-  // Its page is on a plain record, so CSS refuses it.
-  DemoteResult res;
-  EXPECT_EQ(tree->DemotePage(pid, &res).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(res.demoted);
-  EXPECT_TRUE(tree->IsLeafResident(pid));
+  // Its page is on a plain record, so its eviction sends it to SS. A
+  // store without the tier counts no refusal.
+  const Eviction e = Evict(tree, pid);
+  EXPECT_FALSE(e.res.demoted);
+  EXPECT_FALSE(e.res.wrote);
+  EXPECT_TRUE(IsFlashWord(tree->mapping_table()->Get(pid)));
+  EXPECT_FALSE(InCss(&store, pid));
+  const core::KvStoreStats s = store.Stats();
+  EXPECT_EQ(s.tier_demotions, 0u);
+  EXPECT_EQ(s.tier_demotion_refusals, 0u);
+  EXPECT_EQ(s.tier_css_bytes, 0u);
   ExpectReads(&store);
+  EXPECT_EQ(store.Stats().tier_css_hits, 0u);
   EXPECT_TRUE(store.CheckInvariants().empty());
 }
 
@@ -330,8 +366,8 @@ TEST(CssStoreTest, PoorlyCompressingPageIsFlushedPlainRefusedAndEvictedPlain) {
   ASSERT_EQ(pids.size(), 1u);
   const PageId pid = pids[0];
 
-  // The victim's demotion flushes it, plain because it compresses worse
-  // than min_ratio, and is refused; the eviction then swings it out.
+  // The victim's eviction flushes it, plain because it compresses worse
+  // than min_ratio, and swings it onto that record: a refusal.
   store.Maintain();
   const core::KvStoreStats s = store.Stats();
   EXPECT_EQ(s.tier_demotions, 0u);
@@ -355,9 +391,8 @@ TEST(CssStoreTest, RecoveredPageOnACompressedRecordDemotesBySwing) {
   core::CachingStoreOptions opts = ManualTierOptions();
   core::CachingStore store(opts);
   const PageId pid = FillOneLeaf(&store);
-  DemoteResult res;
-  ASSERT_TRUE(store.tree()->DemotePage(pid, &res).ok());
-  ASSERT_TRUE(res.demoted);
+  const Eviction first = Evict(store.tree(), pid);
+  ASSERT_TRUE(first.res.demoted);
   ASSERT_TRUE(store.Checkpoint().ok());
 
   opts.external_device = store.device();
@@ -366,14 +401,13 @@ TEST(CssStoreTest, RecoveredPageOnACompressedRecordDemotesBySwing) {
   ExpectReads(&reopened);
   ASSERT_TRUE(reopened.tree()->IsLeafResident(pid));
 
-  // The recovered page knows its record is compressed: the demotion is a
-  // swing, not a second compressed copy.
+  // The recovered page knows its record is compressed: its eviction is a
+  // demotion by swing, not a second compressed copy.
   const llama::LogStoreStats before = reopened.log_store()->stats();
-  DemoteResult again;
-  ASSERT_TRUE(reopened.tree()->DemotePage(pid, &again).ok());
-  EXPECT_TRUE(again.demoted);
-  EXPECT_FALSE(again.flushed);
-  EXPECT_EQ(again.stored_bytes, res.stored_bytes);
+  const Eviction again = Evict(reopened.tree(), pid);
+  EXPECT_TRUE(again.res.demoted);
+  EXPECT_FALSE(again.res.wrote);
+  EXPECT_EQ(again.stored_bytes, first.stored_bytes);
   EXPECT_EQ(reopened.log_store()->stats().records_appended,
             before.records_appended);
   ExpectReads(&reopened);
@@ -383,9 +417,7 @@ TEST(CssStoreTest, RecoveredPageOnACompressedRecordDemotesBySwing) {
 // Demotes the one leaf, seals its compressed record's segment, promotes
 // the page again and returns that record.
 uint64_t DemoteSealAndPromote(core::CachingStore* store, PageId pid) {
-  DemoteResult res;
-  EXPECT_TRUE(store->tree()->DemotePage(pid, &res).ok());
-  EXPECT_TRUE(res.demoted);
+  EXPECT_TRUE(Evict(store->tree(), pid).res.demoted);
   EXPECT_TRUE(store->log_store()->Flush().ok());
   ExpectReads(store);
   EXPECT_TRUE(store->tree()->IsLeafResident(pid));
@@ -430,11 +462,10 @@ TEST(CssStoreTest, GcMovesAPromotedPagesCompressedRecordAsItIs) {
   EXPECT_EQ(tree->stats().full_flushes, tree_before.full_flushes);
   ExpectReads(&store);
 
-  // A later demotion swings onto the moved record.
-  DemoteResult swing;
-  ASSERT_TRUE(tree->DemotePage(pid, &swing).ok());
-  EXPECT_TRUE(swing.demoted);
-  EXPECT_FALSE(swing.flushed);
+  // A later eviction swings onto the moved record.
+  const Eviction swing = Evict(tree, pid);
+  EXPECT_TRUE(swing.res.demoted);
+  EXPECT_FALSE(swing.res.wrote);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
             EncodeFlash(FlashAddress::FromPacked(moved)));
   ExpectReads(&store);
@@ -503,12 +534,17 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   }
   ASSERT_TRUE(store.Checkpoint().ok());
 
-  // Phase 1: 60s idle -> pages pass the MM/SS breakeven and are evicted,
-  // not demoted (idle < the demotion floor).
+  // Phase 1: 60s idle -> pages pass the MM/SS breakeven and are evicted.
+  // Their records are compressed, so each eviction is a demotion, though
+  // none is proactive: no page is idle past the demotion floor. (Listed
+  // now: LeafPageIds loads the pages it walks.)
+  const std::vector<PageId> pids = store.tree()->LeafPageIds();
+  const size_t leaves = pids.size();
   clock.AdvanceSeconds(60);
   store.Maintain();
-  EXPECT_EQ(store.Stats().tier_demotions, 0u);
   EXPECT_EQ(store.tree()->resident_leaves(), 0u);
+  EXPECT_EQ(store.Stats().tier_demotions, leaves);
+  EXPECT_EQ(store.Stats().tier_proactive_demotions, 0u);
 
   // Touch everything back in, then let it go stone cold.
   for (int i = 0; i < 3000; i += 10) {
@@ -517,14 +553,14 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   clock.AdvanceSeconds(300);  // beyond the demotion floor
   store.Maintain();
   const auto after_demote = store.Stats();
-  EXPECT_GT(after_demote.tier_demotions, 0u)
+  EXPECT_GT(after_demote.tier_demotions, leaves)
       << "stone-cold pages must demote to the compressed tier";
   // More stone-cold pages than one step's victims: the tiering pass
   // demotes the rest itself.
   EXPECT_GT(after_demote.tier_proactive_demotions, 0u);
   EXPECT_LT(after_demote.tier_proactive_demotions,
-            after_demote.tier_demotions);
-  EXPECT_GT(after_demote.tier_css_pages, 0u);
+            after_demote.tier_demotions - leaves);
+  for (PageId pid : pids) EXPECT_TRUE(InCss(&store, pid)) << pid;
   EXPECT_GT(after_demote.tier_css_bytes, 0u);
   EXPECT_LT(after_demote.MeasuredCompressionRatio(), 0.7)
       << "structured payloads must actually shrink";
@@ -533,8 +569,7 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   EXPECT_GT(after_demote.MeasuredTiSeconds(), 0.0);
 
   // Data still correct through the compressed tier, and reading it IS
-  // the promotion path: the load decompresses and flips the entry back
-  // to DRAM.
+  // the promotion path: the load decompresses the page back into DRAM.
   for (int i = 0; i < 3000; i += 97) {
     auto r = store.Get("k" + std::to_string(i));
     ASSERT_TRUE(r.ok()) << i;
@@ -543,9 +578,10 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   const auto after_reads = store.Stats();
   EXPECT_GT(after_reads.tier_css_hits, 0u)
       << "reads of demoted pages must be served from compressed records";
-  EXPECT_GT(after_reads.tier_promotions, 0u)
+  EXPECT_EQ(after_reads.tier_promotions, after_reads.tier_css_hits)
       << "a touched CSS page must promote back to DRAM";
-  EXPECT_LT(after_reads.tier_css_pages, after_demote.tier_css_pages);
+  EXPECT_GT(store.tree()->resident_leaves(), 0u);
+  EXPECT_TRUE(store.CheckInvariants().empty());
 }
 
 TEST(CssStoreTest, VictimsOverTheMemoryBudgetDemoteWhateverTheirIdleTime) {
@@ -566,6 +602,7 @@ TEST(CssStoreTest, VictimsOverTheMemoryBudgetDemoteWhateverTheirIdleTime) {
         store.Put("k" + std::to_string(i), StructuredValue(i)).ok());
   }
   ASSERT_GT(store.cache()->resident_bytes(), opts.memory_budget_bytes);
+  const std::vector<PageId> pids = store.tree()->LeafPageIds();
   store.Maintain();
   const auto s = store.Stats();
   EXPECT_LE(store.cache()->resident_bytes(), opts.memory_budget_bytes);
@@ -573,13 +610,100 @@ TEST(CssStoreTest, VictimsOverTheMemoryBudgetDemoteWhateverTheirIdleTime) {
       << "victims over the budget must leave compressed";
   EXPECT_EQ(s.tier_proactive_demotions, 0u)
       << "no page is idle past the floor, so every demotion is a victim's";
-  EXPECT_GT(s.tier_css_pages, 0u);
+  size_t in_css = 0;
+  for (PageId pid : pids) in_css += InCss(&store, pid);
+  EXPECT_GT(in_css, 0u);
   for (int i = 0; i < 3000; i += 37) {
     auto r = store.Get("k" + std::to_string(i));
     ASSERT_TRUE(r.ok()) << i;
     EXPECT_EQ(*r, StructuredValue(i));
   }
   EXPECT_GT(store.Stats().tier_css_hits, 0u);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+TEST(CssStoreTest, EvictionCountsTheFormOfTheRecordItLandsOn) {
+  core::CachingStore store(ManualTierOptions());
+  BwTree* tree = store.tree();
+  const PageId pid = FillOneLeaf(&store);
+  ASSERT_TRUE(store.Checkpoint().ok());
+  const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
+  ASSERT_EQ(chain.size(), 1u);
+  ASSERT_TRUE(store.cache()->Contains(pid));
+
+  // A clean page on a compressed record: a demotion that writes nothing,
+  // counts the page's raw image and its record's stored bytes, and
+  // leaves no cache entry behind.
+  const Eviction e = Evict(tree, pid);
+  EXPECT_TRUE(e.res.demoted);
+  EXPECT_FALSE(e.res.wrote);
+  EXPECT_EQ(e.stored_bytes, FlashAddress::FromPacked(chain[0]).len() -
+                                llama::LogStructuredStore::kHeaderBytes);
+  EXPECT_GT(e.raw_bytes, e.stored_bytes);
+  EXPECT_FALSE(store.cache()->Contains(pid));
+  EXPECT_TRUE(InCss(&store, pid));
+  core::KvStoreStats s = store.Stats();
+  EXPECT_EQ(s.tier_demotions, 1u);
+  EXPECT_EQ(s.tier_clean_demotions, 1u);
+  EXPECT_EQ(s.tier_demotion_refusals, 0u);
+
+  // The same page rewritten with values that do not compress: its flush
+  // writes a plain record, and the eviction onto it is a refusal.
+  Random rng(11);
+  for (int i = 0; i < kLeafKeys; ++i) {
+    std::string v(200, '\0');
+    for (char& c : v) c = static_cast<char>(rng.Uniform(256));
+    ASSERT_TRUE(store.Put("key" + std::to_string(i), v).ok());
+  }
+  ASSERT_EQ(tree->LeafPageIds().size(), 1u);
+  const Eviction plain = Evict(tree, pid);
+  EXPECT_FALSE(plain.res.demoted);
+  EXPECT_TRUE(plain.res.wrote);
+  EXPECT_EQ(plain.raw_bytes, 0u);
+  EXPECT_EQ(plain.stored_bytes, 0u);
+  EXPECT_FALSE(store.cache()->Contains(pid));
+  EXPECT_TRUE(IsFlashWord(tree->mapping_table()->Get(pid)));
+  EXPECT_FALSE(InCss(&store, pid));
+  s = store.Stats();
+  EXPECT_EQ(s.tier_demotions, 1u);
+  EXPECT_EQ(s.tier_demotion_refusals, 1u);
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
+TEST(CssStoreTest, CssBytesAreTheCompressedBytesTheLogRetains) {
+  core::CachingStore store(ManualTierOptions());
+  llama::LogStructuredStore* log = store.log_store();
+  const PageId pid = FillOneLeaf(&store);
+  // Ten checkpoints of the same leaf: ten compressed records, nine dead.
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_TRUE(store.Put("key3", "updated").ok());
+    ASSERT_TRUE(store.Checkpoint().ok());
+  }
+  auto segment_css_bytes = [&] {
+    uint64_t total = 0;
+    for (const llama::SegmentInfo& seg : log->segments()) {
+      total += seg.css_stored_bytes;
+    }
+    return total;
+  };
+  const uint64_t before = store.Stats().tier_css_bytes;
+  EXPECT_EQ(log->stats().css_records_appended, 10u);
+  EXPECT_EQ(before, segment_css_bytes());
+  EXPECT_EQ(before, log->stats().css_stored_bytes_appended);
+
+  // GC trims the sealed segment and moves the one live record: CSS now
+  // holds exactly that record's stored bytes.
+  ASSERT_TRUE(log->Flush().ok());
+  ASSERT_TRUE(store.RunGc(1.0).ok());
+  const uint64_t after = store.Stats().tier_css_bytes;
+  EXPECT_LT(after, before);
+  EXPECT_EQ(after, segment_css_bytes());
+  const std::vector<uint64_t> chain =
+      store.tree()->DebugPageInfo(pid).flash_chain;
+  ASSERT_EQ(chain.size(), 1u);
+  EXPECT_EQ(after, FlashAddress::FromPacked(chain[0]).len() -
+                       llama::LogStructuredStore::kHeaderBytes);
+  ExpectReads(&store, 3);
   EXPECT_TRUE(store.CheckInvariants().empty());
 }
 

@@ -152,9 +152,12 @@ TEST(IntegrationTest, MixedWorkloadWithGcAndCompressionStaysConsistent) {
         EXPECT_EQ(*r, it->second);
       }
     } else if (dice < 0.97) {
-      // Occasional demotion of a random page to the CSS tier.
+      // Occasional demotion of a random page to the CSS tier: the tier is
+      // on, so its eviction lands on a compressed record.
       auto pid = store.tree()->LeafOf(key);
-      if (pid.ok()) (void)store.tree()->DemotePage(*pid);
+      if (pid.ok()) {
+        (void)store.tree()->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+      }
     } else {
       (void)store.RunGc(0.5);
     }

@@ -66,7 +66,8 @@ uint64_t LoadAllocations(uint32_t records, Tier tier) {
   BwTreeOptions opts;
   opts.max_page_bytes = 64 << 10;  // one leaf
   opts.log_store = &log;
-  // A compressed tree's flush writes the record its demotions swing onto.
+  // A compressed tree's flush writes the record its evictions swing onto,
+  // each a demotion.
   if (tier == Tier::kCompressed) opts.css_min_ratio = 0.85;
   BwTree tree(opts);
   for (uint32_t k = 0; k < records; ++k) {
@@ -79,13 +80,9 @@ uint64_t LoadAllocations(uint32_t records, Tier tier) {
 
   uint64_t counted = 0;
   for (int round = 0; round < 2; ++round) {
-    if (tier == Tier::kPlain) {
-      EXPECT_TRUE(tree.EvictPage(pid, EvictMode::kFullEviction).ok());
-    } else {
-      DemoteResult res;
-      EXPECT_TRUE(tree.DemotePage(pid, &res).ok());
-      EXPECT_TRUE(res.demoted);
-    }
+    EvictResult res;
+    EXPECT_TRUE(tree.EvictPage(pid, EvictMode::kFullEviction, &res).ok());
+    EXPECT_EQ(res.demoted, tier == Tier::kCompressed);
     EXPECT_TRUE(log.Flush().ok());  // the record is read from the device
     const uint64_t css_hits = tree.stats().css_hits;
     t_allocations = 0;

@@ -120,7 +120,10 @@ TEST(ShardedStoreTest, BreakevensAggregateFromSummedAccumulators) {
   for (size_t s = 0; s < store->shard_count(); ++s) {
     auto* tree = static_cast<CachingStore*>(store->shard(s))->tree();
     for (auto pid : tree->LeafPageIds()) {
-      ASSERT_TRUE(tree->DemotePage(pid).ok());
+      bwtree::EvictResult res;
+      ASSERT_TRUE(
+          tree->EvictPage(pid, bwtree::EvictMode::kFullEviction, &res).ok());
+      ASSERT_TRUE(res.demoted);
     }
   }
   const KvStoreStats a = store->shard(0)->Stats();
