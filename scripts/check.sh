@@ -18,9 +18,10 @@
 #   sanitizer lanes (asan/tsan/ubsan) exercise the compressed tier's
 #   concurrency and memory safety, not just the plain build.
 #   `simd` rebuilds with -DCOSTPERF_NO_SIMD=ON (scalar key-slice search,
-#   no vector kernels, no cpu dispatch) and runs the index + batch-probe
-#   tests — proof the scalar fallback is a complete, correct
-#   implementation and not just a compile-time stub.
+#   no vector kernels, no cpu dispatch, table CRC-32C) and runs the
+#   index + batch-probe tests plus crc32_test and log_store_test — proof
+#   the scalar fallbacks are complete, correct implementations and not
+#   just compile-time stubs.
 #   `tidy` runs clang-tidy (scripts/run_clang_tidy.sh) with the base
 #   .clang-tidy check set plus the costperf-* plugin checks when the
 #   plugin was built; it skips with a message when LLVM is missing.
@@ -72,7 +73,7 @@ analyze  Clang -Werror=thread-safety build (locks + epoch capabilities)
 asan     Debug + AddressSanitizer build + ctest + reduced torture
 tsan     Debug + ThreadSanitizer build + ctest + reduced torture
 ubsan    Debug + UBSanitizer (no-recover) build + ctest + reduced torture
-simd     Release -DCOSTPERF_NO_SIMD=ON build; index/batch tests on the scalar path
+simd     Release -DCOSTPERF_NO_SIMD=ON build; index/batch/CRC/log tests on the scalar path
 stress   SS-heavy steady-state bench; asserts maintenance stays off op path
 serve    TSan server+loadgen loopback smoke with clean-shutdown assertions
 chaos    TSan network fault-injection suite (seeded plans, sheds, watchdog)
@@ -184,18 +185,21 @@ for lane in "${LANES[@]}"; do
       # kernels and runtime dispatch forced off. Runs the tests that
       # exercise key-slice search and the batched probes; the simd_test
       # backend assertion pins BackendName() == "scalar" in this build.
+      # CRC-32C falls back to its slicing-by-8 tables here too, so the
+      # lane also runs crc32_test and log_store_test: the table code
+      # keeps checksumming and verifying stored records.
       echo
       echo "=== lane: simd ==="
       dir="$ROOT/build-simd"
       if cmake -S "$ROOT" -B "$dir" -DCMAKE_BUILD_TYPE=Release \
            -DCOSTPERF_NO_SIMD=ON >/dev/null &&
          cmake --build "$dir" --target simd_test batch_probe_test \
-           bwtree_test masstree_test sharded_store_test -j "$JOBS" \
-           >/dev/null &&
+           bwtree_test masstree_test sharded_store_test crc32_test \
+           log_store_test -j "$JOBS" >/dev/null &&
          ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-           -R 'Simd|NodeSearch|Batch|BwTree|MassTree|ShardedStore'
+           -R 'Simd|NodeSearch|Batch|BwTree|MassTree|ShardedStore|Crc32|LogStore'
       then
-        echo "lane simd: scalar fallback passes the index/batch suite"
+        echo "lane simd: scalar fallback passes the index/batch/CRC suite"
       else
         failures+=("simd")
       fi

@@ -7,8 +7,9 @@
 #             *and* epoch capabilities as compile errors). Stage 1
 #             failing means the change is wrong; nothing else runs.
 #   stage 2 — depth lanes (after stage 1): tidy, then the sanitizer
-#             matrix + simd (the scalar search fallback, built only with
-#             -DCOSTPERF_NO_SIMD=ON) + stress + serve + chaos (network
+#             matrix + simd (the scalar search and table CRC-32C
+#             fallbacks, built only with -DCOSTPERF_NO_SIMD=ON) + stress
+#             + serve + chaos (network
 #             fault injection under TSan) + benchmark (the repo
 #             benchmark's quick run, which builds ../src outside the root
 #             build and so is the only lane that catches a src/ API change

@@ -285,31 +285,35 @@ void BwTree::CacheTouch(PageId pid) {
 
 void BwTree::MetaSetChain(PageId pid, std::vector<uint64_t> chain,
                           bool dirty, bool newest_compressed) {
-  MutexLock lk(&meta_mu_);
-  auto& m = meta_[pid];
+  MetaStripe& stripe = StripeOf(pid);
+  MutexLock lk(&stripe.mu);
+  auto& m = stripe.pages[pid];
   m.flash_chain = std::move(chain);
   m.base_dirty = dirty;
   m.newest_compressed = newest_compressed;
 }
 
 void BwTree::MetaMarkDirty(PageId pid) {
-  MutexLock lk(&meta_mu_);
-  meta_[pid].base_dirty = true;
+  MetaStripe& stripe = StripeOf(pid);
+  MutexLock lk(&stripe.mu);
+  stripe.pages[pid].base_dirty = true;
 }
 
 template <typename Update>
 bool BwTree::CasWithMeta(PageId pid, uint64_t expected, uint64_t desired,
                          Update update) {
-  MutexLock lk(&meta_mu_);
+  MetaStripe& stripe = StripeOf(pid);
+  MutexLock lk(&stripe.mu);
   if (!table_.Cas(pid, expected, desired)) return false;
-  update(meta_[pid]);
+  update(stripe.pages[pid]);
   return true;
 }
 
 BwTree::PageMeta BwTree::MetaGet(PageId pid) const {
-  MutexLock lk(&meta_mu_);
-  auto it = meta_.find(pid);
-  return it == meta_.end() ? PageMeta{} : it->second;
+  MetaStripe& stripe = StripeOf(pid);
+  MutexLock lk(&stripe.mu);
+  auto it = stripe.pages.find(pid);
+  return it == stripe.pages.end() ? PageMeta{} : it->second;
 }
 
 BwTree::PageDebugInfo BwTree::DebugPageInfo(PageId pid) const {
@@ -502,30 +506,38 @@ Status BwTree::Get(const Slice& key, std::string* value_out) {
     // parent paths).
     thread_local std::vector<PageId> path;
     PageId pid = DescendToLeaf(key, &path);
-    uint64_t w = table_.Get(pid);
-    if (w == 0) continue;
-
-    if (!IsFlashWord(w)) {
-      Node* head = DecodePointer(w);
-      if (head->type == NodeType::kRemoveNode) continue;  // re-descend
-      if (const PageId sib = RightOfFence(head, key); sib != kInvalidPageId) {
-        // Mid-split: the key moved right.
-        pid = sib;
-        w = table_.Get(pid);
-        if (w == 0 || IsFlashWord(w)) continue;
-        head = DecodePointer(w);
-        if (head->type == NodeType::kRemoveNode) continue;
+    // The leaf's word is read as the descent left it and, after a load,
+    // once more: the guard spans both reads, so pid cannot be freed and
+    // reused in between, and a page whose range started at or below
+    // `key` still does. Only its high fence needs checking again, not
+    // the whole descent.
+    for (bool loaded = false;; loaded = true) {
+      uint64_t w = table_.Get(pid);
+      if (w == 0) break;  // re-descend
+      if (!IsFlashWord(w)) {
+        Node* head = DecodePointer(w);
+        if (head->type == NodeType::kRemoveNode) break;
+        if (const PageId sib = RightOfFence(head, key);
+            sib != kInvalidPageId) {
+          // Mid-split: the key moved right.
+          pid = sib;
+          w = table_.Get(pid);
+          if (w == 0 || IsFlashWord(w)) break;
+          head = DecodePointer(w);
+          if (head->type == NodeType::kRemoveNode) break;
+        }
+        Status s;
+        if (AnswerFromLeaf(pid, head, key, value_out, ctx, &path, cell, &s)) {
+          return s;
+        }
       }
-      Status s;
-      if (AnswerFromLeaf(pid, head, key, value_out, ctx, &path, cell, &s)) {
-        return s;
-      }
+      if (loaded) break;
+      // Base on flash: load it (this is an SS operation), then answer
+      // from the page the load installed.
+      Status s = LoadAndInstall(pid, w, &ctx);
+      if (s.IsAborted()) break;
+      if (!s.ok()) return s;
     }
-
-    // Base on flash: load it (this is an SS operation), then re-read the
-    // entry.
-    Status s = LoadAndInstall(pid, w, &ctx);
-    if (!s.ok() && !s.IsAborted()) return s;
   }
   return Status::Internal("Get retry budget exhausted");
 }
@@ -540,7 +552,7 @@ Status BwTree::Get(const Slice& key, std::string* value_out) {
 // cache hit), takes one hop — remove-node redirect, inner child pick,
 // B-link fence hop — or searches the leaf chain and finishes. The flash
 // (SS) paths stay synchronous: they are I/O-bound, not miss-bound, and
-// re-descend afterwards exactly like Get's attempt loop.
+// then answer from the page they installed, exactly like Get.
 struct BwTree::BatchProbe {
   enum class St : uint8_t { kResolve, kInspect, kDone };
 
@@ -551,7 +563,7 @@ struct BwTree::BatchProbe {
   PageId pid = kInvalidPageId;
   uint64_t word = 0;
   Node* head = nullptr;
-  int restarts = 0;  // full re-descents; same 1000 budget as Get
+  int restarts = 0;  // re-descents and loads; same 1000 budget as Get
   OpContext ctx;
   std::vector<PageId> path;  // inner path for split posting
 };
@@ -561,17 +573,35 @@ void BwTree::StepProbe(BatchProbe* p, OpStatCell& cell) {
     *p->status = s;
     p->st = BatchProbe::St::kDone;
   };
+  // Spends one unit of the probe's budget (the same 1000 as Get's
+  // attempts); false, with the probe finished, once it is gone.
+  auto spend = [p, &finish]() {
+    if (++p->restarts < 1000) return true;
+    finish(Status::Internal("Get retry budget exhausted"));
+    return false;
+  };
   // Full restart from the root, mirroring one iteration of Get's
   // attempt loop (LoadAndInstall rounds and races consume budget; hops
   // within a descent do not).
-  auto restart = [this, p, &finish]() {
-    if (++p->restarts >= 1000) {
-      finish(Status::Internal("Get retry budget exhausted"));
-      return;
-    }
+  auto restart = [this, p, &spend]() {
+    if (!spend()) return;
     p->pid = root_pid_.load(std::memory_order_acquire);
     p->path.clear();
     p->st = BatchProbe::St::kResolve;
+  };
+  // Base on flash: a synchronous SS load of p->pid. Once it installs the
+  // page the probe resolves that pid again instead of re-descending: the
+  // group guard keeps pid from being freed and reused, so only the
+  // leaf's high fence needs checking again, as in Get.
+  auto load = [this, p, &finish, &restart, &spend]() {
+    Status s = LoadAndInstall(p->pid, p->word, &p->ctx);
+    if (s.IsAborted()) {
+      restart();
+    } else if (!s.ok()) {
+      finish(s);
+    } else if (spend()) {
+      p->st = BatchProbe::St::kResolve;
+    }
   };
 
   switch (p->st) {
@@ -583,13 +613,7 @@ void BwTree::StepProbe(BatchProbe* p, OpStatCell& cell) {
         return;
       }
       if (IsFlashWord(p->word)) {
-        // Leaf on flash: synchronous SS load, then re-descend.
-        Status s = LoadAndInstall(p->pid, p->word, &p->ctx);
-        if (!s.ok() && !s.IsAborted()) {
-          finish(s);
-          return;
-        }
-        restart();
+        load();
         return;
       }
       p->head = DecodePointer(p->word);
@@ -633,13 +657,7 @@ void BwTree::StepProbe(BatchProbe* p, OpStatCell& cell) {
         p->st = BatchProbe::St::kDone;
         return;
       }
-      // Base needed but on flash: load it (SS), then re-descend.
-      Status s = LoadAndInstall(p->pid, p->word, &p->ctx);
-      if (!s.ok() && !s.IsAborted()) {
-        finish(s);
-        return;
-      }
-      restart();
+      load();
       return;
     }
 
@@ -1068,11 +1086,28 @@ PageId BwTree::FindParentOf(PageId child_pid, const Slice& toward_key) {
 // Paging: load
 // ---------------------------------------------------------------------
 
-Status BwTree::RetryIo(const std::function<Status()>& fn) {
+template <typename Fn>
+Status BwTree::RetryIo(Fn&& fn) {
+  Status s = fn();
+  if (!IsTransientError(s)) [[likely]] return s;
+  return RetryAfterTransient(s, fn);
+}
+
+Status BwTree::RetryAfterTransient(const Status& first,
+                                   const std::function<Status()>& fn) {
+  // RetryTransient's first attempt replays the one RetryIo already made,
+  // so the policy's attempt budget, backoff and counts stay exactly
+  // those of a RetryTransient call that ran fn itself.
+  bool replay = true;
   RetryStats rs;
-  Status s = RetryTransient(options_.io_retry, fn, &rs,
-                            retry_salt_.fetch_add(1,
-                                                  std::memory_order_relaxed));
+  Status s = RetryTransient(
+      options_.io_retry,
+      [&]() {
+        if (!replay) return fn();
+        replay = false;
+        return first;
+      },
+      &rs, retry_salt_.fetch_add(1, std::memory_order_relaxed));
   s_io_retries_.fetch_add(rs.retries, std::memory_order_relaxed);
   if (rs.gave_up) s_io_give_ups_.fetch_add(1, std::memory_order_relaxed);
   return s;
@@ -1549,9 +1584,17 @@ bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
                           FlashAddress newest) {
   // The word holds a clean base, so the metadata read with it still
   // describes it: any change to flash_chain or base_dirty moves the word
-  // (DESIGN.md §3.4 rule 4), and this CAS then fails.
+  // (DESIGN.md §3.4 rule 4), and this CAS then fails. The sibling the
+  // chain shows is recorded in the same stripe hold as the CAS; a
+  // FlashPointer tail without fences keeps the one recorded when the
+  // page last left DRAM, as its fences have not changed since.
+  Slice high_key;
+  PageId sib = kInvalidPageId;
+  const bool fences_known = ChainFences(head, &high_key, &sib);
   const auto swing = [&] {
-    return table_.Cas(pid, expected, EncodeFlash(newest));
+    return CasWithMeta(pid, expected, EncodeFlash(newest), [&](PageMeta& m) {
+      if (fences_known) m.flash_right_sibling = sib;
+    });
   };
   const bool swung = options_.cache != nullptr
                          ? options_.cache->SwingOut(pid, swing)
@@ -1656,29 +1699,21 @@ std::vector<PageId> BwTree::LeafPageIds() {
   PageId pid = DescendToLeaf(Slice(""), nullptr);
   int guard_hops = 0;
   while (pid != kInvalidPageId && guard_hops++ < (1 << 22)) {
-    out.push_back(pid);
-    uint64_t w = table_.Get(pid);
+    const uint64_t w = table_.Get(pid);
     if (w == 0) break;
-    PageId next = kInvalidPageId;
-    if (IsFlashWord(w)) {
-      // Fences unknown without I/O; load to continue the walk.
-      OpContext ctx;
-      if (!LoadAndInstall(pid, w, &ctx).ok()) break;
-      out.pop_back();
-      continue;  // revisit
-    }
-    Node* head = DecodePointer(w);
+    out.push_back(pid);
     Slice high_key;
     PageId sib = kInvalidPageId;
-    if (ChainFences(head, &high_key, &sib)) {
-      next = sib;
-    } else if (ChainTail(head)->type == NodeType::kFlashPointer) {
-      OpContext ctx;
-      if (!LoadAndInstall(pid, w, &ctx).ok()) break;
-      out.pop_back();
-      continue;
+    if (IsFlashWord(w) || !ChainFences(DecodePointer(w), &high_key, &sib)) {
+      // Fences on flash: the page still has the sibling it had when it
+      // left DRAM, so the walk goes on without reading its record.
+      MetaStripe& stripe = StripeOf(pid);
+      MutexLock lk(&stripe.mu);
+      auto it = stripe.pages.find(pid);
+      sib = it == stripe.pages.end() ? kInvalidPageId
+                                     : it->second.flash_right_sibling;
     }
-    pid = next;
+    pid = sib;
   }
   return out;
 }
@@ -1703,9 +1738,10 @@ bool BwTree::IsDirty(PageId pid) const {
   const Node* tail = ChainTail(head);
   if (head != tail) return true;  // deltas present
   if (tail->type != NodeType::kLeafBase) return false;
-  MutexLock lk(&meta_mu_);
-  auto it = meta_.find(pid);
-  return it == meta_.end() || it->second.base_dirty ||
+  MetaStripe& stripe = StripeOf(pid);
+  MutexLock lk(&stripe.mu);
+  auto it = stripe.pages.find(pid);
+  return it == stripe.pages.end() || it->second.base_dirty ||
          it->second.flash_chain.empty();
 }
 
@@ -2133,9 +2169,9 @@ void BwTree::DiscardResidentState() {
     }
   }
   table_.Reset();
-  {
-    MutexLock lk(&meta_mu_);
-    meta_.clear();
+  for (MetaStripe& stripe : meta_stripes_) {
+    MutexLock lk(&stripe.mu);
+    stripe.pages.clear();
   }
 }
 
@@ -2231,6 +2267,12 @@ Status BwTree::RecoverFromStore() {
     Status ds = PageCodec::DecodeLeaf(std::move(base_image), &leaf);
     if (!ds.ok()) return ds;
     fences[pid] = {leaf.high_key().ToString(), leaf.right_sibling()};
+    {
+      // The page comes back on flash: LeafPageIds follows this sibling.
+      MetaStripe& stripe = StripeOf(pid);
+      MutexLock lk(&stripe.mu);
+      stripe.pages[pid].flash_right_sibling = leaf.right_sibling();
+    }
     if (leaf.right_sibling() != kInvalidPageId) {
       pointed_at.insert(leaf.right_sibling());
     }
@@ -2425,9 +2467,10 @@ Status BwTree::SalvageRebuild(
 // ---------------------------------------------------------------------
 
 bool BwTree::GcIsLive(PageId pid, FlashAddress addr) const {
-  MutexLock lk(&meta_mu_);
-  auto it = meta_.find(pid);
-  return it != meta_.end() && ChainHolds(it->second.flash_chain, addr);
+  MetaStripe& stripe = StripeOf(pid);
+  MutexLock lk(&stripe.mu);
+  auto it = stripe.pages.find(pid);
+  return it != stripe.pages.end() && ChainHolds(it->second.flash_chain, addr);
 }
 
 llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
@@ -2437,13 +2480,13 @@ llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
   // new address. A resident chain is replaced by its consolidated base —
   // a bare base by one copy of itself — so the mapping word moves with
   // the metadata (DESIGN.md §3.4 rule 4) and a flush or eviction that
-  // read the old word fails its CAS. The replacement is
-  // built outside meta_mu_; the chain check, the CAS and the chain update
-  // share one hold, as in CasWithMeta, and so does the answer when the
-  // page cannot be moved: superseded when the chain no longer holds
-  // old_addr, still referenced when it does. Retries while writers move
-  // the word, so a busy page does not keep its victim segment from a
-  // trim.
+  // read the old word fails its CAS. The replacement is built outside
+  // the page's metadata stripe; the chain check, the CAS and the chain
+  // update share one stripe hold, as in CasWithMeta, and so does the
+  // answer when the page cannot be moved: superseded when the chain no
+  // longer holds old_addr, still referenced when it does. Retries while
+  // writers move the word, so a busy page does not keep its victim
+  // segment from a trim.
   using llama::InstallOutcome;
   EpochGuard guard(&epochs_);
   for (int attempt = 0; attempt < 100; ++attempt) {
@@ -2462,9 +2505,11 @@ llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
     InstallOutcome outcome = InstallOutcome::kStillReferenced;
     bool raced = false;
     {
-      MutexLock lk(&meta_mu_);
-      auto it = meta_.find(pid);
-      if (it == meta_.end() || !ChainHolds(it->second.flash_chain, old_addr)) {
+      MetaStripe& stripe = StripeOf(pid);
+      MutexLock lk(&stripe.mu);
+      auto it = stripe.pages.find(pid);
+      if (it == stripe.pages.end() ||
+          !ChainHolds(it->second.flash_chain, old_addr)) {
         outcome = InstallOutcome::kSuperseded;
       } else if (desired != 0 && it->second.flash_chain.size() == 1) {
         if (table_.Cas(pid, w, desired)) {
@@ -2504,11 +2549,12 @@ Status BwTree::PrepareSegmentForGc(uint64_t segment_id,
   // pages), a FlashPointer tail (record-cache form) or an SMO chain —
   // gets loaded and re-flushed elsewhere.
   std::vector<PageId> to_rewrite;
-  {
-    // The guard lets the scan look at resident chain heads.
+  // One stripe is held at a time, so the scan never stalls the whole
+  // tree's swings; the guard lets it look at resident chain heads.
+  for (MetaStripe& stripe : meta_stripes_) {
     EpochGuard guard(&epochs_);
-    MutexLock lk(&meta_mu_);
-    for (const auto& [pid, meta] : meta_) {
+    MutexLock lk(&stripe.mu);
+    for (const auto& [pid, meta] : stripe.pages) {
       bool touches = false;
       for (uint64_t packed : meta.flash_chain) {
         FlashAddress a = FlashAddress::FromPacked(packed);

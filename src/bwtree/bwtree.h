@@ -14,6 +14,7 @@
 #include "bwtree/page_codec.h"
 #include "common/batch_op.h"
 #include "common/epoch.h"
+#include "common/lock_order.h"
 #include "common/mutex.h"
 #include "common/retry.h"
 #include "common/slice.h"
@@ -208,7 +209,9 @@ class BwTree {
 
   // Leaf page currently responsible for `key`.
   Result<PageId> LeafOf(const Slice& key);
-  // All leaf page ids in key order (walks the B-link chain).
+  // All leaf page ids in key order (walks the B-link chain). Reads no
+  // flash and loads nothing: a page off DRAM is followed by the right
+  // sibling it had when it left (PageMeta::flash_right_sibling).
   std::vector<PageId> LeafPageIds();
   bool IsLeafResident(PageId pid) const;
   bool IsDirty(PageId pid) const;
@@ -320,6 +323,12 @@ class BwTree {
     // record-cache eviction, merge) clears it, and a load or a GC
     // relocation leaves it, as the record keeps its form.
     bool newest_compressed = false;
+    // The page's right sibling when its mapping word last swung to flash
+    // (SwingToFlash, recovery). A page's fences change only while it is
+    // resident (splits and merges install resident chains), so this is
+    // its sibling whenever its chain does not show its fences: a flash
+    // word, or a FlashPointer tail a blind write put over one.
+    PageId flash_right_sibling = kInvalidPageId;
   };
 
   // Per-operation bookkeeping for MM/SS classification.
@@ -392,9 +401,10 @@ class BwTree {
   // Moves a clean resident page onto its newest flash record `newest`
   // (flash_chain[0]) with one CAS of the mapping word from `expected`,
   // whose chain starts at `head`, and retires that chain. Writes
-  // nothing and changes no metadata. The CAS and the erase of the
-  // page's cache entry share one CacheManager::SwingOut latch hold.
-  // False (a CAS failure, counted) when the word moved.
+  // nothing; of the metadata it sets only flash_right_sibling, in the
+  // CAS's stripe hold. The CAS and the erase of the page's cache entry
+  // share one CacheManager::SwingOut latch hold, which the stripe latch
+  // nests inside. False (a CAS failure, counted) when the word moved.
   bool SwingToFlash(PageId pid, uint64_t expected, Node* head,
                     FlashAddress newest) REQUIRES_EPOCH(epochs_);
 
@@ -444,8 +454,15 @@ class BwTree {
       REQUIRES_EPOCH(epochs_);
 
   // Runs fn under the configured transient-error retry policy and folds
-  // the attempt counts into stats.
-  Status RetryIo(const std::function<Status()>& fn);
+  // the attempt counts into stats. The first attempt is a direct call:
+  // only a transient failure pays for RetryAfterTransient (the
+  // std::function, the jitter salt, the shared counters).
+  template <typename Fn>
+  Status RetryIo(Fn&& fn);
+  // The rest of RetryIo's attempt budget after a first attempt that
+  // failed with the transient status `first`.
+  Status RetryAfterTransient(const Status& first,
+                             const std::function<Status()>& fn);
   Result<FlashAddress> RetryAppend(PageId pid, const Slice& image);
   Result<FlashAddress> RetryAppendCompressed(PageId pid,
                                              const Slice& compressed,
@@ -473,22 +490,37 @@ class BwTree {
   void CacheInsertOrResize(PageId pid, Node* head);
   void CacheTouch(PageId pid);
 
+  // Page metadata lives in kMetaStripes latch stripes keyed by page id.
+  // A stripe's latch covers the PageMeta of its pages, so every per-page
+  // rule holds one stripe (the page's metadata stripe) and pages on
+  // different stripes never wait for each other. No path holds two
+  // stripes; a stripe latch may nest inside a cache-shard latch
+  // (SwingToFlash), never the other way round.
+  static constexpr size_t kMetaStripes = 64;
+  struct alignas(64) MetaStripe {
+    mutable Mutex mu ACQUIRED_AFTER(lock_rank::kPageMeta);
+    std::unordered_map<PageId, PageMeta> pages GUARDED_BY(mu);
+  };
+  MetaStripe& StripeOf(PageId pid) const {
+    return meta_stripes_[pid % kMetaStripes];
+  }
+
   // Meta accessors. `newest_compressed` is the form of chain[0].
   void MetaSetChain(PageId pid, std::vector<uint64_t> chain, bool dirty,
-                    bool newest_compressed) EXCLUDES(meta_mu_);
-  void MetaMarkDirty(PageId pid) EXCLUDES(meta_mu_);
+                    bool newest_compressed);
+  void MetaMarkDirty(PageId pid);
   // Swings `pid`'s mapping word from `expected` to `desired` and, when
-  // it lands, applies `update` to the page's metadata in the same
-  // meta_mu_ hold. Every swing that folds deltas into a base or moves
-  // the page's flash state goes through here, so flash_chain and
+  // it lands, applies `update` to the page's metadata in the same hold
+  // of its metadata stripe. Every swing that folds deltas into a base or
+  // moves the page's flash state goes through here, so flash_chain and
   // base_dirty always describe the base the table holds. Applied after
   // the lock is dropped, a "clean" update could overwrite the dirty
   // mark of a consolidation or load that swung the word in between, and
   // eviction would then drop that unflushed base.
   template <typename Update>
   bool CasWithMeta(PageId pid, uint64_t expected, uint64_t desired,
-                   Update update) EXCLUDES(meta_mu_);
-  PageMeta MetaGet(PageId pid) const EXCLUDES(meta_mu_);
+                   Update update);
+  PageMeta MetaGet(PageId pid) const;
   void MarkChainDead(const std::vector<uint64_t>& chain);
 
   BwTreeOptions options_;
@@ -498,8 +530,7 @@ class BwTree {
   mutable EpochManager epochs_;
   std::atomic<PageId> root_pid_;
 
-  mutable Mutex meta_mu_;
-  std::unordered_map<PageId, PageMeta> meta_ GUARDED_BY(meta_mu_);
+  mutable MetaStripe meta_stripes_[kMetaStripes];
 
   // Page ids allocated by an in-flight split whose link CAS has not
   // resolved yet. Raw mapping-slot scanners (HousekeepingScan) must skip

@@ -2,6 +2,14 @@
 
 #include <cstring>
 
+#if !defined(COSTPERF_NO_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define COSTPERF_CRC32C_HW 1
+#include <nmmintrin.h>
+#else
+#define COSTPERF_CRC32C_HW 0
+#endif
+
 namespace costperf {
 
 namespace {
@@ -9,8 +17,7 @@ namespace {
 // Slicing-by-8 CRC-32C tables (polynomial 0x1EDC6F41, reflected
 // 0x82F63B78). Processes 8 bytes per iteration — the table-per-byte
 // variant costs ~3ns/B, which would dominate SS-operation cost; this one
-// runs at ~0.4ns/B, comparable to hardware-assisted implementations real
-// stores use.
+// runs at ~0.4ns/B.
 struct Crc32cTables {
   uint32_t t[8][256];
   Crc32cTables() {
@@ -36,9 +43,47 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
+#if COSTPERF_CRC32C_HW
+
+// The SSE4.2 crc32 instruction computes the same reflected CRC-32C
+// register update as the tables, 8 bytes per instruction.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t len,
+                                                       uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t c = seed ^ 0xFFFFFFFFu;
+  while (len >= 8) {
+    uint64_t v = 0;
+    memcpy(&v, p, 8);
+    c = _mm_crc32_u64(c, v);
+    p += 8;
+    len -= 8;
+  }
+  auto c32 = static_cast<uint32_t>(c);
+  if (len >= 4) {
+    uint32_t v = 0;
+    memcpy(&v, p, 4);
+    c32 = _mm_crc32_u32(c32, v);
+    p += 4;
+    len -= 4;
+  }
+  while (len-- > 0) c32 = _mm_crc32_u8(c32, *p++);
+  return c32 ^ 0xFFFFFFFFu;
+}
+
+// Resolved during static initialization. A Crc32c call that runs before
+// it (from another translation unit's initializer) sees false and takes
+// the table path, which gives the same value.
+const bool g_have_sse42 = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2") != 0;
+}();
+
+#endif  // COSTPERF_CRC32C_HW
+
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+uint32_t Crc32cPortable(const void* data, size_t len, uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   const auto& tb = Tables();
   uint32_t c = seed ^ 0xFFFFFFFFu;
@@ -61,6 +106,20 @@ uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
     c = tb.t[0][(c ^ *p++) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+#if COSTPERF_CRC32C_HW
+  if (g_have_sse42) return Crc32cSse42(data, len, seed);
+#endif
+  return Crc32cPortable(data, len, seed);
+}
+
+const char* Crc32cBackendName() {
+#if COSTPERF_CRC32C_HW
+  if (g_have_sse42) return "sse4.2";
+#endif
+  return "slicing-by-8";
 }
 
 }  // namespace costperf

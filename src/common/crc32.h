@@ -6,10 +6,21 @@
 
 namespace costperf {
 
-// CRC-32C (Castagnoli), software table implementation. Used to checksum
-// pages and log segments on the simulated flash device so corruption
-// injection and torn writes are detectable, as a real store would.
+// CRC-32C (Castagnoli). Used to checksum pages and log segments on the
+// simulated flash device so corruption injection and torn writes are
+// detectable, as a real store would. On x86-64 it runs the SSE4.2 crc32
+// instruction when the CPU has it (checked once, at startup); otherwise,
+// and in a -DCOSTPERF_NO_SIMD build, the slicing-by-8 tables below. Both
+// give the same values, so records written under one verify under the
+// other.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
+
+// The slicing-by-8 table implementation, callable on any CPU (tests check
+// it against Crc32c).
+uint32_t Crc32cPortable(const void* data, size_t len, uint32_t seed = 0);
+
+// The implementation Crc32c runs: "sse4.2" or "slicing-by-8".
+const char* Crc32cBackendName();
 
 // Masked CRC (RocksDB-style rotation+offset) so that a CRC stored next to
 // the data it covers does not checksum to itself.

@@ -30,6 +30,11 @@
 //                          runs on op paths and workers drop it before
 //                          running a step, so it may never wrap another
 //                          lock on this list.
+//   5. page metadata       BwTree::MetaStripe::mu — a leaf beside the
+//                          scheduler queue: nothing is taken under it and
+//                          no path holds two stripes. It nests inside a
+//                          cache-shard latch only where an eviction's
+//                          swing runs in CacheManager::SwingOut.
 //
 // The markers are never locked; they exist only as graph nodes. A
 // RankTag carries the generic "mutex" capability kind so the analysis
@@ -43,6 +48,7 @@ inline RankTag kStoreMaintenance;
 inline RankTag kLogAppend ACQUIRED_AFTER(kStoreMaintenance);
 inline RankTag kCacheShard ACQUIRED_AFTER(kLogAppend);
 inline RankTag kSchedulerQueue ACQUIRED_AFTER(kCacheShard);
+inline RankTag kPageMeta ACQUIRED_AFTER(kCacheShard);
 
 }  // namespace costperf::lock_rank
 

@@ -28,6 +28,7 @@ LogStructuredStore::LogStructuredStore(storage::SsdDevice* device,
 
 void LogStructuredStore::OpenSegmentLocked(uint64_t id) {
   open_segment_id_ = id;
+  open_segment_mirror_.store(id, std::memory_order_release);
   synced_bytes_ = 0;
   open_buffer_.clear();
   open_buffer_.reserve(options_.segment_bytes);
@@ -227,7 +228,11 @@ Status LogStructuredStore::Read(FlashAddress addr, std::string* image,
   // the payload it hands back.
   thread_local std::string raw;
   bool buffered = false;
-  {
+  // A segment below the mirror was sealed after its device write (the
+  // acquire pairs with OpenSegmentLocked's release), so its records are
+  // read from the device with no latch taken. Otherwise the record may
+  // be in the open buffer, which only mu_ covers.
+  if (seg >= open_segment_mirror_.load(std::memory_order_acquire)) {
     MutexLock lk(&mu_);
     // Wait out in-flight encodes so we never read a reserved-but-unfilled
     // range. The open segment may seal while we wait, flipping us to the
@@ -243,11 +248,10 @@ Status LogStructuredStore::Read(FlashAddress addr, std::string* image,
       stats_.buffer_reads++;
       raw.assign(open_buffer_.data() + in_seg, addr.len());
       buffered = true;
-    } else {
-      stats_.device_reads++;
     }
   }
   if (!buffered) {
+    device_reads_.fetch_add(1, std::memory_order_relaxed);
     raw.resize(addr.len());
     Status s = device_->Read(addr.offset(), addr.len(), raw.data());
     if (!s.ok()) return s;
@@ -296,10 +300,7 @@ Result<GcStats> LogStructuredStore::CollectSegment(uint64_t segment_id,
   Status s = device_->Read(segment_id * options_.segment_bytes,
                            options_.segment_bytes, raw.data());
   if (!s.ok()) return s;
-  {
-    MutexLock lk(&mu_);
-    stats_.device_reads++;
-  }
+  device_reads_.fetch_add(1, std::memory_order_relaxed);
 
   GcStats gc;
   gc.segment_id = segment_id;
@@ -619,7 +620,9 @@ RecoveryReport LogStructuredStore::last_recovery_report() const {
 
 LogStoreStats LogStructuredStore::stats() const {
   MutexLock lk(&mu_);
-  return stats_;
+  LogStoreStats out = stats_;
+  out.device_reads = device_reads_.load(std::memory_order_relaxed);
+  return out;
 }
 
 std::vector<SegmentInfo> LogStructuredStore::segments() const {

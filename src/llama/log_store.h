@@ -135,8 +135,12 @@ struct RecoveryReport {
 // capacity is pre-reserved at segment size, so reserved ranges are
 // pointer-stable). A fill counter plus condition variable lets sealing —
 // and open-buffer reads — wait for in-flight encodes, so the latch hold
-// time is O(1) regardless of payload size. Reads are latch-free against
-// the device and take the latch only to check the open buffer.
+// time is O(1) regardless of payload size. A read of a record in a
+// sealed segment takes no latch at all: it compares the segment id with
+// an atomic mirror of the open segment id, published only after the
+// seal's device write, so it never queues behind appends or behind a
+// seal's write. Only a read that may hit the open segment takes the
+// latch, to copy out of the buffer or to find the segment sealed.
 class LogStructuredStore {
  public:
   // `device` must outlive the store.
@@ -161,7 +165,8 @@ class LogStructuredStore {
 
   // Reads a record's payload. Serves from the open write buffer when the
   // address has not been flushed yet (no I/O — this is what makes freshly
-  // written pages cheap to re-read). Verifies pid and checksum.
+  // written pages cheap to re-read), and from the device without taking
+  // the latch when its segment is sealed. Verifies pid and checksum.
   // Compressed records are decompressed transparently; *was_compressed
   // (when non-null) reports which form was on media so callers can count
   // CSS-tier reads.
@@ -296,10 +301,18 @@ class LogStructuredStore {
   // Leading bytes of open_buffer_ already on the device (SyncLocked).
   uint64_t synced_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t open_segment_id_ GUARDED_BY(mu_) = 0;
+  // open_segment_id_, stored (release) by OpenSegmentLocked: after the
+  // previous segment's device write when a seal opens it. A segment below
+  // it is sealed and wholly on the device, which is what lets Read skip
+  // mu_ for it.
+  std::atomic<uint64_t> open_segment_mirror_{0};
   uint64_t next_segment_id_ GUARDED_BY(mu_) = 0;
   std::map<uint64_t, SegmentInfo> directory_ GUARDED_BY(mu_);
 
+  // Every LogStoreStats field but device_reads, which latch-free reads
+  // bump in device_reads_ (relaxed; stats() folds it in).
   LogStoreStats stats_ GUARDED_BY(mu_);
+  std::atomic<uint64_t> device_reads_{0};
   RecoveryReport recovery_report_ GUARDED_BY(mu_);
 
   // Directory-total mirrors for DeadSpaceFraction(): record bytes in the

@@ -514,6 +514,56 @@ TEST(CssStoreTest, GcMovesTheRecordUnderAResidentPageWithDeltas) {
   EXPECT_TRUE(reopened.CheckInvariants().empty());
 }
 
+// Listing the leaves of a store whose pages are all off DRAM reads no
+// flash and loads nothing: an evicted page is followed by the sibling it
+// had when it left.
+TEST(CssStoreTest, LeafPageIdsOnAnEvictedStoreLoadsNothing) {
+  core::CachingStoreOptions opts = ManualTierOptions();
+  opts.tree.max_page_bytes = 2048;  // many leaves under an inner level
+  core::CachingStore store(opts);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(
+        store.Put("k" + std::to_string(i), StructuredValue(i)).ok());
+  }
+  const std::vector<PageId> leaves = store.tree()->LeafPageIds();
+  ASSERT_GT(leaves.size(), 10u);
+  ASSERT_TRUE(store.EvictAll().ok());
+  ASSERT_EQ(store.tree()->resident_leaves(), 0u);
+
+  struct Counts {
+    uint64_t page_loads, css_hits, dram_bytes, device_reads;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto counts = [](core::CachingStore* s) {
+    const core::KvStoreStats st = s->Stats();
+    return Counts{s->tree()->stats().page_loads, st.tier_css_hits,
+                  st.tier_dram_bytes, s->log_store()->stats().device_reads};
+  };
+  const Counts evicted = counts(&store);
+  EXPECT_EQ(store.tree()->LeafPageIds(), leaves);
+  EXPECT_TRUE(counts(&store) == evicted);
+  EXPECT_EQ(store.tree()->resident_leaves(), 0u);
+
+  // Recovery brings every page back on flash, with the sibling its
+  // record names.
+  core::CachingStoreOptions reopen_opts = opts;
+  reopen_opts.external_device = store.device();
+  core::CachingStore reopened(reopen_opts);
+  ASSERT_TRUE(reopened.Recover().ok());
+  const Counts recovered = counts(&reopened);
+  EXPECT_EQ(reopened.tree()->LeafPageIds(), leaves);
+  EXPECT_TRUE(counts(&reopened) == recovered);
+
+  // A blind write puts a FlashPointer tail without fences over one page;
+  // the walk still passes it without a load.
+  ASSERT_TRUE(store.Put("k1000", "updated").ok());
+  const Counts blind = counts(&store);
+  EXPECT_EQ(store.tree()->LeafPageIds(), leaves);
+  EXPECT_TRUE(counts(&store) == blind);
+  EXPECT_EQ(*store.Get("k1000"), "updated");
+  EXPECT_TRUE(store.CheckInvariants().empty());
+}
+
 TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   VirtualClock clock(1);
   core::CachingStoreOptions opts;
@@ -536,12 +586,12 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
 
   // Phase 1: 60s idle -> pages pass the MM/SS breakeven and are evicted.
   // Their records are compressed, so each eviction is a demotion, though
-  // none is proactive: no page is idle past the demotion floor. (Listed
-  // now: LeafPageIds loads the pages it walks.)
-  const std::vector<PageId> pids = store.tree()->LeafPageIds();
-  const size_t leaves = pids.size();
+  // none is proactive: no page is idle past the demotion floor.
   clock.AdvanceSeconds(60);
   store.Maintain();
+  EXPECT_EQ(store.tree()->resident_leaves(), 0u);
+  const std::vector<PageId> pids = store.tree()->LeafPageIds();
+  const size_t leaves = pids.size();
   EXPECT_EQ(store.tree()->resident_leaves(), 0u);
   EXPECT_EQ(store.Stats().tier_demotions, leaves);
   EXPECT_EQ(store.Stats().tier_proactive_demotions, 0u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -190,6 +191,81 @@ TEST_F(FaultyStackTest, CorruptionDetectedByChecksumOnLoad) {
       << r.status().ToString();
   EXPECT_EQ(tree_->stats().io_retries, retries_before)
       << "corruption must not be retried";
+}
+
+// Fails the first `fail_reads` device reads with a transient IoError
+// and counts every read the device is asked for.
+class CountingReadFaults : public storage::IoFaultHook {
+ public:
+  explicit CountingReadFaults(int fail_reads) : fail_reads_(fail_reads) {}
+  Status OnRead(uint64_t, size_t) override {
+    return reads_.fetch_add(1) < fail_reads_
+               ? Status::IoError("injected read error")
+               : Status::Ok();
+  }
+  WriteOutcome OnWrite(uint64_t, size_t) override { return {}; }
+  int reads() const { return reads_.load(); }
+
+ private:
+  const int fail_reads_;
+  std::atomic<int> reads_{0};
+};
+
+// A tree whose one leaf is evicted onto a sealed log segment, so a Get
+// makes exactly one device read per attempt of its page load.
+class RetryContractTest : public ::testing::Test {
+ protected:
+  static constexpr int kMaxAttempts = 5;
+
+  RetryContractTest() {
+    storage::SsdOptions dev;
+    dev.capacity_bytes = 64ull << 20;
+    dev.max_iops = 0;
+    device_ = std::make_unique<storage::SsdDevice>(dev);
+    log_ = std::make_unique<llama::LogStructuredStore>(device_.get());
+    bwtree::BwTreeOptions topts;
+    topts.log_store = log_.get();
+    topts.io_retry.max_attempts = kMaxAttempts;
+    topts.io_retry.sleep = [](uint64_t) {};
+    tree_ = std::make_unique<bwtree::BwTree>(topts);
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE(tree_->Put("k" + std::to_string(i), "v").ok());
+    }
+    EXPECT_TRUE(tree_->FlushAll().ok());
+    for (auto pid : tree_->LeafPageIds()) {
+      EXPECT_TRUE(
+          tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction).ok());
+    }
+  }
+  ~RetryContractTest() override { device_->set_fault_hook(nullptr); }
+
+  std::unique_ptr<storage::SsdDevice> device_;
+  std::unique_ptr<llama::LogStructuredStore> log_;
+  std::unique_ptr<bwtree::BwTree> tree_;
+};
+
+TEST_F(RetryContractTest, PersistentReadFailureSpendsTheWholeBudget) {
+  CountingReadFaults faults(/*fail_reads=*/1 << 30);
+  device_->set_fault_hook(&faults);
+  auto r = tree_->Get("k3");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsIoError()) << r.status().ToString();
+  EXPECT_EQ(faults.reads(), kMaxAttempts);
+  EXPECT_EQ(tree_->stats().io_retries, uint64_t{kMaxAttempts - 1});
+  EXPECT_EQ(tree_->stats().io_retry_give_ups, 1u);
+  EXPECT_EQ(tree_->stats().page_loads, 0u);
+}
+
+TEST_F(RetryContractTest, OneTransientFailureCountsOneRetry) {
+  CountingReadFaults faults(/*fail_reads=*/1);
+  device_->set_fault_hook(&faults);
+  auto r = tree_->Get("k3");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, "v");
+  EXPECT_EQ(faults.reads(), 2);
+  EXPECT_EQ(tree_->stats().io_retries, 1u);
+  EXPECT_EQ(tree_->stats().io_retry_give_ups, 0u);
+  EXPECT_EQ(tree_->stats().page_loads, 1u);
 }
 
 TEST(FaultInjectionTest, CachePressureWithTinyBudgetStaysCorrect) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "common/random.h"
 #include "compression/compressor.h"
@@ -95,6 +100,66 @@ TEST_F(LogStoreTest, ChecksumDetectsMediaCorruption) {
   std::string image;
   Status s = store_->Read(*addr, &image);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// Parks every device write in OnWrite until Release(): a flush that
+// reaches the device stops there while it holds the log latch.
+class ParkWritesHook : public storage::IoFaultHook {
+ public:
+  Status OnRead(uint64_t, size_t) override { return Status::Ok(); }
+  WriteOutcome OnWrite(uint64_t, size_t) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return released_; });
+    return {};
+  }
+  void WaitUntilParked() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lk(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+TEST_F(LogStoreTest, SealedReadDoesNotWaitForTheLogLatch) {
+  auto sealed = store_->Append(1, Slice("sealed-record"));
+  ASSERT_TRUE(sealed.ok());
+  ASSERT_TRUE(store_->Flush().ok());
+  ASSERT_TRUE(store_->Append(2, Slice("open-record")).ok());
+
+  // A seal of the open segment parks inside its device write, holding
+  // the log latch.
+  ParkWritesHook hook;
+  device_->set_fault_hook(&hook);
+  std::thread sealer([this] { EXPECT_TRUE(store_->Flush().ok()); });
+  hook.WaitUntilParked();
+
+  // A read of the record in the earlier, sealed segment still completes.
+  std::string image;
+  std::future<Status> read = std::async(std::launch::async, [&] {
+    return store_->Read(*sealed, &image);
+  });
+  const bool finished =
+      read.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(finished) << "a sealed read waited for the seal's write";
+  hook.Release();
+  sealer.join();
+  ASSERT_TRUE(read.get().ok());
+  device_->set_fault_hook(nullptr);
+  EXPECT_EQ(image, "sealed-record");
+  // The latch-free read still counts as a device read.
+  EXPECT_EQ(store_->stats().device_reads, 1u);
+  EXPECT_EQ(device_->stats().reads, 1u);
 }
 
 TEST_F(LogStoreTest, MarkDeadTracksLiveFraction) {
