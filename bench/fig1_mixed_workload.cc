@@ -45,7 +45,7 @@ Measured MeasureAtFraction(core::CachingStore* store,
       // Untimed: force the next access to be an SS operation.
       auto pid = tree->LeafOf(Slice(key));
       if (pid.ok()) {
-        tree->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+        tree->EvictPage(*pid);
       }
     }
     const uint64_t t0 = ThreadCpuNanos();

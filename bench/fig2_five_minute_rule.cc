@@ -90,7 +90,7 @@ int Run() {
   for (int i = 0; i < 1'000; ++i) {
     std::string key = loader.KeyAt(rng.Uniform(50'000));
     auto pid = tree->LeafOf(Slice(key));
-    if (pid.ok()) tree->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+    if (pid.ok()) tree->EvictPage(*pid);
     (void)tree->Get(Slice(key));
     if (i % 512 == 0) tree->ReclaimMemory();
   }
@@ -100,7 +100,7 @@ int Run() {
   for (int i = 0; i < kSsProbes; ++i) {
     std::string key = loader.KeyAt(rng.Uniform(50'000));
     auto pid = tree->LeafOf(Slice(key));
-    if (pid.ok()) tree->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+    if (pid.ok()) tree->EvictPage(*pid);
     uint64_t t0 = ThreadCpuNanos();
     (void)tree->Get(Slice(key));
     ss_nanos += ThreadCpuNanos() - t0;

@@ -49,7 +49,7 @@ PathResult MeasurePath(storage::IoPathKind kind) {
   for (int i = 0; i < 1'000; ++i) {
     std::string key = loader.KeyAt(rng.Uniform(kRecords));
     auto pid = tree->LeafOf(Slice(key));
-    if (pid.ok()) tree->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+    if (pid.ok()) tree->EvictPage(*pid);
     (void)tree->Get(Slice(key));
     if (i % 512 == 0) tree->ReclaimMemory();
   }
@@ -59,7 +59,7 @@ PathResult MeasurePath(storage::IoPathKind kind) {
   for (int i = 0; i < kProbes; ++i) {
     std::string key = loader.KeyAt(rng.Uniform(kRecords));
     auto pid = tree->LeafOf(Slice(key));
-    if (pid.ok()) tree->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+    if (pid.ok()) tree->EvictPage(*pid);
     uint64_t t0 = ThreadCpuNanos();
     (void)tree->Get(Slice(key));
     ss_nanos += ThreadCpuNanos() - t0;

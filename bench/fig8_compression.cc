@@ -147,7 +147,7 @@ int Run() {
   }
   uint64_t before = plain_store.log_store()->stats().payload_bytes_appended;
   for (auto pid : plain_store.tree()->LeafPageIds()) {
-    (void)plain_store.tree()->FlushPage(pid, bwtree::FlushMode::kFullPage);
+    (void)plain_store.tree()->FlushPage(pid);
   }
   uint64_t raw_media =
       plain_store.log_store()->stats().payload_bytes_appended - before;
@@ -155,7 +155,7 @@ int Run() {
   // onto the record, a demotion.
   before = css_store.log_store()->stats().payload_bytes_appended;
   for (auto pid : css_store.tree()->LeafPageIds()) {
-    (void)css_store.tree()->EvictPage(pid, bwtree::EvictMode::kFullEviction);
+    (void)css_store.tree()->EvictPage(pid);
   }
   uint64_t css_media =
       css_store.log_store()->stats().payload_bytes_appended - before;
@@ -180,7 +180,7 @@ int Run() {
       if (!pid.ok()) continue;
       (void)store.tree()->Get(Slice(key));  // ensure resident
       (void)store.tree()->Put(Slice(key), "probe-touch");
-      (void)store.tree()->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+      (void)store.tree()->EvictPage(*pid);
       uint64_t t0 = ThreadCpuNanos();
       (void)store.tree()->Get(Slice(key));
       nanos += ThreadCpuNanos() - t0;

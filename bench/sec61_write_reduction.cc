@@ -1,14 +1,11 @@
 // Reproduces the §6.1 claims about log-structuring:
 //  (1) many pages per device write (large flush buffers),
 //  (2) variable-size pages save ~30% media vs fixed 4K blocks (B-tree
-//      pages run ~ln(2) ~ 69% full),
-//  (3) delta-only flushes shrink write volume further when the base page
-//      is already on flash.
+//      pages run ~ln(2) ~ 69% full).
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "common/random.h"
 
 namespace costperf {
 namespace {
@@ -18,7 +15,7 @@ using bench::Banner;
 int Run() {
   Banner("§6.1 — log-structuring for reduced writes",
          "One large write per segment; variable pages ~30% smaller than "
-         "fixed blocks; delta flushes smaller still.");
+         "fixed blocks.");
 
   constexpr uint64_t kRecords = 40'000;
   constexpr uint64_t kBlockBytes = 4096;
@@ -51,50 +48,8 @@ int Run() {
   printf("  variable/fixed = %.2f  (paper: ~0.7, i.e. ~30%% saved)\n",
          variable_bytes / double(fixed_bytes));
 
-  // --- delta-only flushes after sparse updates ---
-  // Evict everything, blind-update 5% of records, flush deltas only.
-  // (Snapshot the leaf page ids while resident: walking them later would
-  // page everything back in.)
-  std::vector<mapping::PageId> leaf_pids = store.tree()->LeafPageIds();
-  if (!store.EvictAll().ok()) return 1;
-  Random rng(66);
-  const uint64_t updates = kRecords / 20;
-  for (uint64_t i = 0; i < updates; ++i) {
-    std::string key = loader.KeyAt(rng.Uniform(kRecords));
-    std::string val(100, 'u');
-    if (!store.Put(Slice(key), Slice(val)).ok()) return 1;
-  }
-  uint64_t full_before = store.tree()->stats().bytes_flushed;
-  // Policy A: delta-only.
-  for (auto pid : leaf_pids) {
-    (void)store.tree()->FlushPage(pid, bwtree::FlushMode::kDeltaOnly);
-  }
-  uint64_t delta_bytes = store.tree()->stats().bytes_flushed - full_before;
-  uint64_t delta_flushes = store.tree()->stats().delta_flushes;
-
-  // Policy B (counterfactual on the same update count): full page
-  // rewrite of every touched page.
-  uint64_t touched_pages = delta_flushes;
-  double full_page_bytes = touched_pages * (variable_bytes / double(pages));
-
-  printf("\nafter blind-updating %llu records on evicted pages:\n",
-         (unsigned long long)updates);
-  printf("  delta-only flush bytes:   %12llu over %llu pages "
-         "(avg %.0f B/page)\n",
-         (unsigned long long)delta_bytes, (unsigned long long)delta_flushes,
-         delta_flushes ? delta_bytes / double(delta_flushes) : 0);
-  printf("  full-page rewrite bytes:  %12.0f (same pages, counterfactual)\n",
-         full_page_bytes);
-  printf("  delta/full = %.3f — delta updates capture the new page state "
-         "for a fraction of the write volume (Fig. 5)\n",
-         full_page_bytes > 0 ? delta_bytes / full_page_bytes : 0.0);
-
   if (variable_bytes >= fixed_bytes) {
     printf("WARNING: variable-size pages did not save media\n");
-    return 1;
-  }
-  if (delta_bytes >= full_page_bytes) {
-    printf("WARNING: delta flushes did not reduce write volume\n");
     return 1;
   }
   return 0;

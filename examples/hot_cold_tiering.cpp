@@ -65,8 +65,7 @@ int main() {
            (unsigned long long)store.cache()->resident_bytes(),
            (unsigned long long)(t.ss_ops - last_ss),
            (unsigned long long)t.page_loads,
-           (unsigned long long)(t.full_evictions +
-                                t.record_cache_evictions));
+           (unsigned long long)t.full_evictions);
     last_ss = t.ss_ops;
     gen.ShiftHotSet(kRecords / 3);  // the working set drifts
   }

@@ -98,9 +98,6 @@ void Traverse(BwTree* tree, const Fn& visit) {
     } else if (tail->type == NodeType::kLeafBase) {
       EnqueueChild(static_cast<const LeafBase*>(tail)->right_sibling(), &seen,
                    &frontier);
-    } else if (tail->type == NodeType::kFlashPointer) {
-      const auto* fp = static_cast<const bwtree::FlashPointer*>(tail);
-      if (fp->fences_known) EnqueueChild(fp->right_sibling, &seen, &frontier);
     }
   }
 }
@@ -170,32 +167,29 @@ void CheckInnerOrder(PageId pid, const InnerBase* inner,
   }
 }
 
+// The flash record a mapping word or a FlashPointer tail addresses must
+// be the page's one record.
 void CheckFlashChain(BwTree* tree, PageId pid, uint64_t word,
                      const Node* tail, std::vector<Violation>* out) {
-  BwTree::PageDebugInfo info = tree->DebugPageInfo(pid);
+  bwtree::FlashAddress addr;
+  std::string what;
   if (bwtree::IsFlashWord(word)) {
-    uint64_t packed = bwtree::DecodeFlash(word).packed();
-    if (info.flash_chain.empty() || info.flash_chain.front() != packed) {
-      out->push_back(Violation{
-          "BwTreeValidator", "flash-chain", PidEntity(pid),
-          "mapping entry points at flash record " + std::to_string(packed) +
-              " but the recorded chain head is " +
-              (info.flash_chain.empty()
-                   ? std::string("<empty>")
-                   : std::to_string(info.flash_chain.front()))});
-    }
+    addr = bwtree::DecodeFlash(word);
+    what = "mapping entry points at";
+  } else if (tail != nullptr && tail->type == NodeType::kFlashPointer) {
+    addr = static_cast<const bwtree::FlashPointer*>(tail)->addr;
+    what = "FlashPointer tail addresses";
+  } else {
     return;
   }
-  if (tail != nullptr && tail->type == NodeType::kFlashPointer) {
-    uint64_t packed =
-        static_cast<const bwtree::FlashPointer*>(tail)->addr.packed();
-    if (std::find(info.flash_chain.begin(), info.flash_chain.end(),
-                  packed) == info.flash_chain.end()) {
-      out->push_back(Violation{
-          "BwTreeValidator", "flash-chain", PidEntity(pid),
-          "FlashPointer tail addresses record " + std::to_string(packed) +
-              " which is not in the page's recorded flash chain"});
-    }
+  const bwtree::FlashAddress record = tree->DebugPageInfo(pid).record;
+  if (addr != record) {
+    out->push_back(Violation{
+        "BwTreeValidator", "flash-chain", PidEntity(pid),
+        what + " flash record " + std::to_string(addr.packed()) +
+            " but the page's record is " +
+            (record.valid() ? std::to_string(record.packed())
+                            : std::string("<none>"))});
   }
 }
 

@@ -26,9 +26,8 @@ std::vector<mapping::PageId> CollectMemoryLeafPids(bwtree::BwTree* tree);
 //   chain-length node's chain_length disagrees with its position
 //   key-order    unsorted leaf keys / inner separators, fence violations,
 //                inner child-count mismatch
-//   flash-chain  mapping word or FlashPointer disagrees with the page's
-//                recorded flash chain (base image unreachable from the
-//                entry the mapping table advertises)
+//   flash-chain  mapping word or FlashPointer tail addresses a record
+//                other than the page's one record on flash
 class BwTreeValidator : public InvariantChecker {
  public:
   explicit BwTreeValidator(bwtree::BwTree* tree) : tree_(tree) {}

@@ -22,24 +22,20 @@ struct VersionedOp {
   uint64_t timestamp;
 };
 
-// One record update waiting to be merged over a base: an in-memory delta,
-// or an op of a delta page read back from flash. A view: the delta node or
-// decoded op outlives the merge.
+// One in-memory record delta waiting to be merged over a base. A view:
+// the delta node outlives the merge.
 struct PendingOp {
   Slice key;
   Slice value;  // empty for deletes
   uint64_t timestamp;
-  // Which batch of updates it came in: 0 is the in-memory chain, then one
-  // per delta page, newest page first.
-  uint32_t generation;
   uint32_t age;  // position in newest-first order: 0 is the newest op
   bool is_delete;
 };
 
-// Appends the record deltas of chain [head, stop) to *ops (generation 0,
-// newest first, ages continuing from ops->size()) and, when `merges` is
-// non-null, its merge deltas to *merges (newest first). False when the
-// chain heads a merged-away page.
+// Appends the record deltas of chain [head, stop) to *ops (newest first,
+// ages continuing from ops->size()) and, when `merges` is non-null, its
+// merge deltas to *merges (newest first). False when the chain heads a
+// merged-away page.
 bool CollectChain(const Node* head, const Node* stop,
                   std::vector<PendingOp>* ops,
                   std::vector<const MergeDelta*>* merges) {
@@ -47,10 +43,10 @@ bool CollectChain(const Node* head, const Node* stop,
     const auto age = static_cast<uint32_t>(ops->size());
     if (n->type == NodeType::kInsertDelta) {
       const auto* d = static_cast<const InsertDelta*>(n);
-      ops->push_back(PendingOp{d->key, d->value, d->timestamp, 0, age, false});
+      ops->push_back(PendingOp{d->key, d->value, d->timestamp, age, false});
     } else if (n->type == NodeType::kDeleteDelta) {
       const auto* d = static_cast<const DeleteDelta*>(n);
-      ops->push_back(PendingOp{d->key, Slice(), d->timestamp, 0, age, true});
+      ops->push_back(PendingOp{d->key, Slice(), d->timestamp, age, true});
     } else if (n->type == NodeType::kMergeDelta) {
       if (merges != nullptr) {
         merges->push_back(static_cast<const MergeDelta*>(n));
@@ -63,15 +59,14 @@ bool CollectChain(const Node* head, const Node* stop,
 }
 
 // The one newest-wins record merge, behind consolidation and loads that
-// find deltas (in memory or as delta pages on flash). Per key, the newest
-// generation that touched it decides — the in-memory chain, then each
-// delta page from newest to oldest, then the base — and within it the op
-// with the highest timestamp wins, equal timestamps going to the newest
-// op. That is what reads see: SearchResidentChain takes the highest
-// timestamp in the chain it walks, and a chain over a flushed base
-// answers from its own deltas (a record-cache hit) without looking at
-// older pages, so a merge never changes what a read returned. A winning
-// insert replaces the base record, a winning delete drops it.
+// find in-memory deltas over the base. Per key, a delta decides over the
+// base, and among the deltas the op with the highest timestamp wins,
+// equal timestamps going to the newest op. That is what reads see:
+// SearchResidentChain takes the highest timestamp in the chain it walks,
+// and a chain over an evicted base answers from its own deltas (a
+// record-cache hit) without loading it, so a merge never changes what a
+// read returned. A winning insert replaces the base record, a winning
+// delete drops it.
 // `bases` are sorted record runs over disjoint ascending key ranges (a
 // page's base, then the bases its merge deltas absorbed, oldest first);
 // runs of base records no op touches are copied as they are.
@@ -80,9 +75,6 @@ void MergeNewestWins(const std::vector<const LeafBase*>& bases,
   std::sort(ops->begin(), ops->end(),
             [](const PendingOp& a, const PendingOp& b) {
               if (const int c = a.key.compare(b.key); c != 0) return c < 0;
-              if (a.generation != b.generation) {
-                return a.generation < b.generation;
-              }
               if (a.timestamp != b.timestamp) {
                 return a.timestamp > b.timestamp;
               }
@@ -166,8 +158,8 @@ const Node* BwTree::ChainTail(const Node* head) {
 namespace {
 
 // Effective fences of a leaf chain: the topmost merge delta (newest range
-// extension) wins; otherwise the tail's fences. Returns false when the
-// fences are unknown (FlashPointer without them).
+// extension) wins; otherwise the base's fences. Returns false when they
+// are on flash (a FlashPointer tail).
 bool ChainFences(const Node* head, Slice* high_key, PageId* right_sibling) {
   for (const Node* n = head; n != nullptr; n = n->next) {
     if (n->type == NodeType::kMergeDelta) {
@@ -180,13 +172,6 @@ bool ChainFences(const Node* head, Slice* high_key, PageId* right_sibling) {
       const auto* b = static_cast<const LeafBase*>(n);
       *high_key = b->high_key();
       *right_sibling = b->right_sibling();
-      return true;
-    }
-    if (n->type == NodeType::kFlashPointer) {
-      const auto* fp = static_cast<const FlashPointer*>(n);
-      if (!fp->fences_known) return false;
-      *high_key = fp->high_key;
-      *right_sibling = fp->right_sibling;
       return true;
     }
   }
@@ -217,18 +202,6 @@ bool FindInLeaf(const LeafBase& leaf, const Slice& key, std::string* value) {
   return true;
 }
 
-// True when the chain contains structure-modification deltas that the
-// record-cache paths cannot clone or serialize incrementally.
-bool ChainHasSmoDeltas(const Node* head) {
-  for (const Node* n = head; n != nullptr; n = n->next) {
-    if (n->type == NodeType::kMergeDelta ||
-        n->type == NodeType::kRemoveNode) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // True when `head` is a leaf chain that GC can move as it is: record
 // deltas, if any, over a resident LeafBase, with no SMO delta and no
 // FlashPointer tail.
@@ -241,11 +214,6 @@ bool RelocatableLeafChain(const Node* head) {
     }
   }
   return n->type == NodeType::kLeafBase;
-}
-
-// Whether a page's flash chain lists `addr`.
-bool ChainHolds(const std::vector<uint64_t>& chain, FlashAddress addr) {
-  return std::find(chain.begin(), chain.end(), addr.packed()) != chain.end();
 }
 
 }  // namespace
@@ -280,23 +248,23 @@ void BwTree::CacheTouch(PageId pid) {
 }
 
 // ---------------------------------------------------------------------
-// Meta (flash chain) bookkeeping
+// Meta (flash record) bookkeeping
 // ---------------------------------------------------------------------
-
-void BwTree::MetaSetChain(PageId pid, std::vector<uint64_t> chain,
-                          bool dirty, bool newest_compressed) {
-  MetaStripe& stripe = StripeOf(pid);
-  MutexLock lk(&stripe.mu);
-  auto& m = stripe.pages[pid];
-  m.flash_chain = std::move(chain);
-  m.base_dirty = dirty;
-  m.newest_compressed = newest_compressed;
-}
 
 void BwTree::MetaMarkDirty(PageId pid) {
   MetaStripe& stripe = StripeOf(pid);
   MutexLock lk(&stripe.mu);
   stripe.pages[pid].base_dirty = true;
+}
+
+FlashAddress BwTree::MetaErase(PageId pid) {
+  MetaStripe& stripe = StripeOf(pid);
+  MutexLock lk(&stripe.mu);
+  auto it = stripe.pages.find(pid);
+  if (it == stripe.pages.end()) return FlashAddress();
+  const FlashAddress record = it->second.record;
+  stripe.pages.erase(it);
+  return record;
 }
 
 template <typename Update>
@@ -317,14 +285,13 @@ BwTree::PageMeta BwTree::MetaGet(PageId pid) const {
 }
 
 BwTree::PageDebugInfo BwTree::DebugPageInfo(PageId pid) const {
-  PageMeta m = MetaGet(pid);
-  return PageDebugInfo{std::move(m.flash_chain), m.base_dirty};
+  const PageMeta m = MetaGet(pid);
+  return PageDebugInfo{m.record, m.base_dirty};
 }
 
-void BwTree::MarkChainDead(const std::vector<uint64_t>& chain) {
-  if (options_.log_store == nullptr) return;
-  for (uint64_t packed : chain) {
-    options_.log_store->MarkDead(FlashAddress::FromPacked(packed));
+void BwTree::MarkDead(FlashAddress record) {
+  if (options_.log_store != nullptr && record.valid()) {
+    options_.log_store->MarkDead(record);
   }
 }
 
@@ -1141,54 +1108,28 @@ Status BwTree::MaterializeFromFlash(FlashAddress addr, const Node* head,
   if (options_.log_store == nullptr) {
     return Status::FailedPrecondition("no log store configured");
   }
-  // Walk the image chain newest-first down to the full image, keeping the
-  // delta pages' ops on the way (newest page first).
-  std::vector<std::vector<DeltaOp>> pages;
   std::string image;
-  for (FlashAddress cur = addr;;) {
-    if (!cur.valid()) return Status::Corruption("flash chain lacks a base");
-    bool was_compressed = false;
-    Status s = RetryIo([&]() {
-      return options_.log_store->Read(cur, &image, nullptr, &was_compressed);
-    });
-    if (!s.ok()) return s;
-    ctx->flash_reads++;
-    s_flash_reads_.fetch_add(1, std::memory_order_relaxed);
-    // CSS-tier record: the log store already decompressed it; this op
-    // paid decompress CPU instead of the larger SS transfer.
-    if (was_compressed) ctx->compressed_reads++;
-    uint8_t kind = 0;
-    Status ks = PageCodec::PeekKind(Slice(image), &kind);
-    if (!ks.ok()) return ks;
-    if (kind == PageCodec::kFullLeaf) break;
-    std::vector<DeltaOp>& page_ops = pages.emplace_back();
-    Status ds = PageCodec::DecodeDeltaPage(Slice(image), &cur, &page_ops);
-    if (!ds.ok()) return ds;
-    if (pages.size() > 64) {
-      return Status::Corruption("flash delta chain too long");
-    }
-  }
-
-  // The full image becomes the leaf's storage as it is.
-  auto leaf = std::make_unique<LeafBase>();
-  Status s = PageCodec::DecodeLeaf(std::move(image), leaf.get());
+  bool was_compressed = false;
+  Status s = RetryIo([&]() {
+    return options_.log_store->Read(addr, &image, nullptr, &was_compressed);
+  });
   if (!s.ok()) return s;
-  if (head == stop && pages.empty()) {
+  ctx->flash_reads++;
+  s_flash_reads_.fetch_add(1, std::memory_order_relaxed);
+  // CSS-tier record: the log store already decompressed it; this op paid
+  // decompress CPU instead of the larger SS transfer.
+  if (was_compressed) ctx->compressed_reads++;
+
+  // The image becomes the leaf's storage as it is.
+  auto leaf = std::make_unique<LeafBase>();
+  s = PageCodec::DecodeLeaf(std::move(image), leaf.get());
+  if (!s.ok()) return s;
+  if (head == stop) {
     *out = leaf.release();
     return Status::Ok();
   }
-  // Deltas over it: the in-memory ones (generation 0) are newer than any
-  // delta page, and a page lists its ops oldest-first.
   std::vector<PendingOp> ops;
   CollectChain(head, stop, &ops, nullptr);
-  for (size_t page = 0; page < pages.size(); ++page) {
-    for (auto op = pages[page].rbegin(); op != pages[page].rend(); ++op) {
-      ops.push_back(PendingOp{op->key, op->value, op->timestamp,
-                              static_cast<uint32_t>(page + 1),
-                              static_cast<uint32_t>(ops.size()),
-                              op->kind == DeltaOp::kDelete});
-    }
-  }
   const std::vector<const LeafBase*> bases = {leaf.get()};
   LeafBuilder merged(leaf->high_key(), leaf->right_sibling());
   MergeNewestWins(bases, &ops, &merged);
@@ -1272,19 +1213,19 @@ Status BwTree::EnsureSplitSiblingDurable(PageId sib) {
   if (sib == kInvalidPageId) return Status::Ok();
   uint64_t sw = table_.Get(sib);
   if (sw == 0 || IsFlashWord(sw)) return Status::Ok();
-  if (!MetaGet(sib).flash_chain.empty()) return Status::Ok();
+  if (MetaGet(sib).record.valid()) return Status::Ok();
   // Never durable: flush it now (recursing down a run of fresh splits via
   // FlushPage's own sibling check). Aborted means a concurrent writer
   // won the CAS — retry; the chain still needs a durable image.
   Status s;
   for (int attempt = 0; attempt < 100; ++attempt) {
-    s = FlushPage(sib, FlushMode::kFullPage);
+    s = FlushPage(sib);
     if (!s.IsAborted()) break;
   }
   return s;
 }
 
-Status BwTree::FlushPage(PageId pid, FlushMode mode) {
+Status BwTree::FlushPage(PageId pid) {
   if (options_.log_store == nullptr) {
     return Status::FailedPrecondition("no log store configured");
   }
@@ -1301,88 +1242,17 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
   if (tail->type == NodeType::kInnerBase) {
     return Status::InvalidArgument("inner pages are not flushed");
   }
-
-  PageMeta meta = MetaGet(pid);
-
   if (tail->type == NodeType::kFlashPointer) {
-    // Base already on flash; only in-memory deltas may be dirty.
-    if (head == tail) return Status::Ok();  // nothing in memory but the ptr
-    if (mode == FlushMode::kDeltaOnly && !ChainHasSmoDeltas(head)) {
-      // Serialize in-memory deltas as an incremental delta page.
-      auto* fp = static_cast<FlashPointer*>(tail);
-      std::vector<DeltaOp> ops;
-      // Chain is newest-first; emit oldest-first, so that replay, which
-      // gives equal timestamps to the later op (MergeNewestWins), picks
-      // the newest.
-      std::vector<const Node*> nodes;
-      for (const Node* n = head; n != tail; n = n->next) nodes.push_back(n);
-      for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-        const Node* n = *it;
-        DeltaOp op;
-        if (n->type == NodeType::kInsertDelta) {
-          const auto* d = static_cast<const InsertDelta*>(n);
-          op.kind = DeltaOp::kInsert;
-          op.key = d->key;
-          op.value = d->value;
-          op.timestamp = d->timestamp;
-        } else {
-          const auto* d = static_cast<const DeleteDelta*>(n);
-          op.kind = DeltaOp::kDelete;
-          op.key = d->key;
-          op.timestamp = d->timestamp;
-        }
-        ops.push_back(std::move(op));
-      }
-      std::string image;
-      PageCodec::EncodeDeltaPage(fp->addr, ops, &image);
-      auto addr = RetryAppend(pid, Slice(image));
-      if (!addr.ok()) {
-        if (addr.status().code() == StatusCode::kInvalidArgument) {
-          // The accumulated delta spine no longer fits in one log
-          // segment; no delta flush can ever succeed again. Materialize
-          // the base and take the full-page path, which splits
-          // oversized pages instead of wedging.
-          OpContext ctx;
-          Status ls = LoadAndInstall(pid, w, &ctx);
-          if (!ls.ok() && !ls.IsAborted()) return ls;
-          return FlushPage(pid, FlushMode::kFullPage);
-        }
-        return addr.status();
-      }
-
-      auto* new_fp = new FlashPointer();
-      new_fp->addr = *addr;
-      new_fp->fences_known = fp->fences_known;
-      new_fp->high_key = fp->high_key;
-      new_fp->right_sibling = fp->right_sibling;
-      if (CasWithMeta(pid, w, EncodePointer(new_fp), [&](PageMeta& m) {
-            m.flash_chain.insert(m.flash_chain.begin(), addr->packed());
-            m.newest_compressed = false;
-          })) {
-        s_delta_flushes_.fetch_add(1, std::memory_order_relaxed);
-        s_bytes_flushed_.fetch_add(image.size(), std::memory_order_relaxed);
-        RetireChain(head);
-        if (options_.cache != nullptr) {
-          options_.cache->Resize(pid, ChainBytes(new_fp));
-        }
-        return Status::Ok();
-      }
-      s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
-      delete new_fp;
-      options_.log_store->MarkDead(*addr);
-      return Status::Aborted("page changed during delta flush");
-    }
-    // Full flush of a flash-tailed chain: load, then fall through by
-    // retrying (the resident path below handles it).
+    // Blind writes over an evicted base: load it, merging them, and
+    // flush the resident page that makes.
     OpContext ctx;
     Status s = LoadAndInstall(pid, w, &ctx);
     if (!s.ok() && !s.IsAborted()) return s;
-    return FlushPage(pid, mode);
+    return FlushPage(pid);
   }
 
-  // Resident base.
-  bool has_deltas = head != tail;
-  if (!has_deltas && !meta.base_dirty && !meta.flash_chain.empty()) {
+  PageMeta meta = MetaGet(pid);
+  if (head == tail && !meta.base_dirty && meta.record.valid()) {
     return Status::Ok();  // clean
   }
 
@@ -1432,16 +1302,16 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
     return addr.status();
   }
   if (CasWithMeta(pid, w, EncodePointer(fresh), [&](PageMeta& m) {
-        m.flash_chain = {addr->packed()};
+        m.record = *addr;
         m.base_dirty = false;
-        m.newest_compressed = packed;
+        m.record_compressed = packed;
       })) {
     s_full_flushes_.fetch_add(1, std::memory_order_relaxed);
     if (packed) s_compressed_flushes_.fetch_add(1, std::memory_order_relaxed);
     s_bytes_flushed_.fetch_add(packed ? compressed.size() : image.size(),
                                std::memory_order_relaxed);
     RetireChain(head);
-    MarkChainDead(meta.flash_chain);
+    MarkDead(meta.record);
     if (options_.cache != nullptr) {
       options_.cache->Resize(pid, ChainBytes(fresh));
     }
@@ -1453,7 +1323,7 @@ Status BwTree::FlushPage(PageId pid, FlushMode mode) {
   return Status::Aborted("page changed during flush");
 }
 
-Status BwTree::EvictPage(PageId pid, EvictMode mode, EvictResult* out) {
+Status BwTree::EvictPage(PageId pid, EvictResult* out) {
   if (options_.log_store == nullptr) {
     return Status::FailedPrecondition("no log store configured");
   }
@@ -1471,97 +1341,28 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode, EvictResult* out) {
     if (tail->type == NodeType::kInnerBase) {
       return Status::InvalidArgument("inner pages are not evicted");
     }
-
     if (head->type == NodeType::kRemoveNode) return Status::Ok();
 
-    if (mode == EvictMode::kKeepDeltas && !ChainHasSmoDeltas(head)) {
-      // Record-cache eviction: drop the base page, keep the delta spine.
-      if (tail->type == NodeType::kFlashPointer) return Status::Ok();
-      auto* base = static_cast<LeafBase*>(tail);
-      PageMeta meta = MetaGet(pid);
-      const bool write_base = meta.base_dirty || meta.flash_chain.empty();
-      FlashAddress base_addr;
-      if (write_base) {
-        // Base content not on flash: write the base image (without
-        // deltas, which stay in memory).
-        Status ss = EnsureSplitSiblingDurable(base->right_sibling());
-        if (!ss.ok()) return ss;
-        auto addr = RetryAppend(pid, base->image());
-        if (!addr.ok()) return addr.status();
-        res->wrote = true;
-        s_bytes_flushed_.fetch_add(base->image().size(),
-                                   std::memory_order_relaxed);
-        base_addr = *addr;
-      } else {
-        base_addr = FlashAddress::FromPacked(meta.flash_chain.front());
-      }
-
-      // Rebuild the delta spine over a FlashPointer tail.
-      auto* fp = new FlashPointer();
-      fp->addr = base_addr;
-      fp->fences_known = true;
-      fp->high_key = base->high_key().ToString();
-      fp->right_sibling = base->right_sibling();
-
-      Node* new_head = fp;
-      // Copy deltas (immutable, so clone values) preserving order:
-      // iterate newest-first, build by appending clones from oldest.
-      std::vector<const Node*> nodes;
-      for (const Node* n = head; n != tail; n = n->next) nodes.push_back(n);
-      for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-        const Node* n = *it;
-        Node* clone = nullptr;
-        if (n->type == NodeType::kInsertDelta) {
-          auto* c = new InsertDelta(*static_cast<const InsertDelta*>(n));
-          clone = c;
-        } else {
-          auto* c = new DeleteDelta(*static_cast<const DeleteDelta*>(n));
-          clone = c;
-        }
-        clone->next = new_head;
-        clone->chain_length = new_head->chain_length + 1;
-        new_head = clone;
-      }
-
-      if (CasWithMeta(pid, w, EncodePointer(new_head), [&](PageMeta& m) {
-            if (!write_base) return;
-            m.flash_chain = {base_addr.packed()};
-            m.base_dirty = false;
-            m.newest_compressed = false;
-          })) {
-        s_rc_evictions_.fetch_add(1, std::memory_order_relaxed);
-        RetireChain(head);
-        if (write_base) MarkChainDead(meta.flash_chain);
-        if (options_.cache != nullptr) {
-          options_.cache->Resize(pid, ChainBytes(new_head));
-        }
-        return Status::Ok();
-      }
-      s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
-      FreeChain(new_head);
-      continue;
-    }
-
-    // Full eviction: flush dirty state, then swing the entry to flash.
-    // Clean but never flushed can only be an empty fresh page; flush it
-    // too.
-    PageMeta meta = MetaGet(pid);
-    if (IsDirty(pid) || meta.flash_chain.empty()) {
-      Status s = FlushPage(pid, FlushMode::kFullPage);
+    // Flush dirty state, then swing the entry to flash. Any delta makes
+    // the page dirty, a FlashPointer tail included (a blind write is
+    // always over it), so only a bare base is swung. Clean but never
+    // flushed can only be an empty fresh page; flush it too. The
+    // metadata describes `w` for as long as the word holds it (DESIGN.md
+    // §3.4 rule 4); if the word moves, the swing's CAS fails.
+    const PageMeta meta = MetaGet(pid);
+    if (head != tail || meta.base_dirty || !meta.record.valid()) {
+      Status s = FlushPage(pid);
       if (!s.ok() && !s.IsAborted()) return s;
       res->wrote |= s.ok();
       continue;  // re-read the (now clean) entry
     }
-    const FlashAddress newest = FlashAddress::FromPacked(meta.flash_chain[0]);
-    if (!SwingToFlash(pid, w, head, newest)) continue;
+    auto* base = static_cast<LeafBase*>(head);
+    if (!SwingToFlash(pid, w, base, meta.record)) continue;
     s_full_evictions_.fetch_add(1, std::memory_order_relaxed);
     // The page's tier is its record's form (DESIGN.md §3.7): a base
-    // image swung onto a compressed record is in CSS. A FlashPointer
-    // stub held no image, so its swing moves nothing between tiers.
-    if (tail->type != NodeType::kLeafBase || options_.css_min_ratio <= 0) {
-      return Status::Ok();
-    }
-    if (!meta.newest_compressed) {
+    // image swung onto a compressed record is in CSS.
+    if (options_.css_min_ratio <= 0) return Status::Ok();
+    if (!meta.record_compressed) {
       s_css_refusals_.fetch_add(1, std::memory_order_relaxed);
       return Status::Ok();
     }
@@ -1570,31 +1371,26 @@ Status BwTree::EvictPage(PageId pid, EvictMode mode, EvictResult* out) {
     if (!res->wrote) {
       s_css_clean_demotions_.fetch_add(1, std::memory_order_relaxed);
     }
-    s_css_raw_demoted_.fetch_add(static_cast<LeafBase*>(tail)->image().size(),
+    s_css_raw_demoted_.fetch_add(base->image().size(),
                                  std::memory_order_relaxed);
     s_css_stored_demoted_.fetch_add(
-        newest.len() - llama::LogStructuredStore::kHeaderBytes,
+        meta.record.len() - llama::LogStructuredStore::kHeaderBytes,
         std::memory_order_relaxed);
     return Status::Ok();
   }
   return Status::Aborted("EvictPage kept racing writers");
 }
 
-bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
-                          FlashAddress newest) {
+bool BwTree::SwingToFlash(PageId pid, uint64_t expected, LeafBase* base,
+                          FlashAddress record) {
   // The word holds a clean base, so the metadata read with it still
-  // describes it: any change to flash_chain or base_dirty moves the word
-  // (DESIGN.md §3.4 rule 4), and this CAS then fails. The sibling the
-  // chain shows is recorded in the same stripe hold as the CAS; a
-  // FlashPointer tail without fences keeps the one recorded when the
-  // page last left DRAM, as its fences have not changed since.
-  Slice high_key;
-  PageId sib = kInvalidPageId;
-  const bool fences_known = ChainFences(head, &high_key, &sib);
+  // describes it: any change to the record or base_dirty moves the word
+  // (DESIGN.md §3.4 rule 4), and this CAS then fails. The base's sibling
+  // is recorded in the same stripe hold as the CAS.
+  const PageId sib = base->right_sibling();
   const auto swing = [&] {
-    return CasWithMeta(pid, expected, EncodeFlash(newest), [&](PageMeta& m) {
-      if (fences_known) m.flash_right_sibling = sib;
-    });
+    return CasWithMeta(pid, expected, EncodeFlash(record),
+                       [&](PageMeta& m) { m.flash_right_sibling = sib; });
   };
   const bool swung = options_.cache != nullptr
                          ? options_.cache->SwingOut(pid, swing)
@@ -1603,7 +1399,7 @@ bool BwTree::SwingToFlash(PageId pid, uint64_t expected, Node* head,
     s_cas_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  RetireChain(head);
+  RetireChain(base);
   return true;
 }
 
@@ -1617,7 +1413,7 @@ Status BwTree::FlushAll() {
   std::vector<PageId> leaves = LeafPageIds();
   for (auto it = leaves.rbegin(); it != leaves.rend(); ++it) {
     for (int attempt = 0; attempt < 100; ++attempt) {
-      Status s = FlushPage(*it, FlushMode::kFullPage);
+      Status s = FlushPage(*it);
       if (s.ok()) break;
       if (!s.IsAborted()) return s;
     }
@@ -1742,7 +1538,7 @@ bool BwTree::IsDirty(PageId pid) const {
   MutexLock lk(&stripe.mu);
   auto it = stripe.pages.find(pid);
   return it == stripe.pages.end() || it->second.base_dirty ||
-         it->second.flash_chain.empty();
+         !it->second.record.valid();
 }
 
 // ---------------------------------------------------------------------
@@ -1833,9 +1629,7 @@ Status BwTree::TryMergeRight(PageId left_pid) {
   // Step 3: detach the right page id. Readers holding stale parents may
   // still look it up, so the id is recycled only after an epoch passes.
   table_.Set(right_pid, 0);
-  PageMeta right_meta = MetaGet(right_pid);
-  MarkChainDead(right_meta.flash_chain);
-  MetaSetChain(right_pid, {}, false, false);
+  MarkDead(MetaErase(right_pid));
   if (options_.cache != nullptr) options_.cache->Erase(right_pid);
   epochs_.Retire([this, right_pid] { table_.Free(right_pid); });
 
@@ -2140,7 +1934,7 @@ BwTree::HousekeepingStats BwTree::HousekeepingScan(PageId* cursor,
       if (MaybeConsolidate(pid, &path)) out.consolidated++;
     }
     if (out.flushed < max_flushes && IsDirty(pid)) {
-      Status s = FlushPage(pid, FlushMode::kFullPage);
+      Status s = FlushPage(pid);
       if (s.ok()) {
         out.flushed++;
       } else if (!s.IsAborted() && !out.flush_error) {
@@ -2209,69 +2003,34 @@ Status BwTree::RecoverFromStore() {
     return Status::Ok();
   }
 
-  // Steps 2-4 assume the on-media fence chain is a consistent snapshot.
+  // Steps 2-3 assume the on-media fence chain is a consistent snapshot.
   // A crash between a split SMO's page flushes breaks that (the new right
   // sibling is durable, the parent-side images are not, or vice versa);
   // any structural Corruption below falls back to the salvage rebuild.
   auto fast_path = [&]() -> Status {
-  // 2. Restore mapping entries and flash-chain metadata. The newest image
-  //    may be a delta page; its back-pointer chain members are live too.
+  // 2. Restore mapping entries and page metadata, and collect the fences
+  //    each page's image carries. The leftmost leaf is the one no other
+  //    leaf points at through right_sibling.
+  std::map<PageId, std::pair<std::string, PageId>> fences;  // high, right
+  std::set<PageId> pointed_at;
   for (auto& [pid, rec] : latest) {
     if (!table_.AllocateExact(pid, EncodeFlash(rec.addr))) {
       return Status::Internal("page id collision during recovery");
     }
-    std::vector<uint64_t> chain;
-    chain.push_back(rec.addr.packed());
-    std::string image = rec.image;
-    uint8_t kind = 0;
-    Status ks = PageCodec::PeekKind(Slice(image), &kind);
-    if (!ks.ok()) return ks;
-    while (kind == PageCodec::kDeltaPage) {
-      FlashAddress prev;
-      std::vector<DeltaOp> ops;
-      Status ds = PageCodec::DecodeDeltaPage(Slice(image), &prev, &ops);
-      if (!ds.ok()) return ds;
-      chain.push_back(prev.packed());
-      Status rs =
-          RetryIo([&]() { return options_.log_store->Read(prev, &image); });
-      if (!rs.ok()) return rs;
-      ks = PageCodec::PeekKind(Slice(image), &kind);
-      if (!ks.ok()) return ks;
-      if (chain.size() > 64) {
-        return Status::Corruption("flash chain too long during recovery");
-      }
-    }
-    // The newest record keeps its form, so a page recovered onto a
-    // compressed record demotes by a swing.
-    MetaSetChain(pid, std::move(chain), /*dirty=*/false, rec.compressed);
-  }
-
-  // 3. Reconstruct the leaf order from fences. The leftmost leaf is the
-  //    one no other leaf points at through right_sibling.
-  std::map<PageId, std::pair<std::string, PageId>> fences;  // high, right
-  std::set<PageId> pointed_at;
-  for (auto& [pid, rec] : latest) {
-    // Fences live in the base (full) image at the chain tail.
-    PageMeta meta = MetaGet(pid);
-    std::string base_image;
-    if (meta.flash_chain.size() == 1) {
-      base_image = rec.image;
-    } else {
-      Status rs = RetryIo([&]() {
-        return options_.log_store->Read(
-            FlashAddress::FromPacked(meta.flash_chain.back()), &base_image);
-      });
-      if (!rs.ok()) return rs;
-    }
     LeafBase leaf;
-    Status ds = PageCodec::DecodeLeaf(std::move(base_image), &leaf);
+    Status ds = PageCodec::DecodeLeaf(std::move(rec.image), &leaf);
     if (!ds.ok()) return ds;
     fences[pid] = {leaf.high_key().ToString(), leaf.right_sibling()};
     {
-      // The page comes back on flash: LeafPageIds follows this sibling.
+      // The record keeps its form, so a page recovered onto a compressed
+      // record demotes by a swing. The page comes back on flash:
+      // LeafPageIds follows this sibling.
       MetaStripe& stripe = StripeOf(pid);
       MutexLock lk(&stripe.mu);
-      stripe.pages[pid].flash_right_sibling = leaf.right_sibling();
+      PageMeta& m = stripe.pages[pid];
+      m.record = rec.addr;
+      m.record_compressed = rec.compressed;
+      m.flash_right_sibling = leaf.right_sibling();
     }
     if (leaf.right_sibling() != kInvalidPageId) {
       pointed_at.insert(leaf.right_sibling());
@@ -2311,7 +2070,7 @@ Status BwTree::RecoverFromStore() {
     return Status::Corruption("unreachable leaves in recovery");
   }
 
-  // 4. Bulk-build the inner index bottom-up.
+  // 3. Bulk-build the inner index bottom-up.
   if (leaves.size() == 1) {
     root_pid_.store(leaves[0], std::memory_order_release);
     return Status::Ok();
@@ -2377,13 +2136,10 @@ Status BwTree::SalvageRebuild(
   s_salvage_.fetch_add(1, std::memory_order_relaxed);
   DiscardResidentState();
 
-  // Replay every readable record in log order at per-page granularity: a
-  // full image replaces the page's state, a delta page applies on top.
-  // Deletes become sequenced tombstones (not erasures) so the cross-page
-  // merge below cannot resurrect a key from an older page's image.
+  // Replay every readable record in log order at per-page granularity:
+  // each image replaces the page's state.
   struct SalvagedVal {
     uint64_t seq = 0;
-    bool tombstone = false;
     std::string value;
   };
   std::map<PageId, std::map<std::string, SalvagedVal>> pages;
@@ -2394,38 +2150,13 @@ Status BwTree::SalvageRebuild(
     Status rs =
         RetryIo([&]() { return options_.log_store->Read(addr, &image); });
     if (!rs.ok()) return rs;
-    uint8_t kind = 0;
-    if (!PageCodec::PeekKind(Slice(image), &kind).ok()) continue;
-    if (kind == PageCodec::kFullLeaf) {
-      LeafBase leaf;
-      if (!PageCodec::DecodeLeaf(std::move(image), &leaf).ok()) continue;
-      auto& state = pages[pid];
-      state.clear();  // a full image is the page's whole state
-      for (size_t i = 0; i < leaf.size(); ++i) {
-        state[leaf.key(i).ToString()] =
-            SalvagedVal{seq, false, leaf.value(i).ToString()};
-      }
-    } else if (kind == PageCodec::kDeltaPage) {
-      FlashAddress prev;
-      std::vector<DeltaOp> ops;
-      if (!PageCodec::DecodeDeltaPage(Slice(image), &prev, &ops).ok()) {
-        continue;
-      }
-      // Within a page the highest timestamp wins, equal timestamps going
-      // to the later op, as in MergeNewestWins: applying the ops in
-      // ascending timestamp order leaves each key at that op.
-      std::stable_sort(ops.begin(), ops.end(),
-                       [](const DeltaOp& a, const DeltaOp& b) {
-                         return a.timestamp < b.timestamp;
-                       });
-      auto& state = pages[pid];
-      for (const DeltaOp& op : ops) {
-        if (op.kind == DeltaOp::kInsert) {
-          state[op.key] = SalvagedVal{seq, false, op.value};
-        } else {
-          state[op.key] = SalvagedVal{seq, true, ""};
-        }
-      }
+    LeafBase leaf;
+    if (!PageCodec::DecodeLeaf(std::move(image), &leaf).ok()) continue;
+    auto& state = pages[pid];
+    state.clear();
+    for (size_t i = 0; i < leaf.size(); ++i) {
+      state[leaf.key(i).ToString()] =
+          SalvagedVal{seq, leaf.value(i).ToString()};
     }
   }
 
@@ -2451,7 +2182,6 @@ Status BwTree::SalvageRebuild(
   root_pid_.store(rp, std::memory_order_release);
   CacheInsertOrResize(rp, root);
   for (const auto& [key, val] : merged) {
-    if (val.tombstone) continue;
     Status ps = Put(Slice(key), Slice(val.value));
     if (!ps.ok()) return ps;
   }
@@ -2470,21 +2200,21 @@ bool BwTree::GcIsLive(PageId pid, FlashAddress addr) const {
   MetaStripe& stripe = StripeOf(pid);
   MutexLock lk(&stripe.mu);
   auto it = stripe.pages.find(pid);
-  return it != stripe.pages.end() && ChainHolds(it->second.flash_chain, addr);
+  return it != stripe.pages.end() && it->second.record == addr;
 }
 
 llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
                                         FlashAddress new_addr) {
-  // The page's flash chain must be exactly old_addr (PrepareSegmentForGc
-  // rewrote every other page). An evicted page's flash word moves to the
-  // new address. A resident chain is replaced by its consolidated base —
+  // The page's record must be old_addr, and the page one GcInstall can
+  // move (PrepareSegmentForGc rewrote every other page). An evicted
+  // page's flash word moves to the new address. A resident chain is replaced by its consolidated base —
   // a bare base by one copy of itself — so the mapping word moves with
   // the metadata (DESIGN.md §3.4 rule 4) and a flush or eviction that
   // read the old word fails its CAS. The replacement is built outside
   // the page's metadata stripe; the chain check, the CAS and the chain
   // update share one stripe hold, as in CasWithMeta, and so does the
-  // answer when the page cannot be moved: superseded when the chain no
-  // longer holds old_addr, still referenced when it does. Retries while
+  // answer when the page cannot be moved: superseded when its record is no
+  // longer old_addr, still referenced when it is. Retries while
   // writers move the word, so a busy page does not keep its victim
   // segment from a trim.
   using llama::InstallOutcome;
@@ -2508,12 +2238,11 @@ llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
       MetaStripe& stripe = StripeOf(pid);
       MutexLock lk(&stripe.mu);
       auto it = stripe.pages.find(pid);
-      if (it == stripe.pages.end() ||
-          !ChainHolds(it->second.flash_chain, old_addr)) {
+      if (it == stripe.pages.end() || it->second.record != old_addr) {
         outcome = InstallOutcome::kSuperseded;
-      } else if (desired != 0 && it->second.flash_chain.size() == 1) {
+      } else if (desired != 0) {
         if (table_.Cas(pid, w, desired)) {
-          it->second.flash_chain[0] = new_addr.packed();
+          it->second.record = new_addr;
           // Folded deltas make the new base newer than the record.
           if (head != nullptr && head->next != nullptr) {
             it->second.base_dirty = true;
@@ -2542,11 +2271,10 @@ llama::InstallOutcome BwTree::GcInstall(PageId pid, FlashAddress old_addr,
 
 Status BwTree::PrepareSegmentForGc(uint64_t segment_id,
                                    uint64_t segment_bytes) {
-  // A page whose flash chain touches the segment is left to GcInstall
-  // when that chain is one record and the page is evicted or a resident
-  // leaf chain without SMO deltas: GC moves its record as it is, in the
-  // form it has. Every other such page — a multi-record chain (delta
-  // pages), a FlashPointer tail (record-cache form) or an SMO chain —
+  // A page whose record is in the segment is left to GcInstall when the
+  // page is evicted or a resident leaf chain without SMO deltas: GC moves
+  // its record as it is, in the form it has. Every other such page — a
+  // FlashPointer tail (blind writes over the record) or an SMO chain —
   // gets loaded and re-flushed elsewhere.
   std::vector<PageId> to_rewrite;
   // One stripe is held at a time, so the scan never stalls the whole
@@ -2555,19 +2283,13 @@ Status BwTree::PrepareSegmentForGc(uint64_t segment_id,
     EpochGuard guard(&epochs_);
     MutexLock lk(&stripe.mu);
     for (const auto& [pid, meta] : stripe.pages) {
-      bool touches = false;
-      for (uint64_t packed : meta.flash_chain) {
-        FlashAddress a = FlashAddress::FromPacked(packed);
-        if (a.offset() / segment_bytes == segment_id) {
-          touches = true;
-          break;
-        }
+      if (!meta.record.valid() ||
+          meta.record.offset() / segment_bytes != segment_id) {
+        continue;
       }
-      if (!touches) continue;
       const uint64_t w = table_.Get(pid);
       const bool relocatable =
-          meta.flash_chain.size() == 1 && w != 0 &&
-          (IsFlashWord(w) || RelocatableLeafChain(DecodePointer(w)));
+          w != 0 && (IsFlashWord(w) || RelocatableLeafChain(DecodePointer(w)));
       if (!relocatable) to_rewrite.push_back(pid);
     }
   }
@@ -2577,7 +2299,7 @@ Status BwTree::PrepareSegmentForGc(uint64_t segment_id,
     for (int attempt = 0; attempt < 100; ++attempt) {
       // Force a rewrite: mark dirty so FlushPage re-appends elsewhere.
       MetaMarkDirty(pid);
-      s = FlushPage(pid, FlushMode::kFullPage);
+      s = FlushPage(pid);
       if (s.ok()) break;
       if (!s.IsAborted()) return s;
     }
@@ -2614,9 +2336,7 @@ BwTreeStats BwTree::stats() const {
   s.page_loads = s_loads_.load(std::memory_order_relaxed);
   s.full_flushes = s_full_flushes_.load(std::memory_order_relaxed);
   s.compressed_flushes = s_compressed_flushes_.load(std::memory_order_relaxed);
-  s.delta_flushes = s_delta_flushes_.load(std::memory_order_relaxed);
   s.full_evictions = s_full_evictions_.load(std::memory_order_relaxed);
-  s.record_cache_evictions = s_rc_evictions_.load(std::memory_order_relaxed);
   s.bytes_flushed = s_bytes_flushed_.load(std::memory_order_relaxed);
   s.io_retries = s_io_retries_.load(std::memory_order_relaxed);
   s.io_retry_give_ups = s_io_give_ups_.load(std::memory_order_relaxed);

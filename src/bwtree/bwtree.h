@@ -60,26 +60,10 @@ struct BwTreeOptions {
   }
 };
 
-// How a dirty page reaches flash (paper Fig. 5).
-enum class FlushMode {
-  kFullPage,   // write the full consolidated page image (compressed on a
-               // tiered tree when it compresses well enough)
-  kDeltaOnly,  // write just the in-memory deltas with a back-pointer to
-               // the previously stored image (valid when the base page is
-               // already on flash; falls back to full otherwise)
-};
-
-// What stays in memory after eviction (paper §6.3).
-enum class EvictMode {
-  kFullEviction,  // mapping entry becomes a flash address
-  kKeepDeltas,    // record cache: deltas survive, base page is dropped
-};
-
 // What an eviction did.
 struct EvictResult {
-  // The eviction appended to the log: a dirty page (or, for
-  // kKeepDeltas, a dirty base) was flushed first. A clean page is
-  // evicted without writing anything.
+  // The eviction appended to the log: a dirty page was flushed first. A
+  // clean page is evicted without writing anything.
   bool wrote = false;
   // A full eviction swung the page's image onto its compressed record:
   // a demotion to the CSS tier (DESIGN.md §3.7).
@@ -106,9 +90,9 @@ struct BwTreeStats {
   uint64_t read_relocation_retries = 0;
   // Paging.
   uint64_t page_loads = 0;
-  uint64_t full_flushes = 0, delta_flushes = 0;
+  uint64_t full_flushes = 0;
   uint64_t compressed_flushes = 0;  // of full_flushes, written compressed
-  uint64_t full_evictions = 0, record_cache_evictions = 0;
+  uint64_t full_evictions = 0;
   uint64_t bytes_flushed = 0;
   // Tier hierarchy (§7.2 / Fig. 8).
   uint64_t css_hits = 0;  // page loads satisfied by a compressed record
@@ -192,16 +176,19 @@ class BwTree {
 
   // --- paging operations (driven by the caching store / cache manager) ---
 
-  Status FlushPage(PageId pid, FlushMode mode);
+  // Writes a dirty leaf's consolidated image as the page's one record —
+  // compressed on a tiered tree when it compresses well enough — and
+  // marks the record it replaces dead. A clean page writes nothing.
+  Status FlushPage(PageId pid);
   // The one way a leaf leaves DRAM. A full eviction flushes a dirty page
   // first — FlushPage decides the record's form — and then swings the
-  // mapping entry onto the page's newest record, erasing its cache entry
+  // mapping entry onto the page's one record, erasing its cache entry
   // in the same latch hold. When that record is compressed the eviction
   // is a demotion to CSS and is counted as one (css_demotions, the raw
   // and stored bytes); on a tiered tree a swing onto a plain record is
   // counted as a refusal. Nothing is compressed here. *out (when
   // non-null) reports what the eviction did. Aborted on races.
-  Status EvictPage(PageId pid, EvictMode mode, EvictResult* out = nullptr);
+  Status EvictPage(PageId pid, EvictResult* out = nullptr);
   // Makes the page resident (SS work happens here).
   Status LoadPage(PageId pid);
   // Flushes every dirty leaf (full images).
@@ -268,18 +255,18 @@ class BwTree {
   // --- GC integration (see LogStructuredStore::Collect*) ---
 
   bool GcIsLive(PageId pid, FlashAddress addr) const;
-  // Moves a page whose flash chain is exactly `old_addr` onto the
-  // relocated copy `new_addr`. An evicted page's flash word moves to
-  // the new address; a resident leaf chain without SMO deltas is
-  // replaced by its consolidated base, so the mapping word moves with
-  // the metadata. Otherwise answers kSuperseded when the page's chain no
-  // longer holds old_addr (a flush or free replaced it) and
-  // kStillReferenced when it does.
+  // Moves a page whose record is `old_addr` onto the relocated copy
+  // `new_addr`. An evicted page's flash word moves to the new address; a
+  // resident leaf chain without SMO deltas is replaced by its
+  // consolidated base, so the mapping word moves with the metadata.
+  // Otherwise answers kSuperseded when the page's record is no longer
+  // old_addr (a flush or free replaced it) and kStillReferenced when it
+  // is.
   llama::InstallOutcome GcInstall(PageId pid, FlashAddress old_addr,
                                   FlashAddress new_addr);
-  // Rewrites every page in the segment that GcInstall cannot move — a
-  // multi-record flash chain, a FlashPointer tail or an SMO chain — so
-  // only relocatable records remain live there.
+  // Rewrites every page with its record in the segment that GcInstall
+  // cannot move — a FlashPointer tail or an SMO chain — so only
+  // relocatable records remain live there.
   Status PrepareSegmentForGc(uint64_t segment_id, uint64_t segment_bytes);
 
   // --- introspection ---
@@ -300,29 +287,27 @@ class BwTree {
   const BwTreeOptions& options() const { return options_; }
 
   // Snapshot of a page's paging metadata, exposed for the analysis layer
-  // (analysis::BwTreeValidator / LogStoreAuditor need the flash chain to
-  // cross-check delta-page back-pointers and log-record liveness).
+  // (analysis::BwTreeValidator checks the mapping word and a FlashPointer
+  // tail against the page's record).
   struct PageDebugInfo {
-    // Flash records backing the page, newest first (see PageMeta).
-    std::vector<uint64_t> flash_chain;
+    FlashAddress record;  // see PageMeta
     bool base_dirty = false;
   };
   PageDebugInfo DebugPageInfo(PageId pid) const;
 
  private:
   struct PageMeta {
-    // Flash records backing this page, newest first. Element 0 is the
-    // image the mapping entry / FlashPointer refers to; later elements
-    // are reachable via delta-page back-pointers.
-    std::vector<uint64_t> flash_chain;
-    // True when the resident base's content is newer than flash_chain.
+    // The page's one record on flash: its full leaf image, the record a
+    // flash mapping word or a FlashPointer tail addresses. Invalid when
+    // the page was never written.
+    FlashAddress record;
+    // True when the resident base's content is newer than `record`.
     bool base_dirty = false;
-    // True when flash_chain's newest record is stored compressed. Set
-    // with the chain: a full flush sets it to the form it wrote,
-    // recovery to the form it found, every other write (delta flush,
-    // record-cache eviction, merge) clears it, and a load or a GC
-    // relocation leaves it, as the record keeps its form.
-    bool newest_compressed = false;
+    // True when `record` is stored compressed. Set with the record: a
+    // flush sets it to the form it wrote and recovery to the form it
+    // found; a load or a GC relocation leaves it, as the record keeps its
+    // form.
+    bool record_compressed = false;
     // The page's right sibling when its mapping word last swung to flash
     // (SwingToFlash, recovery). A page's fences change only while it is
     // resident (splits and merges install resident chains), so this is
@@ -386,11 +371,11 @@ class BwTree {
   Status LoadAndInstall(PageId pid, uint64_t entry_word, OpContext* ctx)
       REQUIRES_EPOCH(epochs_);
 
-  // Reads the flash image chain starting at `addr` and builds the page it
-  // holds into a new *out, with the in-memory record deltas of chain
-  // [head, stop) merged over it (head == stop: none). A lone full image
-  // becomes the leaf's storage as it is; delta pages and deltas go
-  // through the one newest-wins merge.
+  // Reads the page's record at `addr` and builds the page it holds into a
+  // new *out, with the in-memory record deltas of chain [head, stop)
+  // merged over it (head == stop: none). Without deltas the image becomes
+  // the leaf's storage as it is; with them it goes through the one
+  // newest-wins merge.
   Status MaterializeFromFlash(FlashAddress addr, const Node* head,
                               const Node* stop, OpContext* ctx,
                               LeafBase** out);
@@ -398,15 +383,15 @@ class BwTree {
   // Builds a consolidated LeafBase from a fully resident chain.
   LeafBase* ConsolidateChain(Node* head) const REQUIRES_EPOCH(epochs_);
 
-  // Moves a clean resident page onto its newest flash record `newest`
-  // (flash_chain[0]) with one CAS of the mapping word from `expected`,
-  // whose chain starts at `head`, and retires that chain. Writes
-  // nothing; of the metadata it sets only flash_right_sibling, in the
-  // CAS's stripe hold. The CAS and the erase of the page's cache entry
-  // share one CacheManager::SwingOut latch hold, which the stripe latch
-  // nests inside. False (a CAS failure, counted) when the word moved.
-  bool SwingToFlash(PageId pid, uint64_t expected, Node* head,
-                    FlashAddress newest) REQUIRES_EPOCH(epochs_);
+  // Moves a clean resident page, the bare base `base` that `expected`
+  // holds, onto its record with one CAS of the mapping word, and retires
+  // the base. Writes nothing; of the metadata it sets only
+  // flash_right_sibling, in the CAS's stripe hold. The CAS and the erase
+  // of the page's cache entry share one CacheManager::SwingOut latch
+  // hold, which the stripe latch nests inside. False (a CAS failure,
+  // counted) when the word moved.
+  bool SwingToFlash(PageId pid, uint64_t expected, LeafBase* base,
+                    FlashAddress record) REQUIRES_EPOCH(epochs_);
 
   // Split durability ordering: if `sib` (a page's right sibling) has never
   // reached flash, flush it first. The log is sequential, so "sibling
@@ -505,14 +490,14 @@ class BwTree {
     return meta_stripes_[pid % kMetaStripes];
   }
 
-  // Meta accessors. `newest_compressed` is the form of chain[0].
-  void MetaSetChain(PageId pid, std::vector<uint64_t> chain, bool dirty,
-                    bool newest_compressed);
+  // Meta accessors.
   void MetaMarkDirty(PageId pid);
+  // Drops a page's metadata and answers the record it had.
+  FlashAddress MetaErase(PageId pid);
   // Swings `pid`'s mapping word from `expected` to `desired` and, when
   // it lands, applies `update` to the page's metadata in the same hold
   // of its metadata stripe. Every swing that folds deltas into a base or
-  // moves the page's flash state goes through here, so flash_chain and
+  // moves the page's flash state goes through here, so `record` and
   // base_dirty always describe the base the table holds. Applied after
   // the lock is dropped, a "clean" update could overwrite the dirty
   // mark of a consolidation or load that swung the word in between, and
@@ -521,7 +506,8 @@ class BwTree {
   bool CasWithMeta(PageId pid, uint64_t expected, uint64_t desired,
                    Update update);
   PageMeta MetaGet(PageId pid) const;
-  void MarkChainDead(const std::vector<uint64_t>& chain);
+  // Marks a replaced record dead in the log (nothing when invalid).
+  void MarkDead(FlashAddress record);
 
   BwTreeOptions options_;
   mapping::MappingTable table_;
@@ -575,8 +561,7 @@ class BwTree {
       s_root_collapses_{0}, s_cas_failures_{0},
       s_read_relocation_retries_{0};
   mutable std::atomic<uint64_t> s_loads_{0}, s_full_flushes_{0},
-      s_compressed_flushes_{0}, s_delta_flushes_{0}, s_full_evictions_{0},
-      s_rc_evictions_{0}, s_bytes_flushed_{0};
+      s_compressed_flushes_{0}, s_full_evictions_{0}, s_bytes_flushed_{0};
   mutable std::atomic<uint64_t> s_io_retries_{0}, s_io_give_ups_{0},
       s_salvage_{0};
   mutable std::atomic<uint64_t> s_css_hits_{0}, s_css_demotions_{0},

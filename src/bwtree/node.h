@@ -72,9 +72,9 @@ COSTPERF_HOT size_t NodeUpperBound(const std::vector<std::string>& seps,
 
 // In-memory node kinds. A logical page is a chain of immutable nodes:
 // zero or more deltas prepended (latch-free, via mapping-table CAS) onto a
-// base node — or onto a FlashPointer when the base lives on flash
-// (the record-cache state of §6.3: deltas stay in memory after the base
-// page is evicted).
+// base node — or onto a FlashPointer when the base lives on flash (a
+// blind write over an evicted page, §6.2: the deltas form a record cache
+// until a read of another key loads the base).
 enum class NodeType : uint8_t {
   kLeafBase,
   kInnerBase,
@@ -205,15 +205,13 @@ struct DeleteDelta : Node {
   uint64_t ApproxBytes() const { return sizeof(DeleteDelta) + key.size(); }
 };
 
-// Chain tail standing in for an evicted base page. Carries the evicted
-// base's fences when known so blind updates can be routed without I/O.
+// Chain tail standing in for an evicted base page: the page's one record
+// on flash. Only a blind write makes one, always with its delta over it
+// (BwTree::PostDelta), so a FlashPointer never stands alone.
 struct FlashPointer : Node {
   FlashPointer() : Node(NodeType::kFlashPointer) {}
 
   FlashAddress addr;
-  bool fences_known = false;
-  std::string high_key;
-  PageId right_sibling = kInvalidPageId;
 };
 
 // Posted at the head of a page that is being merged away (the canonical

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bwtree/node.h"
 #include "common/slice.h"
@@ -11,24 +10,13 @@
 
 namespace costperf::bwtree {
 
-// One logical record operation inside a serialized delta page.
-struct DeltaOp {
-  enum Kind : uint8_t { kInsert = 0, kDelete = 1 };
-  Kind kind = kInsert;
-  std::string key;
-  std::string value;  // empty for deletes
-  uint64_t timestamp = 0;
-};
-
 // Serialization of leaf pages for the log-structured store (paper Fig. 5:
-// variable-size pages; delta pages carry only the updates since the base
-// was last written, with a back-pointer to the previous image). A full
-// leaf image is also the in-memory form of a leaf (see LeafBase): flushes
+// variable-size pages). A page is one full leaf image on flash, and that
+// image is also the in-memory form of a leaf (see LeafBase): flushes
 // append LeafBase::image() as it is.
 class PageCodec {
  public:
   static constexpr uint8_t kFullLeaf = 0;
-  static constexpr uint8_t kDeltaPage = 1;
 
   // Makes `image`, a full leaf image, the storage of `leaf` and indexes
   // its records in place. Every length is checked against the image
@@ -36,14 +24,8 @@ class PageCodec {
   // touched. The only way a leaf is filled.
   static Status DecodeLeaf(std::string&& image, LeafBase* leaf);
 
-  // Incremental delta page: ops since `prev` was written.
-  static void EncodeDeltaPage(FlashAddress prev,
-                              const std::vector<DeltaOp>& ops,
-                              std::string* out);
-  static Status DecodeDeltaPage(const Slice& image, FlashAddress* prev,
-                                std::vector<DeltaOp>* ops);
-
-  // Peeks at the image kind without a full parse.
+  // Peeks at the image kind without a full parse: Corruption for any
+  // kind but kFullLeaf.
   static Status PeekKind(const Slice& image, uint8_t* kind);
 };
 

@@ -363,7 +363,7 @@ Status CachingStore::EvictPicked(mapping::PageId pid,
                                  bwtree::EvictResult* res) {
   // On a tiered store the page's record is usually compressed, and the
   // eviction is then its demotion to CSS (DESIGN.md §3.7).
-  Status s = tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction, res);
+  Status s = tree_->EvictPage(pid, res);
   NoteWriteOutcome(s, /*reset_on_ok=*/res->wrote);
   if (s.ok()) bg_pages_evicted_.fetch_add(1, std::memory_order_relaxed);
   return s;
@@ -441,7 +441,7 @@ Status CachingStore::EvictAll() {
   if (!s.ok()) return s;
   for (auto pid : tree_->LeafPageIds()) {
     for (int attempt = 0; attempt < 100; ++attempt) {
-      s = tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction);
+      s = tree_->EvictPage(pid);
       if (s.ok()) break;
       if (!s.IsAborted()) return s;
     }
@@ -461,8 +461,8 @@ Status CachingStore::RunGc(double live_threshold) {
 
 Status CachingStore::CollectOneSegment(double victim_threshold) {
   // Find the victim the same way CollectColdest does, but prepare the
-  // segment first: pages GC cannot move as they are (multi-record chains,
-  // FlashPointer tails, SMO chains) get rewritten elsewhere, so every
+  // segment first: pages GC cannot move as they are (FlashPointer tails,
+  // SMO chains) get rewritten elsewhere, so every
   // record GcIsLive calls dead has a durable replacement before the trim.
   uint64_t victim = UINT64_MAX;
   double victim_live = 2.0;
@@ -562,7 +562,7 @@ std::string CachingStore::DebugString() const {
   snprintf(buf, sizeof(buf),
            "bwtree: gets=%llu puts=%llu mm=%llu ss=%llu rc_hits=%llu "
            "blind=%llu loads=%llu consolidations=%llu splits=%llu "
-           "full_flushes=%llu delta_flushes=%llu evictions=%llu/%llu\n"
+           "full_flushes=%llu evictions=%llu\n"
            "device: reads=%llu writes=%llu bytes_read=%llu "
            "bytes_written=%llu occupied=%llu\n"
            "log: appended=%llu segments=%llu buffer_reads=%llu gc_runs=%llu\n"
@@ -575,9 +575,7 @@ std::string CachingStore::DebugString() const {
            (unsigned long long)t.consolidations,
            (unsigned long long)t.leaf_splits,
            (unsigned long long)t.full_flushes,
-           (unsigned long long)t.delta_flushes,
            (unsigned long long)t.full_evictions,
-           (unsigned long long)t.record_cache_evictions,
            (unsigned long long)d.reads, (unsigned long long)d.writes,
            (unsigned long long)d.bytes_read,
            (unsigned long long)d.bytes_written,

@@ -167,6 +167,58 @@ TEST(BwTreeValidatorTest, DetectsBrokenChainTail) {
   delete delta;
 }
 
+// --- seeded corruption: flash record --------------------------------------
+
+// A page is one record on flash: a mapping word or a FlashPointer tail
+// that addresses any other record breaks the flash-chain rule.
+TEST(BwTreeValidatorTest, DetectsFlashAddressOffThePagesRecord) {
+  auto store = PopulatedStore(200);
+  ASSERT_TRUE(store->EvictAll().ok());
+  bwtree::BwTree* tree = store->tree();
+  BwTreeValidator validator(tree);
+  auto violations = validator.Check();
+  EXPECT_TRUE(violations.empty()) << ReportToString(violations);
+
+  auto pid = tree->LeafOf(Slice("key100050"));
+  ASSERT_TRUE(pid.ok());
+  mapping::MappingTable* table = tree->mapping_table();
+  const uint64_t orig = table->Get(*pid);
+  ASSERT_TRUE(bwtree::IsFlashWord(orig));
+  const llama::FlashAddress record = tree->DebugPageInfo(*pid).record;
+  ASSERT_EQ(bwtree::DecodeFlash(orig).packed(), record.packed());
+  const llama::FlashAddress other(record.offset() + record.len(),
+                                  record.len());
+
+  // The mapping word points at a record that is not the page's.
+  table->Set(*pid, bwtree::EncodeFlash(other));
+  violations = validator.Check();
+  EXPECT_TRUE(HasRule(violations, "flash-chain"))
+      << ReportToString(violations);
+
+  // A blind delta over a FlashPointer tail that addresses it.
+  auto* tail = new bwtree::FlashPointer();
+  tail->addr = other;
+  auto* delta = new bwtree::InsertDelta();
+  delta->key = "key100050";
+  delta->value = "blind";
+  delta->next = tail;
+  delta->chain_length = 1;
+  table->Set(*pid, bwtree::EncodePointer(delta));
+  violations = validator.Check();
+  EXPECT_TRUE(HasRule(violations, "flash-chain"))
+      << ReportToString(violations);
+
+  // The same chain over the page's own record is clean.
+  tail->addr = record;
+  violations = validator.Check();
+  EXPECT_TRUE(violations.empty()) << ReportToString(violations);
+
+  table->Set(*pid, orig);
+  bwtree::FreeChain(delta);
+  violations = validator.Check();
+  EXPECT_TRUE(violations.empty()) << ReportToString(violations);
+}
+
 // --- seeded corruption: mapping table -------------------------------------
 
 TEST(MappingTableAuditorTest, DetectsLeakedPid) {

@@ -123,8 +123,8 @@ struct TestTree {
     opts.consolidate_threshold = consolidate_threshold;
     opts.max_inner_children = 8;
     opts.log_store = log.get();
-    // Full flushes write compressed whatever the ratio, so every demotion
-    // lands (record-cache bases and delta pages stay plain).
+    // Flushes write compressed whatever the ratio, so every demotion
+    // lands.
     opts.css_min_ratio = 1e9;
     tree = std::make_unique<bwtree::BwTree>(opts);
   }
@@ -149,8 +149,8 @@ class BwTreeBatchTest : public ::testing::Test {
 // One fixed op sequence that leaves every leaf shape a read can meet:
 // plain base pages, insert/delete delta chains, fully evicted leaves —
 // demoted to the compressed tier, as this tree compresses every full
-// image — record-cache leaves (deltas kept over an evicted base), and
-// blind deltas over evicted bases.
+// image — record-cache leaves (blind overwrites and deletes over an
+// evicted base), and single blind deltas over evicted bases.
 void BuildMixedLeaves(bwtree::BwTree* tree, uint64_t n) {
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(tree->Put(Key(i), Val(i)).ok());
@@ -162,16 +162,22 @@ void BuildMixedLeaves(bwtree::BwTree* tree, uint64_t n) {
     ASSERT_TRUE(tree->Delete(Key(i)).ok());
   }
   const std::vector<bwtree::PageId> leaves = tree->LeafPageIds();
+  std::map<bwtree::PageId, size_t> position;
+  for (size_t j = 0; j < leaves.size(); ++j) position[leaves[j]] = j;
   // Right to left: a page's right sibling has reached flash before the
-  // page is paged out, so no flush writes a never-flushed sibling for it
-  // and each record-cache leaf writes its own dirty base, plain.
+  // page is paged out, so no flush writes a never-flushed sibling for it.
   for (size_t j = leaves.size(); j-- > 0;) {
-    if (j % 4 == 1 || j % 4 == 3) {
-      ASSERT_TRUE(
-          tree->EvictPage(leaves[j], bwtree::EvictMode::kFullEviction).ok());
-    } else if (j % 4 == 2) {
-      ASSERT_TRUE(
-          tree->EvictPage(leaves[j], bwtree::EvictMode::kKeepDeltas).ok());
+    if (j % 4 != 0) {
+      ASSERT_TRUE(tree->EvictPage(leaves[j]).ok());
+    }
+  }
+  for (uint64_t i = 0; i < n; ++i) {  // record-cache leaves
+    if (position[*tree->LeafOf(Key(i))] % 4 != 2) continue;
+    if (i % 3 == 0) {
+      ASSERT_TRUE(tree->Put(Key(i), Val(i * 1000 + 1)).ok());
+    }
+    if (i % 9 == 1) {
+      ASSERT_TRUE(tree->Delete(Key(i)).ok());
     }
   }
   for (uint64_t i = 2; i < n; i += 7) {  // blind deltas
@@ -280,11 +286,12 @@ TEST_F(BwTreeBatchTest, MatchesGetOverDeltaChainsAndBasePages) {
     }
     d = ProbeBothPaths(spread, kN, interleave, /*compare_counters=*/true);
     ASSERT_FALSE(HasFailure());
-    // Every leaf shape was actually read.
+    // Every leaf shape was actually read. This tree compresses every
+    // image it writes, so every load is a CSS hit.
     EXPECT_GT(d.ss_ops, 0u);
     EXPECT_GT(d.record_cache_hits, 0u);
     EXPECT_GT(d.css_hits, 0u);
-    EXPECT_GT(d.page_loads, d.css_hits);
+    EXPECT_EQ(d.page_loads, d.css_hits);
   }
 }
 

@@ -127,7 +127,7 @@ TEST_F(BwTreeMergeTest, MergedPagesFlushEvictReload) {
   ASSERT_GT(tree_->MergeUnderfullLeaves(), 0u);
   ASSERT_TRUE(tree_->FlushAll().ok());
   for (auto pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(tree_->EvictPage(pid).ok());
   }
   for (int i = 0; i < 30; ++i) EXPECT_EQ(*tree_->Get(Key(i)), Val(i));
   for (int i = 270; i < 300; ++i) EXPECT_EQ(*tree_->Get(Key(i)), Val(i));

@@ -233,7 +233,7 @@ TEST_F(BwTreeTest, FlushThenEvictThenGetReloads) {
   }
   ASSERT_TRUE(tree_->FlushAll().ok());
   for (PageId pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(tree_->EvictPage(pid).ok());
     EXPECT_FALSE(tree_->IsLeafResident(pid));
   }
   uint64_t ss_before = tree_->stats().ss_ops;
@@ -251,7 +251,7 @@ TEST_F(BwTreeTest, EvictedPagesAreMmAgainAfterLoad) {
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
   ASSERT_TRUE(tree_->FlushAll().ok());
   for (PageId pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(tree_->EvictPage(pid).ok());
   }
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(tree_->Get(Key(i)).ok());
   uint64_t ss_after_warm = tree_->stats().ss_ops;
@@ -266,7 +266,7 @@ TEST_F(BwTreeTest, BlindPutOnEvictedPageNeedsNoRead) {
   ASSERT_TRUE(tree_->FlushAll().ok());
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->EvictPage(pids[0]).ok());
 
   uint64_t reads_before = device_->stats().reads;
   uint64_t flash_reads_before = tree_->stats().flash_record_reads;
@@ -287,88 +287,16 @@ TEST_F(BwTreeTest, BlindPutOnEvictedPageNeedsNoRead) {
   EXPECT_EQ(*tree_->Get(Key(5)), "updated-blind");
 }
 
-TEST_F(BwTreeTest, RecordCacheEvictionKeepsDeltas) {
-  SetUpStore(64 << 10);
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
-  auto pids = tree_->LeafPageIds();
-  ASSERT_EQ(pids.size(), 1u);
-  // Dirty the page with fresh deltas, then evict keeping deltas.
-  ASSERT_TRUE(tree_->FlushAll().ok());
-  ASSERT_TRUE(tree_->Put(Key(3), "hot-update").ok());
-  const uint64_t appended_before = log_->stats().records_appended;
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kKeepDeltas).ok());
-  EXPECT_GT(tree_->stats().record_cache_evictions, 0u);
-  EXPECT_FALSE(tree_->IsLeafResident(pids[0]));
-  // The flushed base is unchanged by the delta: the eviction points at
-  // its flash copy instead of appending it again.
-  EXPECT_EQ(log_->stats().records_appended, appended_before);
-
-  uint64_t flash_reads_before = tree_->stats().flash_record_reads;
-  auto r = tree_->Get(Key(3));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "hot-update");
-  EXPECT_EQ(tree_->stats().flash_record_reads, flash_reads_before)
-      << "record-cache hit must not touch flash";
-  EXPECT_GT(tree_->stats().record_cache_hits, 0u);
-  EXPECT_TRUE(analysis::BwTreeValidator(tree_.get()).Check().empty());
-  EXPECT_TRUE(analysis::LogStoreAuditor(log_.get()).Check().empty());
-}
-
-TEST_F(BwTreeTest, DeltaOnlyFlushWritesFewerBytes) {
-  SetUpStore(64 << 10);
-  for (int i = 0; i < 200; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
-  ASSERT_TRUE(tree_->FlushAll().ok());
-  auto pids = tree_->LeafPageIds();
-  ASSERT_EQ(pids.size(), 1u);
-  // Evict keeping nothing; then blind-update one record and delta-flush.
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
-  ASSERT_TRUE(tree_->Put(Key(7), "tiny-change").ok());
-
-  uint64_t flushed_before = tree_->stats().bytes_flushed;
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kDeltaOnly).ok());
-  uint64_t delta_bytes = tree_->stats().bytes_flushed - flushed_before;
-  EXPECT_GT(tree_->stats().delta_flushes, 0u);
-  EXPECT_LT(delta_bytes, 200u)
-      << "delta flush must write only the one update";
-
-  // The page state is recoverable: evict fully, reload via Get.
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
-  EXPECT_EQ(*tree_->Get(Key(7)), "tiny-change");
-  EXPECT_EQ(*tree_->Get(Key(8)), Val(8));
-}
-
-TEST_F(BwTreeTest, MultiHopFlashChainLoads) {
-  SetUpStore(64 << 10);
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
-  ASSERT_TRUE(tree_->FlushAll().ok());
-  auto pids = tree_->LeafPageIds();
-  ASSERT_EQ(pids.size(), 1u);
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
-
-  // Three rounds of blind update + delta-only flush: flash chain length 4.
-  for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(tree_->Put(Key(round), "round-" + std::to_string(round)).ok());
-    ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kDeltaOnly).ok());
-    ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
-  }
-  uint64_t reads_before = tree_->stats().flash_record_reads;
-  EXPECT_EQ(*tree_->Get(Key(0)), "round-0");
-  uint64_t hops = tree_->stats().flash_record_reads - reads_before;
-  EXPECT_EQ(hops, 4u) << "expected base + 3 delta pages";
-  EXPECT_EQ(*tree_->Get(Key(1)), "round-1");
-  EXPECT_EQ(*tree_->Get(Key(2)), "round-2");
-  EXPECT_EQ(*tree_->Get(Key(10)), Val(10));
-}
-
-// A delta page keeps the timestamp order its chain had: flushing the
-// chain and reloading the page must not change what a read returns.
+// Blind updates over an evicted base keep their timestamp order through a
+// flush: the flush loads the base, merges the deltas into one full image,
+// and reloading that image must not change what a read returns.
 TEST_F(BwTreeTest, DeltaPageReplayKeepsHighestTimestamp) {
   SetUpStore(64 << 10);
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
   ASSERT_TRUE(tree_->FlushAll().ok());
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->EvictPage(pids[0]).ok());
 
   // The transaction component posts updates after they commit, so the
   // lower timestamp can arrive second.
@@ -378,17 +306,19 @@ TEST_F(BwTreeTest, DeltaPageReplayKeepsHighestTimestamp) {
   ASSERT_TRUE(tree_->Put(Key(8), "p5", 5).ok());
   EXPECT_EQ(*tree_->Get(Key(7)), "v9");
   EXPECT_TRUE(tree_->Get(Key(8)).status().IsNotFound());
+  EXPECT_FALSE(tree_->IsLeafResident(pids[0]))
+      << "the deltas answer without loading the base";
 
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kDeltaOnly).ok());
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->FlushPage(pids[0]).ok());
+  ASSERT_TRUE(tree_->EvictPage(pids[0]).ok());
   const uint64_t reads_before = tree_->stats().flash_record_reads;
   EXPECT_EQ(*tree_->Get(Key(7)), "v9");
-  EXPECT_EQ(tree_->stats().flash_record_reads - reads_before, 2u)
-      << "expected the base and the delta page";
+  EXPECT_EQ(tree_->stats().flash_record_reads - reads_before, 1u)
+      << "the page is one record on flash";
   EXPECT_TRUE(tree_->Get(Key(8)).status().IsNotFound());
   EXPECT_EQ(*tree_->Get(Key(9)), Val(9));
 
-  // A salvage rebuild replays the same delta page the same way. A second
+  // A salvage rebuild replays the flushed image the same way. A second
   // leaf image that also claims the range up to +infinity, as a torn
   // split checkpoint leaves, makes recovery fall back to salvage.
   LeafBuilder stray(Slice(), kInvalidPageId);
@@ -404,11 +334,11 @@ TEST_F(BwTreeTest, DeltaPageReplayKeepsHighestTimestamp) {
   EXPECT_EQ(*salvaged.Get("zz"), "1");
 }
 
-// A newer batch of updates decides for the keys it touched, whatever its
-// timestamps: a chain over a flushed base answers from its own deltas (a
-// record-cache hit), and a reload must give the same answer — whether
-// the older batch is a delta page under newer in-memory deltas or under
-// a newer delta page.
+// A newer update decides for the key it touched, whatever its timestamp:
+// a chain over an evicted base answers from its own deltas (a record-cache
+// hit), and a reload must give the same answer — whether the older update
+// was flushed into the record by a full flush or is merged from memory by
+// a load for another key.
 TEST_F(BwTreeTest, NewerDeltaBatchDecidesOverOlderTimestamps) {
   SetUpStore(64 << 10);
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(tree_->Put(Key(i), Val(i)).ok());
@@ -416,23 +346,23 @@ TEST_F(BwTreeTest, NewerDeltaBatchDecidesOverOlderTimestamps) {
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
   const PageId pid = pids[0];
-  ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->EvictPage(pid).ok());
 
-  // Delta page over delta page.
+  // A blind update over a record that holds a higher-timestamped one.
   ASSERT_TRUE(tree_->Put(Key(7), "v9", 9).ok());
-  ASSERT_TRUE(tree_->FlushPage(pid, FlushMode::kDeltaOnly).ok());
-  ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->FlushPage(pid).ok());
+  ASSERT_TRUE(tree_->EvictPage(pid).ok());
   ASSERT_TRUE(tree_->Put(Key(7), "v5", 5).ok());
   EXPECT_EQ(*tree_->Get(Key(7)), "v5");
-  ASSERT_TRUE(tree_->FlushPage(pid, FlushMode::kDeltaOnly).ok());
-  ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->FlushPage(pid).ok());
+  ASSERT_TRUE(tree_->EvictPage(pid).ok());
   EXPECT_EQ(*tree_->Get(Key(7)), "v5");
 
-  // In-memory deltas over a delta page, merged by a load for another key.
-  ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+  // In-memory deltas over the record, merged by a load for another key.
+  ASSERT_TRUE(tree_->EvictPage(pid).ok());
   ASSERT_TRUE(tree_->Put(Key(9), "w9", 9).ok());
-  ASSERT_TRUE(tree_->FlushPage(pid, FlushMode::kDeltaOnly).ok());
-  ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->FlushPage(pid).ok());
+  ASSERT_TRUE(tree_->EvictPage(pid).ok());
   ASSERT_TRUE(tree_->Put(Key(9), "w5", 5).ok());
   EXPECT_EQ(*tree_->Get(Key(9)), "w5");
   const uint64_t loads_before = tree_->stats().page_loads;
@@ -448,7 +378,7 @@ TEST_F(BwTreeTest, FlushCleanPageIsNoop) {
   ASSERT_TRUE(tree_->FlushAll().ok());
   uint64_t flushes = tree_->stats().full_flushes;
   auto pids = tree_->LeafPageIds();
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kFullPage).ok());
+  ASSERT_TRUE(tree_->FlushPage(pids[0]).ok());
   EXPECT_EQ(tree_->stats().full_flushes, flushes) << "clean page: no write";
 }
 
@@ -456,7 +386,7 @@ TEST_F(BwTreeTest, EvictDirtyPageFlushesFirst) {
   SetUpStore(64 << 10);
   ASSERT_TRUE(tree_->Put("a", "1").ok());
   auto pids = tree_->LeafPageIds();
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->EvictPage(pids[0]).ok());
   EXPECT_GT(tree_->stats().full_flushes, 0u);
   EXPECT_EQ(*tree_->Get("a"), "1");
 }
@@ -490,12 +420,9 @@ TEST_F(BwTreeTest, PagingStressAgainstModel) {
       auto leaf = tree_->LeafOf(key);
       ASSERT_TRUE(leaf.ok());
       if (rng.Bernoulli(0.5)) {
-        tree_->FlushPage(*leaf, rng.Bernoulli(0.5) ? FlushMode::kFullPage
-                                                   : FlushMode::kDeltaOnly);
+        tree_->FlushPage(*leaf);
       } else {
-        tree_->EvictPage(*leaf, rng.Bernoulli(0.5)
-                                    ? EvictMode::kFullEviction
-                                    : EvictMode::kKeepDeltas);
+        tree_->EvictPage(*leaf);
       }
     }
     if (op % 512 == 0) tree_->ReclaimMemory();
@@ -517,7 +444,7 @@ TEST_F(BwTreeTest, GcPreservesEvictedPages) {
   }
   ASSERT_TRUE(tree_->FlushAll().ok());
   for (PageId pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(tree_->EvictPage(pid).ok());
   }
 
   auto live = [&](PageId pid, FlashAddress a) { return tree_->GcIsLive(pid, a); };
@@ -541,7 +468,7 @@ TEST_F(BwTreeTest, GcPreservesEvictedPages) {
     ++collected;
     // After preparation some pages are resident again; evict them.
     for (PageId pid : tree_->LeafPageIds()) {
-      tree_->EvictPage(pid, EvictMode::kFullEviction);
+      tree_->EvictPage(pid);
     }
   }
   EXPECT_GT(collected, 0);
@@ -558,13 +485,11 @@ TEST_F(BwTreeTest, GcTrimsAVictimWhoseRecordWasReplacedDuringTheRound) {
   const std::vector<PageId> leaves = tree_->LeafPageIds();
   ASSERT_EQ(leaves.size(), 1u);
   const PageId leaf = leaves[0];
-  ASSERT_TRUE(tree_->FlushPage(leaf, FlushMode::kFullPage).ok());
+  ASSERT_TRUE(tree_->FlushPage(leaf).ok());
   ASSERT_TRUE(log_->Flush().ok());
   const uint64_t segment_bytes = log_->options().segment_bytes;
   const uint64_t victim =
-      FlashAddress::FromPacked(tree_->DebugPageInfo(leaf).flash_chain.at(0))
-          .offset() /
-      segment_bytes;
+      tree_->DebugPageInfo(leaf).record.offset() / segment_bytes;
 
   // Between GC's liveness check and its install, a write and a flush
   // replace the leaf's record in the victim. Nothing references the old
@@ -575,7 +500,7 @@ TEST_F(BwTreeTest, GcTrimsAVictimWhoseRecordWasReplacedDuringTheRound) {
     if (p == leaf && !rewritten) {
       rewritten = true;
       EXPECT_TRUE(tree_->Put(Key(2), "rewritten").ok());
-      EXPECT_TRUE(tree_->FlushPage(leaf, FlushMode::kFullPage).ok());
+      EXPECT_TRUE(tree_->FlushPage(leaf).ok());
     }
     return tree_->GcInstall(p, o, n);
   };
@@ -590,7 +515,7 @@ TEST_F(BwTreeTest, GcTrimsAVictimWhoseRecordWasReplacedDuringTheRound) {
   EXPECT_TRUE(analysis::BwTreeValidator(tree_.get()).Check().empty());
 
   // The replacement is what a reload reads.
-  ASSERT_TRUE(tree_->EvictPage(leaf, EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->EvictPage(leaf).ok());
   for (int i = 0; i < 5; ++i) {
     auto r = tree_->Get(Key(i));
     ASSERT_TRUE(r.ok()) << Key(i) << " " << r.status().ToString();
@@ -604,7 +529,7 @@ TEST_F(BwTreeTest, MemoryFootprintShrinksOnEviction) {
   uint64_t resident = tree_->MemoryFootprintBytes();
   ASSERT_TRUE(tree_->FlushAll().ok());
   for (PageId pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(tree_->EvictPage(pid).ok());
   }
   tree_->ReclaimMemory();
   EXPECT_LT(tree_->MemoryFootprintBytes(), resident / 2);
@@ -710,9 +635,9 @@ TEST_F(BwTreeTest, PagingRacesNeverLoseAcknowledgedWrites) {
   std::thread pager([&] {
     for (uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
       switch (i % 4) {
-        case 0: (void)tree_->FlushPage(pid, FlushMode::kFullPage); break;
+        case 0: (void)tree_->FlushPage(pid); break;
         case 1:
-        case 2: (void)tree_->EvictPage(pid, EvictMode::kFullEviction); break;
+        case 2: (void)tree_->EvictPage(pid); break;
         default: (void)tree_->LoadPage(pid); break;
       }
       tree_->ReclaimMemory();
@@ -779,7 +704,7 @@ TEST_F(BwTreeTest, RacingFlushAndEvictionKeepTheFlashChainExact) {
   // Single-threaded: flushing a dirty bare base installs a new base.
   make_dirty_bare_base(0);
   const uint64_t before_flush = tree_->mapping_table()->Get(pid);
-  ASSERT_TRUE(tree_->FlushPage(pid, FlushMode::kFullPage).ok());
+  ASSERT_TRUE(tree_->FlushPage(pid).ok());
   EXPECT_NE(tree_->mapping_table()->Get(pid), before_flush);
 
   std::atomic<int> go{0};    // round the two pagers may start
@@ -790,9 +715,9 @@ TEST_F(BwTreeTest, RacingFlushAndEvictionKeepTheFlashChainExact) {
         std::this_thread::yield();
       }
       if (evict) {
-        (void)tree_->EvictPage(pid, EvictMode::kFullEviction);
+        (void)tree_->EvictPage(pid);
       } else {
-        (void)tree_->FlushPage(pid, FlushMode::kFullPage);
+        (void)tree_->FlushPage(pid);
       }
       done.fetch_add(1, std::memory_order_acq_rel);
     }
@@ -807,7 +732,7 @@ TEST_F(BwTreeTest, RacingFlushAndEvictionKeepTheFlashChainExact) {
       std::this_thread::yield();
     }
     tree_->ReclaimMemory();
-    // The mapping word and the flash chain must agree after every round.
+    // The mapping word and the page's record must agree after every round.
     violations += analysis::BwTreeValidator(tree_.get()).Check().size();
   }
   flusher.join();
@@ -815,11 +740,8 @@ TEST_F(BwTreeTest, RacingFlushAndEvictionKeepTheFlashChainExact) {
   EXPECT_EQ(violations, 0u);
 
   // Every record is either the page's or marked dead exactly once.
-  ASSERT_TRUE(tree_->EvictPage(pid, EvictMode::kFullEviction).ok());
-  int64_t referenced = 0;
-  for (uint64_t packed : tree_->DebugPageInfo(pid).flash_chain) {
-    referenced += FlashAddress::FromPacked(packed).len();
-  }
+  ASSERT_TRUE(tree_->EvictPage(pid).ok());
+  const int64_t referenced = tree_->DebugPageInfo(pid).record.len();
   int64_t live = 0;
   for (const auto& seg : log_->segments()) {
     live += static_cast<int64_t>(
@@ -897,7 +819,7 @@ TEST_F(BwTreeTest, RacingSwingGcAndWritersKeepTheFlashChainExact) {
     while (!stop.load(std::memory_order_acquire)) {
       for (PageId pid : leaves) {
         note(tree_->LoadPage(pid));
-        note(tree_->EvictPage(pid, EvictMode::kFullEviction));
+        note(tree_->EvictPage(pid));
       }
     }
   });
@@ -951,14 +873,12 @@ TEST_F(BwTreeTest, RacingSwingGcAndWritersKeepTheFlashChainExact) {
   int64_t referenced = 0;
   for (PageId pid : leaves) {
     const BwTree::PageDebugInfo info = tree_->DebugPageInfo(pid);
-    ASSERT_FALSE(info.flash_chain.empty());
+    ASSERT_TRUE(info.record.valid());
     const uint64_t w = tree_->mapping_table()->Get(pid);
     if (IsFlashWord(w)) {
-      EXPECT_EQ(DecodeFlash(w).packed(), info.flash_chain[0]);
+      EXPECT_EQ(DecodeFlash(w).packed(), info.record.packed());
     }
-    for (uint64_t packed : info.flash_chain) {
-      referenced += FlashAddress::FromPacked(packed).len();
-    }
+    referenced += info.record.len();
   }
   int64_t live = 0;
   for (const auto& seg : log_->segments()) {
@@ -983,9 +903,9 @@ TEST_F(BwTreeTest, PurelyInMemoryTreeRejectsPaging) {
   ASSERT_TRUE(tree.Put("a", "1").ok());
   auto pid = tree.LeafOf("a");
   ASSERT_TRUE(pid.ok());
-  EXPECT_EQ(tree.FlushPage(*pid, FlushMode::kFullPage).code(),
+  EXPECT_EQ(tree.FlushPage(*pid).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(tree.EvictPage(*pid, EvictMode::kFullEviction).code(),
+  EXPECT_EQ(tree.EvictPage(*pid).code(),
             StatusCode::kFailedPrecondition);
 }
 

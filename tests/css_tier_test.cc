@@ -29,7 +29,7 @@ struct Eviction {
 Eviction Evict(BwTree* tree, PageId pid) {
   const BwTreeStats before = tree->stats();
   Eviction e;
-  EXPECT_TRUE(tree->EvictPage(pid, EvictMode::kFullEviction, &e.res).ok());
+  EXPECT_TRUE(tree->EvictPage(pid, &e.res).ok());
   const BwTreeStats after = tree->stats();
   e.raw_bytes = after.css_raw_bytes_demoted - before.css_raw_bytes_demoted;
   e.stored_bytes =
@@ -93,7 +93,7 @@ TEST_F(CssTreeTest, CompressedImageSmallerOnMedia) {
 
   // A flush on a tiered tree writes the image compressed.
   uint64_t before = log_->stats().payload_bytes_appended;
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kFullPage).ok());
+  ASSERT_TRUE(tree_->FlushPage(pids[0]).ok());
   const uint64_t flushed_bytes = log_->stats().payload_bytes_appended - before;
   EXPECT_EQ(log_->stats().css_records_appended, 1u);
 
@@ -117,10 +117,18 @@ TEST_F(CssTreeTest, DeltaChainOverCompressedBase) {
   }
   auto pids = tree_->LeafPageIds();
   ASSERT_TRUE(Evict(tree_.get(), pids[0]).res.demoted);
-  // Blind update + delta flush on top of the compressed base.
+  // A blind update over the compressed base answers without loading it.
   ASSERT_TRUE(tree_->Put("key3", "updated").ok());
-  ASSERT_TRUE(tree_->FlushPage(pids[0], FlushMode::kDeltaOnly).ok());
-  ASSERT_TRUE(tree_->EvictPage(pids[0], EvictMode::kFullEviction).ok());
+  const uint64_t reads_before = tree_->stats().flash_record_reads;
+  EXPECT_EQ(*tree_->Get("key3"), "updated");
+  EXPECT_EQ(tree_->stats().flash_record_reads, reads_before);
+  // Its eviction flushes first: the flush loads the base, merges the
+  // delta and writes one new compressed record, which the page demotes
+  // onto.
+  const Eviction e = Evict(tree_.get(), pids[0]);
+  EXPECT_TRUE(e.res.wrote);
+  EXPECT_TRUE(e.res.demoted);
+  EXPECT_FALSE(tree_->IsLeafResident(pids[0]));
 
   EXPECT_EQ(*tree_->Get("key3"), "updated");
   EXPECT_EQ(*tree_->Get("key4"), StructuredValue(4));
@@ -221,12 +229,12 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   EXPECT_TRUE(first.res.wrote);
   EXPECT_EQ(log->stats().css_records_appended,
             fresh.css_records_appended + 1);
-  const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
-  ASSERT_EQ(chain.size(), 1u);
-  EXPECT_EQ(first.stored_bytes, FlashAddress::FromPacked(chain[0]).len() -
+  const FlashAddress record = tree->DebugPageInfo(pid).record;
+  ASSERT_TRUE(record.valid());
+  EXPECT_EQ(first.stored_bytes, record.len() -
                                     llama::LogStructuredStore::kHeaderBytes);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
-            EncodeFlash(FlashAddress::FromPacked(chain[0])));
+            EncodeFlash(record));
   EXPECT_TRUE(InCss(&store, pid));
 
   // A Get promotes the page; nobody writes it.
@@ -243,9 +251,9 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
   EXPECT_EQ(swing.stored_bytes, first.stored_bytes);
   EXPECT_EQ(log->stats().records_appended, before.records_appended);
   EXPECT_EQ(log->stats().dead_bytes_marked, before.dead_bytes_marked);
-  EXPECT_EQ(tree->DebugPageInfo(pid).flash_chain, chain);
+  EXPECT_EQ(tree->DebugPageInfo(pid).record, record);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
-            EncodeFlash(FlashAddress::FromPacked(chain[0])));
+            EncodeFlash(record));
   EXPECT_TRUE(InCss(&store, pid));
   const core::KvStoreStats stats = store.Stats();
   EXPECT_EQ(stats.tier_demotions, 2u);
@@ -270,12 +278,11 @@ TEST(CssStoreTest, CleanPromotedPageDemotesBySwing) {
             dirty_before.css_records_appended + 1);
   EXPECT_EQ(log->stats().dead_bytes_marked,
             dirty_before.dead_bytes_marked +
-                FlashAddress::FromPacked(chain[0]).len());
-  const std::vector<uint64_t> rewritten = tree->DebugPageInfo(pid).flash_chain;
-  ASSERT_EQ(rewritten.size(), 1u);
-  EXPECT_NE(rewritten, chain);
-  EXPECT_EQ(tree->mapping_table()->Get(pid),
-            EncodeFlash(FlashAddress::FromPacked(rewritten[0])));
+                record.len());
+  const FlashAddress rewritten = tree->DebugPageInfo(pid).record;
+  ASSERT_TRUE(rewritten.valid());
+  EXPECT_NE(rewritten, record);
+  EXPECT_EQ(tree->mapping_table()->Get(pid), EncodeFlash(rewritten));
   EXPECT_TRUE(InCss(&store, pid));
   EXPECT_EQ(store.Stats().tier_clean_demotions, 1u);
   ExpectReads(&store, 3);
@@ -305,8 +312,8 @@ TEST(CssStoreTest, FlushesWriteCompressedAndTheNextDemotionIsASwing) {
 
   // The eviction that follows appends nothing: it swings onto the
   // record the flush wrote, a demotion.
-  const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
-  ASSERT_EQ(chain.size(), 1u);
+  const FlashAddress record = tree->DebugPageInfo(pid).record;
+  ASSERT_TRUE(record.valid());
   const llama::LogStoreStats before = log->stats();
   const Eviction e = Evict(tree, pid);
   EXPECT_TRUE(e.res.demoted);
@@ -314,7 +321,7 @@ TEST(CssStoreTest, FlushesWriteCompressedAndTheNextDemotionIsASwing) {
   EXPECT_EQ(log->stats().records_appended, before.records_appended);
   EXPECT_EQ(log->stats().dead_bytes_marked, before.dead_bytes_marked);
   EXPECT_EQ(tree->mapping_table()->Get(pid),
-            EncodeFlash(FlashAddress::FromPacked(chain[0])));
+            EncodeFlash(record));
   EXPECT_TRUE(InCss(&store, pid));
   EXPECT_EQ(store.Stats().tier_clean_demotions, 1u);
   ExpectReads(&store, 3);
@@ -421,7 +428,7 @@ uint64_t DemoteSealAndPromote(core::CachingStore* store, PageId pid) {
   EXPECT_TRUE(store->log_store()->Flush().ok());
   ExpectReads(store);
   EXPECT_TRUE(store->tree()->IsLeafResident(pid));
-  return store->tree()->DebugPageInfo(pid).flash_chain.at(0);
+  return store->tree()->DebugPageInfo(pid).record.packed();
 }
 
 uint64_t SegmentOf(core::CachingStore* store, uint64_t packed) {
@@ -451,8 +458,8 @@ TEST(CssStoreTest, GcMovesAPromotedPagesCompressedRecordAsItIs) {
   EXPECT_TRUE(tree->IsLeafResident(pid));
   EXPECT_NE(tree->mapping_table()->Get(pid), word_before);
   const BwTree::PageDebugInfo info = tree->DebugPageInfo(pid);
-  ASSERT_EQ(info.flash_chain.size(), 1u);
-  const uint64_t moved = info.flash_chain[0];
+  ASSERT_TRUE(info.record.valid());
+  const uint64_t moved = info.record.packed();
   EXPECT_NE(moved, record);
   EXPECT_EQ(FlashAddress::FromPacked(moved).len(),
             FlashAddress::FromPacked(record).len());
@@ -494,8 +501,8 @@ TEST(CssStoreTest, GcMovesTheRecordUnderAResidentPageWithDeltas) {
   ASSERT_FALSE(IsFlashWord(word));
   EXPECT_EQ(DecodePointer(word)->type, NodeType::kLeafBase);
   const BwTree::PageDebugInfo info = tree->DebugPageInfo(pid);
-  ASSERT_EQ(info.flash_chain.size(), 1u);
-  EXPECT_NE(info.flash_chain[0], record);
+  ASSERT_TRUE(info.record.valid());
+  EXPECT_NE(info.record.packed(), record);
   EXPECT_TRUE(info.base_dirty);
   EXPECT_EQ(log->stats().css_records_appended,
             log_before.css_records_appended + 1);
@@ -554,8 +561,8 @@ TEST(CssStoreTest, LeafPageIdsOnAnEvictedStoreLoadsNothing) {
   EXPECT_EQ(reopened.tree()->LeafPageIds(), leaves);
   EXPECT_TRUE(counts(&reopened) == recovered);
 
-  // A blind write puts a FlashPointer tail without fences over one page;
-  // the walk still passes it without a load.
+  // A blind write puts a FlashPointer tail over one page, which keeps its
+  // fences on flash; the walk still passes it without a load.
   ASSERT_TRUE(store.Put("k1000", "updated").ok());
   const Counts blind = counts(&store);
   EXPECT_EQ(store.tree()->LeafPageIds(), leaves);
@@ -677,8 +684,8 @@ TEST(CssStoreTest, EvictionCountsTheFormOfTheRecordItLandsOn) {
   BwTree* tree = store.tree();
   const PageId pid = FillOneLeaf(&store);
   ASSERT_TRUE(store.Checkpoint().ok());
-  const std::vector<uint64_t> chain = tree->DebugPageInfo(pid).flash_chain;
-  ASSERT_EQ(chain.size(), 1u);
+  const FlashAddress record = tree->DebugPageInfo(pid).record;
+  ASSERT_TRUE(record.valid());
   ASSERT_TRUE(store.cache()->Contains(pid));
 
   // A clean page on a compressed record: a demotion that writes nothing,
@@ -687,7 +694,7 @@ TEST(CssStoreTest, EvictionCountsTheFormOfTheRecordItLandsOn) {
   const Eviction e = Evict(tree, pid);
   EXPECT_TRUE(e.res.demoted);
   EXPECT_FALSE(e.res.wrote);
-  EXPECT_EQ(e.stored_bytes, FlashAddress::FromPacked(chain[0]).len() -
+  EXPECT_EQ(e.stored_bytes, record.len() -
                                 llama::LogStructuredStore::kHeaderBytes);
   EXPECT_GT(e.raw_bytes, e.stored_bytes);
   EXPECT_FALSE(store.cache()->Contains(pid));
@@ -748,10 +755,9 @@ TEST(CssStoreTest, CssBytesAreTheCompressedBytesTheLogRetains) {
   const uint64_t after = store.Stats().tier_css_bytes;
   EXPECT_LT(after, before);
   EXPECT_EQ(after, segment_css_bytes());
-  const std::vector<uint64_t> chain =
-      store.tree()->DebugPageInfo(pid).flash_chain;
-  ASSERT_EQ(chain.size(), 1u);
-  EXPECT_EQ(after, FlashAddress::FromPacked(chain[0]).len() -
+  const FlashAddress record = store.tree()->DebugPageInfo(pid).record;
+  ASSERT_TRUE(record.valid());
+  EXPECT_EQ(after, record.len() -
                        llama::LogStructuredStore::kHeaderBytes);
   ExpectReads(&store, 3);
   EXPECT_TRUE(store.CheckInvariants().empty());

@@ -76,7 +76,7 @@ TEST_F(FaultyStackTest, TreeGetReturnsIoErrorOnDeadDevice) {
   }
   ASSERT_TRUE(tree_->FlushAll().ok());
   for (auto pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(tree_->EvictPage(pid).ok());
   }
   // Kill the read channel: loads must fail loudly (after exhausting
   // bounded retries), never crash or return stale data.
@@ -103,7 +103,7 @@ TEST_F(FaultyStackTest, IntermittentReadErrorsRetryCleanly) {
   }
   ASSERT_TRUE(tree_->FlushAll().ok());
   for (auto pid : tree_->LeafPageIds()) {
-    ASSERT_TRUE(tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(tree_->EvictPage(pid).ok());
   }
   injector_->set_read_error_rate(0.85);
 
@@ -125,7 +125,7 @@ TEST_F(FaultyStackTest, IntermittentReadErrorsRetryCleanly) {
     // Re-evict so the next key also needs a load.
     auto pid = tree_->LeafOf(key);
     ASSERT_TRUE(pid.ok());
-    (void)tree_->EvictPage(*pid, bwtree::EvictMode::kFullEviction);
+    (void)tree_->EvictPage(*pid);
   }
   // The retry layer absorbed transient errors invisibly...
   EXPECT_GT(tree_->stats().io_retries, 0u) << "retries never engaged";
@@ -175,7 +175,7 @@ TEST_F(FaultyStackTest, CorruptionDetectedByChecksumOnLoad) {
   ASSERT_TRUE(tree_->FlushAll().ok());
   auto pids = tree_->LeafPageIds();
   ASSERT_EQ(pids.size(), 1u);
-  ASSERT_TRUE(tree_->EvictPage(pids[0], bwtree::EvictMode::kFullEviction).ok());
+  ASSERT_TRUE(tree_->EvictPage(pids[0]).ok());
 
   // Bit rot over the page's media region. Corruption is NOT transient:
   // the load must fail without burning the whole retry budget.
@@ -234,7 +234,7 @@ class RetryContractTest : public ::testing::Test {
     EXPECT_TRUE(tree_->FlushAll().ok());
     for (auto pid : tree_->LeafPageIds()) {
       EXPECT_TRUE(
-          tree_->EvictPage(pid, bwtree::EvictMode::kFullEviction).ok());
+          tree_->EvictPage(pid).ok());
     }
   }
   ~RetryContractTest() override { device_->set_fault_hook(nullptr); }
@@ -297,9 +297,7 @@ TEST(FaultInjectionTest, CachePressureWithTinyBudgetStaysCorrect) {
       }
     }
   }
-  EXPECT_GT(store.tree()->stats().full_evictions +
-                store.tree()->stats().record_cache_evictions,
-            100u);
+  EXPECT_GT(store.tree()->stats().full_evictions, 100u);
 }
 
 // --- degraded mode ---------------------------------------------------------

@@ -175,49 +175,26 @@ TEST(PageCodecTest, ApproxBytesKeepsTheModeledFootprint) {
             sizeof(VectorLeafLayout) + leaf->PayloadBytes() + 2 * 10 + 1);
 }
 
-TEST(PageCodecTest, DeltaPageRoundTrip) {
-  std::vector<DeltaOp> ops;
-  ops.push_back({DeltaOp::kInsert, "k1", "v1", 5});
-  ops.push_back({DeltaOp::kDelete, "k2", "", 7});
-  ops.push_back({DeltaOp::kInsert, "k3", "", 0});  // empty value legal
-  FlashAddress prev(12345, 678);
-  std::string image;
-  PageCodec::EncodeDeltaPage(prev, ops, &image);
-
-  FlashAddress got_prev;
-  std::vector<DeltaOp> got;
-  ASSERT_TRUE(PageCodec::DecodeDeltaPage(Slice(image), &got_prev, &got).ok());
-  EXPECT_EQ(got_prev, prev);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].kind, DeltaOp::kInsert);
-  EXPECT_EQ(got[0].key, "k1");
-  EXPECT_EQ(got[0].value, "v1");
-  EXPECT_EQ(got[0].timestamp, 5u);
-  EXPECT_EQ(got[1].kind, DeltaOp::kDelete);
-  EXPECT_EQ(got[1].key, "k2");
-  EXPECT_EQ(got[2].value, "");
-}
-
+// A full leaf image, kind 0, is the one page form: any other kind byte
+// is corruption.
 TEST(PageCodecTest, PeekKindDistinguishes) {
   const std::string leaf_img = BuildLeaf({}, {})->image().ToString();
-  std::string delta_img;
-  PageCodec::EncodeDeltaPage(FlashAddress(), {}, &delta_img);
   uint8_t kind = 99;
   ASSERT_TRUE(PageCodec::PeekKind(Slice(leaf_img), &kind).ok());
   EXPECT_EQ(kind, PageCodec::kFullLeaf);
-  ASSERT_TRUE(PageCodec::PeekKind(Slice(delta_img), &kind).ok());
-  EXPECT_EQ(kind, PageCodec::kDeltaPage);
+  std::string kind_one = leaf_img;
+  kind_one[0] = 1;
+  EXPECT_TRUE(PageCodec::PeekKind(Slice(kind_one), &kind).IsCorruption());
   EXPECT_FALSE(PageCodec::PeekKind(Slice(""), &kind).ok());
   std::string junk = "\x7fjunk";
   EXPECT_FALSE(PageCodec::PeekKind(Slice(junk), &kind).ok());
 }
 
 TEST(PageCodecTest, DecodeLeafRejectsWrongKind) {
-  std::string delta_img;
-  PageCodec::EncodeDeltaPage(FlashAddress(), {}, &delta_img);
+  std::string image = BuildLeaf({"k"}, {"v"})->image().ToString();
+  image[0] = 1;
   LeafBase out;
-  EXPECT_TRUE(
-      PageCodec::DecodeLeaf(std::string(delta_img), &out).IsCorruption());
+  EXPECT_TRUE(PageCodec::DecodeLeaf(std::move(image), &out).IsCorruption());
 }
 
 TEST(PageCodecTest, DecodeRejectsTruncation) {
@@ -264,17 +241,6 @@ TEST(PageCodecTest, DecodeRejectsRecordCountPastImage) {
   LeafBase leaf;
   EXPECT_TRUE(
       PageCodec::DecodeLeaf(std::move(leaf_img), &leaf).IsCorruption());
-
-  // A 15-byte delta image claiming 2^40 ops.
-  std::string delta_img;
-  delta_img.push_back(static_cast<char>(PageCodec::kDeltaPage));
-  PutFixed64(&delta_img, FlashAddress().packed());
-  PutVarint64(&delta_img, uint64_t{1} << 40);
-  ASSERT_EQ(delta_img.size(), 15u);
-  FlashAddress prev;
-  std::vector<DeltaOp> ops;
-  EXPECT_TRUE(
-      PageCodec::DecodeDeltaPage(Slice(delta_img), &prev, &ops).IsCorruption());
 }
 
 TEST(PageCodecTest, BinaryKeysAndValues) {

@@ -81,7 +81,7 @@ uint64_t LoadAllocations(uint32_t records, Tier tier) {
   uint64_t counted = 0;
   for (int round = 0; round < 2; ++round) {
     EvictResult res;
-    EXPECT_TRUE(tree.EvictPage(pid, EvictMode::kFullEviction, &res).ok());
+    EXPECT_TRUE(tree.EvictPage(pid, &res).ok());
     EXPECT_EQ(res.demoted, tier == Tier::kCompressed);
     EXPECT_TRUE(log.Flush().ok());  // the record is read from the device
     const uint64_t css_hits = tree.stats().css_hits;

@@ -113,19 +113,20 @@ TEST(RecoveryTest, DeltaPagesRecovered) {
     CachingStore store(opts);
     for (int i = 0; i < 200; ++i) ASSERT_TRUE(store.Put(Key(i), "base").ok());
     ASSERT_TRUE(store.EvictAll().ok());
-    // Blind updates + delta-only flush: the newest on-media image is a
-    // delta page chained to the base.
+    // Blind updates over the evicted base, then a flush: it loads the
+    // base, merges the deltas and writes the page's one new record.
     ASSERT_TRUE(store.Put(Key(7), "delta-update").ok());
+    ASSERT_TRUE(store.Delete(Key(9)).ok());
     auto pids = store.tree()->LeafPageIds();
     ASSERT_EQ(pids.size(), 1u);
-    ASSERT_TRUE(
-        store.tree()->FlushPage(pids[0], bwtree::FlushMode::kDeltaOnly).ok());
+    ASSERT_TRUE(store.tree()->FlushPage(pids[0]).ok());
     ASSERT_TRUE(store.log_store()->Flush().ok());
   }
   CachingStore reopened(opts);
   ASSERT_TRUE(reopened.Recover().ok());
   EXPECT_EQ(*reopened.Get(Key(7)), "delta-update");
   EXPECT_EQ(*reopened.Get(Key(8)), "base");
+  EXPECT_TRUE(reopened.Get(Key(9)).status().IsNotFound());
 }
 
 TEST(RecoveryTest, EmptyStoreRecoversEmpty) {

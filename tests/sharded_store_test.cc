@@ -122,7 +122,7 @@ TEST(ShardedStoreTest, BreakevensAggregateFromSummedAccumulators) {
     for (auto pid : tree->LeafPageIds()) {
       bwtree::EvictResult res;
       ASSERT_TRUE(
-          tree->EvictPage(pid, bwtree::EvictMode::kFullEviction, &res).ok());
+          tree->EvictPage(pid, &res).ok());
       ASSERT_TRUE(res.demoted);
     }
   }

@@ -146,7 +146,7 @@ TEST_F(TcTest, ReadCacheHitAvoidsIoOnEvictedPage) {
   ASSERT_TRUE(tc_->ReadOne("cold", &v).ok());  // now in read cache
   ASSERT_TRUE(dc_->FlushAll().ok());
   for (auto pid : dc_->LeafPageIds()) {
-    ASSERT_TRUE(dc_->EvictPage(pid, bwtree::EvictMode::kFullEviction).ok());
+    ASSERT_TRUE(dc_->EvictPage(pid).ok());
   }
   uint64_t flash_reads = dc_->stats().flash_record_reads;
   ASSERT_TRUE(tc_->ReadOne("cold", &v).ok());
